@@ -30,7 +30,6 @@ from .measure import (
     LiminfEstimate,
     SymbolModel,
     cylinder_measure_log,
-    dim_measure_series,
     dim_spectrum_series,
     dp_necessary_conditions,
     example1_model,
@@ -42,6 +41,7 @@ from .sequences import (
     BasicSequence,
     is_power_of_ten,
     log_prefix_product,
+    rank_logs,
     trailing_decade_start,
 )
 
@@ -137,10 +137,8 @@ def ratio_series(
     used = resolve_dps(dps)
     with working_dps(dps):
         points = []
-        prefix_log = mpf(0)
         mu = LogReal.one()
-        for k in range(1, k_max + 1):
-            prefix_log += model.seq.log_term(k)
+        for k, _, _, prefix_log in rank_logs(model.seq, k_max):
             mu = mu * model.logp(k, d.digits[k - 1])
             if mu.is_zero():
                 points.append(RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE))
@@ -287,7 +285,8 @@ def example1_report(
     psi = example1_psi_model(depth_cap=k_max)
     seq = model.seq
     with working_dps(dps):
-        mseries = dim_measure_series(model, k_max, dps)
+        dp = dp_necessary_conditions(model, k_max, dps=dps)
+        mseries = dp.measure_series
         sseries = dim_spectrum_series(psi, k_max, dps)
         window = k_max - trailing_decade_start(k_max) + 1
         m_est = liminf_estimate(mseries, window)
@@ -300,7 +299,6 @@ def example1_report(
             ratio_series(model, sample_v_element(seq, k_max, rng), k_max, dps)
             for _ in range(samples)
         ]
-        dp = dp_necessary_conditions(model, k_max, dps=dps)
 
         spikes = [k for k in range(1, k_max + 1) if is_power_of_ten(k)]
         delta_estimate = extreme_series.points[spikes[-1] - 1].value if spikes else mpf(1)

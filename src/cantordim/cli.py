@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from mpmath import nstr
@@ -36,19 +37,6 @@ DOMAIN_ERRORS = (
     ValueError,
     ZeroDivisionError,
     OverflowError,
-)
-
-SUBCOMMANDS = (
-    "encode",
-    "decode",
-    "cylinder",
-    "faithfulness",
-    "dim-measure",
-    "dim-spectrum",
-    "cdf",
-    "billingsley",
-    "boxcount",
-    "example1",
 )
 
 
@@ -360,7 +348,24 @@ def _cmd_example1(ns, dps):
     return 0
 
 
+COMMANDS = {
+    "encode": _cmd_encode,
+    "decode": _cmd_decode,
+    "cylinder": _cmd_cylinder,
+    "faithfulness": _cmd_faithfulness,
+    "dim-measure": partial(_cmd_dim, which="measure"),
+    "dim-spectrum": partial(_cmd_dim, which="spectrum"),
+    "cdf": _cmd_cdf,
+    "billingsley": _cmd_billingsley,
+    "boxcount": _cmd_boxcount,
+    "example1": _cmd_example1,
+}
+
+
 def run(argv) -> int:
+    # Exact answers (decode/cylinder denominators) may have any number of
+    # digits; Python refuses int-to-str past 4300 digits by default.
+    sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -373,28 +378,12 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        with working_dps(dps):
-            if ns.command == "encode":
-                return _cmd_encode(ns, dps)
-            if ns.command == "decode":
-                return _cmd_decode(ns, dps)
-            if ns.command == "cylinder":
-                return _cmd_cylinder(ns, dps)
-            if ns.command == "faithfulness":
-                return _cmd_faithfulness(ns, dps)
-            if ns.command == "dim-measure":
-                return _cmd_dim(ns, dps, "measure")
-            if ns.command == "dim-spectrum":
-                return _cmd_dim(ns, dps, "spectrum")
-            if ns.command == "cdf":
-                return _cmd_cdf(ns, dps)
-            if ns.command == "billingsley":
-                return _cmd_billingsley(ns, dps)
-            if ns.command == "boxcount":
-                return _cmd_boxcount(ns, dps)
-            if ns.command == "example1":
-                return _cmd_example1(ns, dps)
+        # A config file can replace "command" with any JSON value.
+        handler = COMMANDS.get(str(ns.command))
+        if handler is None:
             raise ConfigError(f"unknown subcommand {ns.command!r}")
+        with working_dps(dps):
+            return handler(ns, dps)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,26 +107,26 @@ def encode(x, seq: BasicSequence, k: int) -> DigitString:
     return DigitString(seq, tuple(digits))
 
 
-def decode(d: DigitString) -> Fraction:
-    """Exact value sum a_i / (n_1 ... n_i) of a digit string (its cylinder's
-    left endpoint); the empty string decodes to 0."""
+def _mixed_radix(d: DigitString) -> tuple[int, int]:
+    """(num, den) with num / den = sum a_i / (n_1 ... n_i) and den = n_1 ... n_k."""
     num = 0
     den = 1
     for i, a in enumerate(d.digits, 1):
         n = d.seq.term(i)
         num = num * n + a
         den *= n
-    return Fraction(num, den)
+    return num, den
+
+
+def decode(d: DigitString) -> Fraction:
+    """Exact value sum a_i / (n_1 ... n_i) of a digit string (its cylinder's
+    left endpoint); the empty string decodes to 0."""
+    return Fraction(*_mixed_radix(d))
 
 
 def cylinder(d: DigitString) -> Cylinder:
     """The cylinder interval of a digit string, with exact endpoints."""
-    num = 0
-    den = 1
-    for i, a in enumerate(d.digits, 1):
-        n = d.seq.term(i)
-        num = num * n + a
-        den *= n
+    num, den = _mixed_radix(d)
     left = Fraction(num, den)
     length = Fraction(1, den)
     return Cylinder(digits=d, left=left, right=left + length, length=length)

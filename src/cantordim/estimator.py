@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 from .codec import DigitString
 from .logreal import LogReal
 from .precision import ln_int, resolve_dps, working_dps
-from .sequences import BasicSequence, is_power_of_ten
+from .sequences import BasicSequence, is_power_of_ten, rank_logs
 
 FAMILY_NOTE = (
     "slope is the dimension w.r.t. the cylinder family; it equals the "
@@ -208,13 +208,12 @@ def count_cylinders(E: DigitSetSpec, k: int) -> int:
     return out
 
 
-def _log_count_and_prefix(E: DigitSetSpec, k: int) -> tuple[mpf, mpf]:
+def _log_counts(E: DigitSetSpec, k_max: int):
+    """Yield (k, ln(n_1...n_k), ln N_k) for k = 1..k_max."""
     log_count = mpf(0)
-    log_prefix = mpf(0)
-    for i in range(1, k + 1):
-        log_count += ln_int(E.admissible_count(i))
-        log_prefix += E.seq.log_term(i)
-    return log_count, log_prefix
+    for k, _, _, log_prefix in rank_logs(E.seq, k_max):
+        log_count += ln_int(E.admissible_count(k))
+        yield k, log_prefix, log_count
 
 
 def premeasure(E: DigitSetSpec, alpha, k: int, dps: int | None = None) -> mpf:
@@ -227,7 +226,7 @@ def premeasure(E: DigitSetSpec, alpha, k: int, dps: int | None = None) -> mpf:
     if k < 1:
         raise EstimatorError(f"rank must be >= 1, got {k}")
     with working_dps(dps):
-        log_count, log_prefix = _log_count_and_prefix(E, k)
+        *_, (_, log_prefix, log_count) = _log_counts(E, k)
         return LogReal.from_log(log_count - alpha * log_prefix).to_mpf()
 
 
@@ -276,13 +275,7 @@ def box_dimension_estimate(E: DigitSetSpec, k_max: int, dps: int | None = None) 
         raise EstimatorError(f"k_max {k_max} exceeds the {cap}-rank digit table")
     used = resolve_dps(dps)
     with working_dps(dps):
-        points = []
-        log_count = ln_int(E.admissible_count(1)) + mpf(0)
-        log_prefix = E.seq.log_term(1) + mpf(0)
-        for k in range(2, k_max + 1):
-            log_count += ln_int(E.admissible_count(k))
-            log_prefix += E.seq.log_term(k)
-            points.append((k, log_prefix, log_count))
+        points = [p for p in _log_counts(E, k_max) if p[0] >= 2]
         m = len(points)
         mean_x = sum(x for _, x, _ in points) / m
         mean_y = sum(y for _, _, y in points) / m

@@ -13,18 +13,19 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from mpmath import mp, mpf
 
 from .codec import DigitString, encode
 from .logreal import LogReal, log_sum
-from .precision import eps_for, ln_int, resolve_dps, working_dps
+from .precision import GUARD_DPS, MIN_DPS, eps_for, ln_int, resolve_dps, working_dps
 from .sequences import (
     ArithmeticSequence,
     BasicSequence,
     is_power_of_ten,
     make_sequence,
+    rank_logs,
     trailing_decade_start,
 )
 
@@ -320,7 +321,9 @@ class CustomRule(RowRule):
             raise ModelError(
                 f"custom row for rank {k} has {len(raw)} entries, expected {n}"
             )
-        return CustomRow(raw, eps_for(None))
+        # Rows are built inside working_dps, so the requested precision is
+        # the ambient one less the guard digits (MIN_DPS outside any block).
+        return CustomRow(raw, eps_for(max(mp.dps - GUARD_DPS, MIN_DPS)))
 
     def descriptor(self):
         return {"custom": [[_entry_jsonable(p) for p in row] for row in self.rows]}
@@ -336,12 +339,6 @@ class CustomRule(RowRule):
 def _entry_jsonable(p):
     q = Fraction(p)
     return str(q) if q.denominator != 1 else int(q)
-
-
-def _parse_entry(p):
-    if isinstance(p, str):
-        return Fraction(p)
-    return Fraction(p)
 
 
 def make_row_rule(spec) -> RowRule:
@@ -360,7 +357,7 @@ def make_row_rule(spec) -> RowRule:
             return PointMassRule(int(spec.split(":", 1)[1]))
         raise ModelError(f"unknown row rule {spec!r}")
     if isinstance(spec, Mapping) and "custom" in spec:
-        return CustomRule([[_parse_entry(p) for p in row] for row in spec["custom"]])
+        return CustomRule([[Fraction(p) for p in row] for row in spec["custom"]])
     raise ModelError(f"unknown row rule descriptor {spec!r}")
 
 
@@ -527,59 +524,44 @@ class DimensionSeries:
             yield (k, nstr(v, self.dps))
 
 
-def _precondition_partial(seq: BasicSequence, k_max: int) -> mpf:
-    total = mpf(0)
-    prefix = seq.log_term(1)
-    for k in range(2, k_max + 1):
-        r = seq.log_term(k) / prefix
-        total += r * r
-        prefix += seq.log_term(k)
-    return total
-
-
-def dim_measure_series(model: SymbolModel, k_max: int, dps: int | None = None) -> DimensionSeries:
-    """d_k = (h_1 + ... + h_k) / ln(n_1 ... n_k) for k <= k_max."""
+def _dimension_series(
+    model: SymbolModel, k_max: int, dps: int | None, formula: str, row_term: Callable[[Row], mpf]
+) -> DimensionSeries:
+    """d_k = (row_term(row 1) + ... + row_term(row k)) / ln(n_1 ... n_k),
+    with the partial sum of r_k**2 accumulated in the same rank walk."""
     if not 1 <= k_max <= model.depth_cap:
         raise ModelError(f"k_max {k_max} outside 1..depth_cap={model.depth_cap}")
     used = resolve_dps(dps)
     with working_dps(dps):
         points = []
-        h_sum = mpf(0)
-        log_prefix = mpf(0)
-        for k in range(1, k_max + 1):
-            h_sum += model.row(k).entropy()
-            log_prefix += model.seq.log_term(k)
-            points.append((k, h_sum / log_prefix))
+        numerator = mpf(0)
+        square_partial = mpf(0)
+        for k, log_n, before, log_prefix in rank_logs(model.seq, k_max):
+            numerator += row_term(model.row(k))
+            points.append((k, numerator / log_prefix))
+            if k > 1:
+                r = log_n / before
+                square_partial += r * r
         return DimensionSeries(
-            formula="measure_entropy",
+            formula=formula,
             model_descriptor=model.descriptor(),
             dps=used,
             points=points,
-            precondition_partial=_precondition_partial(model.seq, k_max),
+            precondition_partial=square_partial,
         )
+
+
+def dim_measure_series(model: SymbolModel, k_max: int, dps: int | None = None) -> DimensionSeries:
+    """d_k = (h_1 + ... + h_k) / ln(n_1 ... n_k) for k <= k_max."""
+    return _dimension_series(model, k_max, dps, "measure_entropy", lambda row: row.entropy())
 
 
 def dim_spectrum_series(model: SymbolModel, k_max: int, dps: int | None = None) -> DimensionSeries:
     """d_k = ln(m_1 ... m_k) / ln(n_1 ... n_k) with m_i the number of
     positive entries in row i."""
-    if not 1 <= k_max <= model.depth_cap:
-        raise ModelError(f"k_max {k_max} outside 1..depth_cap={model.depth_cap}")
-    used = resolve_dps(dps)
-    with working_dps(dps):
-        points = []
-        m_sum = mpf(0)
-        log_prefix = mpf(0)
-        for k in range(1, k_max + 1):
-            m_sum += ln_int(model.row(k).support_count())
-            log_prefix += model.seq.log_term(k)
-            points.append((k, m_sum / log_prefix))
-        return DimensionSeries(
-            formula="spectrum_count",
-            model_descriptor=model.descriptor(),
-            dps=used,
-            points=points,
-            precondition_partial=_precondition_partial(model.seq, k_max),
-        )
+    return _dimension_series(
+        model, k_max, dps, "spectrum_count", lambda row: ln_int(row.support_count())
+    )
 
 
 @dataclass
@@ -635,7 +617,8 @@ DP_VIOLATED = "necessary_conditions_violated"
 class DpReport:
     """Checks of the necessary conditions for the distribution function to
     preserve dimension, plus whether the bounded/separated hypotheses under
-    which the dimension-1 criterion is exact actually hold."""
+    which the dimension-1 criterion is exact actually hold.  The measure
+    dimension series the estimate was taken from rides along, unserialized."""
 
     verdict: str
     all_positive: bool
@@ -648,6 +631,7 @@ class DpReport:
     min_log_probability: Optional[mpf]
     k_max: int
     dps: int
+    measure_series: DimensionSeries
 
     def to_jsonable(self) -> dict:
         from mpmath import nstr
@@ -720,4 +704,5 @@ def dp_necessary_conditions(
             min_log_probability=min_log,
             k_max=k_max,
             dps=used,
+            measure_series=series,
         )

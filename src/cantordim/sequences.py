@@ -9,6 +9,11 @@ whose vanishing as k grows characterizes cylinder families that are usable
 as covering families for dimension computation.  A finite sweep cannot
 decide a limit, so the verdicts here are explicitly threshold heuristics;
 the raw ratio series is always part of the report.
+
+``rank_logs`` is the single rank walk: every pipeline series over ln(n_k)
+and the prefix logs ln(n_1 * ... * n_k) reads them from it, so their
+summation order is fixed in one place.  ``log_prefix_product`` and
+``faithfulness_ratio`` recompute single values as independent oracles.
 """
 
 from __future__ import annotations
@@ -300,6 +305,21 @@ def make_sequence(spec: Mapping) -> BasicSequence:
 # ---------------------------------------------------------------------------
 
 
+def rank_logs(seq: BasicSequence, k_max: int):
+    """Yield (k, ln n_k, ln(n_1...n_{k-1}), ln(n_1...n_k)) for k = 1..k_max.
+
+    Prefix logs are summed from mpf(0) in rank order at the ambient
+    precision, so every series built on them is reproducible bit for bit.
+    Nothing is stored, so memory stays flat at any k_max.
+    """
+    prefix = mpf(0)
+    for k in range(1, k_max + 1):
+        log_n = seq.log_term(k)
+        before = prefix
+        prefix += log_n
+        yield k, log_n, before, prefix
+
+
 def log_prefix_product(seq: BasicSequence, k: int, dps: int | None = None) -> LogReal:
     """The product n_1 * ... * n_k as a log-domain value.
 
@@ -582,12 +602,13 @@ def faithfulness_diagnostic(
     with working_dps(dps):
         ratios: list[tuple[int, mpf]] = []
         square_partial = mpf(0)
-        prefix_log = seq.log_term(1)
         decade_maxima: list[tuple[int, mpf]] = []
         current_decade = None
         current_max = None
-        for k in range(2, k_max + 1):
-            r = seq.log_term(k) / prefix_log
+        for k, log_n, prefix_log, _ in rank_logs(seq, k_max):
+            if k == 1:
+                continue
+            r = log_n / prefix_log
             ratios.append((k, r))
             square_partial += r * r
             decade = trailing_decade_start(k)
@@ -597,7 +618,6 @@ def faithfulness_diagnostic(
                 current_decade, current_max = decade, r
             elif r > current_max:
                 current_max = r
-            prefix_log += seq.log_term(k)
         decade_maxima.append((current_decade, current_max))
 
         violation_ranks = [

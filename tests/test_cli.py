@@ -1,6 +1,7 @@
 """CLI dispatch, serialization formats, exit codes, determinism."""
 
 import json
+import math
 
 
 from cantordim.cli import run
@@ -29,6 +30,34 @@ def test_encode_decode_cylinder(capsys):
     assert code == 0
     assert payload["cylinder"]["left"] == "5/6"
     assert payload["cylinder"]["length"] == "1/6"
+
+
+def test_decode_and_cylinder_print_answers_of_any_length(capsys):
+    # Rank 2000 of n_k = k + 1: the denominator 2001! has 5,700+ digits.
+    digits = json.dumps(list(range(1, 2001)))  # the largest digit n_k - 1 at every rank
+    den = math.factorial(2001)
+    code, payload = run_json(capsys, ["decode", "--seq", ARITH, "--digits", digits])
+    assert code == 0
+    assert payload["value"] == f"{den - 1}/{den}"
+    code, payload = run_json(capsys, ["cylinder", "--seq", ARITH, "--digits", digits])
+    assert code == 0
+    assert payload["cylinder"]["length"] == f"1/{den}"
+    assert payload["cylinder"]["right"] == "1/1"
+
+
+def test_custom_row_tolerance_follows_precision(capsys):
+    thirds = '{"custom":[["1/3","1/3","1/3"]]}'
+    argv = ["dim-measure", "--seq", CONST3, "--rows", thirds, "--k-max", "3"]
+    assert run(argv + ["--precision", "20"]) == 0
+    capsys.readouterr()
+    # Rows summing to 1 + 10**-60 pass the 10**-45 tolerance of 50 digits
+    # but not the 10**-95 of 100 digits.
+    off = json.dumps({"custom": [["1/2", "0.5" + "0" * 58 + "1"]]})
+    argv = ["dim-measure", "--seq", '{"kind":"constant","s":2}', "--rows", off, "--k-max", "3"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + ["--precision", "100"]) == 1
+    assert "row does not sum to 1" in capsys.readouterr().err
 
 
 def test_faithfulness_verdict(capsys):

@@ -1,0 +1,82 @@
+"""Byte-identity of CLI reports.
+
+Each case runs one small pipeline through ``cantordim.cli.run`` and
+compares the sha256 of its stdout with a digest recorded before the
+per-rank log sums were moved into one shared pass.  Any change to the
+summation order, the emitted precision or the report layout shows here.
+Re-record a digest only when an output change is intended.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cantordim.cli import run
+
+ARITH = '{"kind":"arithmetic","a1":2,"d":1}'
+CONST3 = '{"kind":"constant","s":3}'
+GEOM = '{"kind":"geometric","b1":2,"q":3}'
+COUNTER = '{"kind":"counterexample"}'
+CUSTOM = '{"kind":"custom","table":[2,3,5,7,11,13],"tail":{"kind":"arithmetic","a1":3,"d":2}}'
+CUSTOM_ROWS = '{"custom":[["1/2","1/4","1/4"],["1/2",0,"1/2"]]}'
+BILL_DIGITS = json.dumps([0 if k in (10, 100) else (7 * k) % (k + 1) for k in range(1, 121)])
+
+CASES = {
+    "faithfulness-constant": ["faithfulness", "--seq", CONST3, "--k-max", "200"],
+    "faithfulness-arithmetic": ["faithfulness", "--seq", ARITH, "--k-max", "300"],
+    "faithfulness-geometric": ["faithfulness", "--seq", GEOM, "--k-max", "150"],
+    "faithfulness-counterexample": ["faithfulness", "--seq", COUNTER, "--k-max", "1000"],
+    "faithfulness-custom": ["faithfulness", "--seq", CUSTOM, "--k-max", "200"],
+    "faithfulness-arithmetic-csv-p30": ["faithfulness", "--seq", ARITH, "--k-max", "120",
+                                        "--precision", "30", "--format", "csv"],
+    "dim-measure-uniform": ["dim-measure", "--seq", ARITH, "--rows", "uniform", "--k-max", "150"],
+    "dim-measure-example1": ["dim-measure", "--seq", ARITH, "--rows", "example1", "--k-max", "150"],
+    "dim-measure-custom": ["dim-measure", "--seq", CONST3, "--rows", CUSTOM_ROWS, "--k-max", "60"],
+    "dim-spectrum-uniform": ["dim-spectrum", "--seq", GEOM, "--rows", "uniform", "--k-max", "60"],
+    "dim-spectrum-example1": ["dim-spectrum", "--seq", ARITH, "--rows", "example1_psi", "--k-max", "150"],
+    "dim-spectrum-custom": ["dim-spectrum", "--seq", CONST3, "--rows", CUSTOM_ROWS, "--k-max", "60"],
+    "billingsley-example1": ["billingsley", "--seq", ARITH, "--rows", "example1", "--k-max", "120",
+                             "--digits", BILL_DIGITS],
+    "billingsley-psi-flags": ["billingsley", "--seq", ARITH, "--rows", "example1_psi", "--k-max", "20",
+                              "--digits", json.dumps([k % (k + 1) for k in range(1, 21)])],
+    "boxcount-arithmetic": ["boxcount", "--seq", ARITH, "--k-max", "200", "--set",
+                            '{"except_ranks":"powers_of_10","digits_at_exception":[0]}'],
+    "boxcount-constant": ["boxcount", "--seq", CONST3, "--k-max", "80", "--set", '{"every_rank":[0,2]}'],
+    "boxcount-counterexample": ["boxcount", "--seq", COUNTER, "--k-max", "120", "--set", '"all"'],
+    "billingsley-unit-flags": ["billingsley", "--seq", CONST3, "--rows", "point_mass:0", "--k-max", "5",
+                               "--digits", "[0,0,0,0,0]"],
+    "example1": ["example1", "--k-max", "200"],
+    "example1-tower-p30": ["example1", "--k-max", "120", "--spike-form", "tower", "--precision", "30",
+                           "--samples", "2", "--seed", "5"],
+}
+
+DIGESTS = {
+    "faithfulness-constant": "2b817373d174bd3d6f18dec8d31589386d9a6f3213e1859be93ecff72c129753",
+    "faithfulness-arithmetic": "bded016e1165580124d647b07df5cfeb2ddd15688506ec1653709f0e2588a3dc",
+    "faithfulness-geometric": "5d38450388be437e98189163a725c8b7825178e94302bdd5f0fab2c4fe0ef431",
+    "faithfulness-counterexample": "c3975debc72294733c1a91a94f3ba6b189909286604e39a4bd85dd7f7011eab2",
+    "faithfulness-custom": "b4c97b5491cc272376aa77edbb7a910637f80f23f4bf7abbb1297fa3410f8d81",
+    "faithfulness-arithmetic-csv-p30": "38cd61cf10e2cc3f1763c20400129e44258570d49f958d61aaa8e393c3572f5e",
+    "dim-measure-uniform": "f8fe367a12f4cfd4debfd46b412e2a40cff75b7e78f058dda1902bb121fe3589",
+    "dim-measure-example1": "68ae75ebbb9cdabc7fa6af5bd4a37007c8c8ee318ea86046a4d7cdc52059cebe",
+    "dim-measure-custom": "1cb74bd92c6a512176ca84d988cca3e3f0b708b38a254623f01551fbf2679565",
+    "dim-spectrum-uniform": "32b03b5ba867cd31f452e30ce464ff04aa5e734382522461439099e5eb9f5880",
+    "dim-spectrum-example1": "60d193efac92899b9826b0d11cbf65888db095310a94e2a5c5cba57e47f2f6ce",
+    "dim-spectrum-custom": "7b36cf29ba10c757f5bd7a1d8e60468d0e912dc78e3248c2530fa30b983a2a06",
+    "billingsley-example1": "33c46d2d4d82e89b7bd4315eedcc107d365f7653973b0dd951a08fb36d1e76de",
+    "billingsley-psi-flags": "e2757508e07bc6b62bf9ff27a36fb13af612be07c0842177b2c76e81ea469107",
+    "boxcount-arithmetic": "3fb4cabf271e6d86dd4780188fce5377ff6570a3a0a4d137c51a3b356453e058",
+    "boxcount-constant": "0b515b77a4be1b962c15f4f546d66a0b2ac620147d9216fd4a10024f457dc030",
+    "boxcount-counterexample": "025daccd6394ab31c7945885a11cc263c6a19aa67f98bfc2ab366ef70694398a",
+    "billingsley-unit-flags": "7aa877037c30dfdd123a9400f3686fa4871da726688d83da6dfc7df61f9d8146",
+    "example1": "a6a03fb42cd2feffc43a43d19018033fbcf0901aa39d4b4cce0ba4655e1cab08",
+    "example1-tower-p30": "d1f07955b6cef305ce4270c8319037ee46c3433f018bcee157e7d9a12e785f02",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_unchanged(name, capsys):
+    assert run(CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
