@@ -139,10 +139,10 @@ def _apply_config(ns: argparse.Namespace) -> None:
         raise ConfigError("config file must hold a JSON object")
     for key, value in payload.items():
         dest = key.replace("-", "_")
-        if not hasattr(ns, dest):
+        if dest in ("command", "config") or not hasattr(ns, dest):
             raise ConfigError(f"config key {key!r} is not an option of {ns.command!r}")
         current = getattr(ns, dest)
-        if current is not None and current != value and key not in ("config",):
+        if current is not None and current != value:
             print(
                 f"warning: config file overrides --{key} ({current!r} -> {value!r})",
                 file=sys.stderr,
@@ -378,12 +378,8 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        # A config file can replace "command" with any JSON value.
-        handler = COMMANDS.get(str(ns.command))
-        if handler is None:
-            raise ConfigError(f"unknown subcommand {ns.command!r}")
         with working_dps(dps):
-            return handler(ns, dps)
+            return COMMANDS[ns.command](ns, dps)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

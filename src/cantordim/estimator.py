@@ -92,19 +92,22 @@ class DigitSetSpec:
             spec = spec["admissible"]
         if spec == "all":
             return cls.full(seq)
-        if isinstance(spec, Mapping):
-            if "every_rank" in spec:
-                return cls.constant_digits(seq, spec["every_rank"])
-            if "except_ranks" in spec:
-                rule = spec["except_ranks"]
-                digits = spec.get("digits_at_exception", [0])
-                if rule == "powers_of_10":
-                    return cls.with_exceptions(seq, digits)
-                if isinstance(rule, Sequence) and not isinstance(rule, str):
-                    return cls.with_exceptions(seq, digits, exception_ranks=rule)
-                raise EstimatorError(f"unknown except_ranks rule {rule!r}")
-            if "per_rank" in spec:
-                return cls.from_table(seq, spec["per_rank"])
+        try:
+            if isinstance(spec, Mapping):
+                if "every_rank" in spec:
+                    return cls.constant_digits(seq, spec["every_rank"])
+                if "except_ranks" in spec:
+                    rule = spec["except_ranks"]
+                    digits = spec.get("digits_at_exception", [0])
+                    if rule == "powers_of_10":
+                        return cls.with_exceptions(seq, digits)
+                    if isinstance(rule, Sequence) and not isinstance(rule, str):
+                        return cls.with_exceptions(seq, digits, exception_ranks=rule)
+                    raise EstimatorError(f"unknown except_ranks rule {rule!r}")
+                if "per_rank" in spec:
+                    return cls.from_table(seq, spec["per_rank"])
+        except TypeError as exc:
+            raise EstimatorError(f"malformed digit-set descriptor: {exc}") from exc
         raise EstimatorError(f"unknown digit-set descriptor {spec!r}")
 
     # -- queries -----------------------------------------------------------

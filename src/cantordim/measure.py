@@ -357,7 +357,10 @@ def make_row_rule(spec) -> RowRule:
             return PointMassRule(int(spec.split(":", 1)[1]))
         raise ModelError(f"unknown row rule {spec!r}")
     if isinstance(spec, Mapping) and "custom" in spec:
-        return CustomRule([[Fraction(p) for p in row] for row in spec["custom"]])
+        try:
+            return CustomRule([[Fraction(p) for p in row] for row in spec["custom"]])
+        except TypeError as exc:
+            raise ModelError(f"malformed custom row descriptor: {exc}") from exc
     raise ModelError(f"unknown row rule descriptor {spec!r}")
 
 

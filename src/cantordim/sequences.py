@@ -139,10 +139,11 @@ class ArithmeticSequence(BasicSequence):
 
     def term(self, k: int) -> int:
         self._check_rank(k)
-        value = self.a1 + (k - 1) * self.d
-        if value.denominator != 1:
-            raise SequenceError(f"term({k}) = {value} is not an integer")
-        return int(value)
+        d = self.d
+        value, rem = divmod(self.a1 * d.denominator + (k - 1) * d.numerator, d.denominator)
+        if rem:
+            raise SequenceError(f"term({k}) = {self.a1 + (k - 1) * d} is not an integer")
+        return value
 
     def eventually_bounded(self) -> bool:
         return False
@@ -297,6 +298,8 @@ def make_sequence(spec: Mapping) -> BasicSequence:
             )
     except KeyError as exc:
         raise SequenceError(f"missing sequence parameter {exc} for kind {kind!r}") from exc
+    except TypeError as exc:
+        raise SequenceError(f"malformed {kind!r} sequence descriptor: {exc}") from exc
     raise SequenceError(f"unknown sequence kind {kind!r}")
 
 
@@ -438,7 +441,10 @@ class EnvelopeFit:
 
 @dataclass(frozen=True)
 class SubgeometricFit:
-    """Smallest integer q with n_k <= q**k over the diagnosed range."""
+    """Smallest integer q >= 2 with n_k <= q**k over the diagnosed range.
+
+    Such a q always exists on finite data, so ``holds`` is always true; it
+    stays in the report to keep the JSON layout."""
 
     holds: bool
     witness_q: Optional[int] = None
@@ -447,31 +453,20 @@ class SubgeometricFit:
         return {"holds": self.holds, "witness_q": self.witness_q}
 
 
-def _pow_at_least(q: int, exponent: int, target: int, ln_target: mpf) -> bool:
-    """Whether q**exponent >= target, decided in the log domain with an
-    exact big-integer check only when the logs are too close to call."""
-    if q <= 1:
-        return target <= 1
-    diff = exponent * ln_int(q) - ln_target
-    tol = mpf(10) ** (-(mp.dps - 5)) * max(mpf(1), abs(ln_target))
-    if diff > tol:
-        return True
-    if diff < -tol:
-        return False
-    return q**exponent >= target
-
-
-def _min_q_for_power(target: int, exponent: int) -> int:
-    """Smallest integer q >= 1 with q**exponent >= target."""
-    if target <= 1:
-        return 1
-    ln_target = mp.ln(mpf(target))
-    candidate = max(2, int(mp.floor(mp.exp(ln_target / exponent))))
-    while candidate > 2 and _pow_at_least(candidate - 1, exponent, target, ln_target):
-        candidate -= 1
-    while not _pow_at_least(candidate, exponent, target, ln_target):
-        candidate += 1
-    return candidate
+def _min_q_for_power(target: int, exponent: int, floor: int) -> int:
+    """Smallest integer q >= floor >= 1 with q**exponent >= target, in exact
+    integers.  floor**exponent > target already when exponent *
+    (floor.bit_length() - 1) >= target.bit_length(), so a running witness
+    usually costs one comparison."""
+    if exponent * (floor.bit_length() - 1) >= target.bit_length() or floor**exponent >= target:
+        return floor
+    lo, hi = floor, 2 * floor  # invariant: lo**exponent < target <= hi**exponent
+    while hi**exponent < target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid**exponent >= target else (mid, hi)
+    return hi
 
 
 def fit_envelope(seq: BasicSequence, k_max: int) -> EnvelopeFit:
@@ -492,7 +487,7 @@ def fit_envelope(seq: BasicSequence, k_max: int) -> EnvelopeFit:
         cap = (term - 2) // (k - 1)
         d = cap if d is None else min(d, cap)
         need = -(-term // b1)  # ceil(n_k / b1)
-        q = max(q, _min_q_for_power(need, k - 1))
+        q = _min_q_for_power(need, k - 1, q)
     arithmetic_ok = d is not None and d >= 1
     if not arithmetic_ok:
         return EnvelopeFit(fits=False, b1=b1, q=q, degenerate_geometric=(q == 1))
@@ -504,10 +499,9 @@ def fit_envelope(seq: BasicSequence, k_max: int) -> EnvelopeFit:
 def fit_subgeometric(seq: BasicSequence, k_max: int) -> SubgeometricFit:
     if k_max < 1:
         raise SequenceError(f"subgeometric fitting needs k_max >= 1, got {k_max}")
-    witness = 1
+    witness = 2
     for k, term in enumerate(seq.iter_terms(k_max), 1):
-        witness = max(witness, _min_q_for_power(term, k))
-    witness = max(witness, 2)
+        witness = _min_q_for_power(term, k, witness)
     return SubgeometricFit(holds=True, witness_q=witness)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 
+import pytest
 
 from cantordim.cli import run
 
@@ -188,6 +189,30 @@ def test_config_file_wins_with_warning(tmp_path, capsys):
     assert code == 0
     assert "overrides" in captured.err
     assert json.loads(captured.out)["k_max"] == 12
+
+
+@pytest.mark.parametrize("key", ["command", "config"])
+def test_config_file_cannot_set_command_or_config(tmp_path, capsys, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: "decode"}))
+    assert run(["faithfulness", "--seq", CONST3, "--k-max", "5", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["faithfulness", "--seq", '{"kind":"custom","table":5}', "--k-max", "5"],
+        ["dim-measure", "--seq", CONST3, "--rows", '{"custom":5}', "--k-max", "5"],
+        ["boxcount", "--seq", CONST3, "--set", '{"every_rank":5}', "--k-max", "5"],
+    ],
+)
+def test_wrong_typed_descriptor_fields_are_one_line_errors(capsys, argv):
+    assert run(argv) in (1, 2)  # run() returning at all means no traceback
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.count("error:") == 1
 
 
 def test_exit_codes(capsys, tmp_path):

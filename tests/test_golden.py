@@ -2,7 +2,8 @@
 
 Each case runs one small pipeline through ``cantordim.cli.run`` and
 compares the sha256 of its stdout with a digest recorded before the
-per-rank log sums were moved into one shared pass.  Any change to the
+change it guards: the shared rank-log pass for most cases, the exact
+integer witness fits for the big-term and q = 1 faithfulness cases.  Any change to the
 summation order, the emitted precision or the report layout shows here.
 Re-record a digest only when an output change is intended.
 """
@@ -19,6 +20,7 @@ CONST3 = '{"kind":"constant","s":3}'
 GEOM = '{"kind":"geometric","b1":2,"q":3}'
 COUNTER = '{"kind":"counterexample"}'
 CUSTOM = '{"kind":"custom","table":[2,3,5,7,11,13],"tail":{"kind":"arithmetic","a1":3,"d":2}}'
+BIGTERM = json.dumps({"kind": "custom", "table": [10**59 + 7, 2, 3, 5, 7, 11]})
 CUSTOM_ROWS = '{"custom":[["1/2","1/4","1/4"],["1/2",0,"1/2"]]}'
 BILL_DIGITS = json.dumps([0 if k in (10, 100) else (7 * k) % (k + 1) for k in range(1, 121)])
 
@@ -28,6 +30,9 @@ CASES = {
     "faithfulness-geometric": ["faithfulness", "--seq", GEOM, "--k-max", "150"],
     "faithfulness-counterexample": ["faithfulness", "--seq", COUNTER, "--k-max", "1000"],
     "faithfulness-custom": ["faithfulness", "--seq", CUSTOM, "--k-max", "200"],
+    "faithfulness-custom-bigterm": ["faithfulness", "--seq", BIGTERM, "--k-max", "6"],
+    "faithfulness-geometric-q1": ["faithfulness", "--seq", '{"kind":"geometric","b1":3,"q":1}',
+                                  "--k-max", "100"],
     "faithfulness-arithmetic-csv-p30": ["faithfulness", "--seq", ARITH, "--k-max", "120",
                                         "--precision", "30", "--format", "csv"],
     "dim-measure-uniform": ["dim-measure", "--seq", ARITH, "--rows", "uniform", "--k-max", "150"],
@@ -57,6 +62,11 @@ DIGESTS = {
     "faithfulness-geometric": "5d38450388be437e98189163a725c8b7825178e94302bdd5f0fab2c4fe0ef431",
     "faithfulness-counterexample": "c3975debc72294733c1a91a94f3ba6b189909286604e39a4bd85dd7f7011eab2",
     "faithfulness-custom": "b4c97b5491cc272376aa77edbb7a910637f80f23f4bf7abbb1297fa3410f8d81",
+    "faithfulness-custom-bigterm": ["faithfulness", "--seq", BIGTERM, "--k-max", "6"],
+    "faithfulness-geometric-q1": ["faithfulness", "--seq", '{"kind":"geometric","b1":3,"q":1}',
+                                  "--k-max", "100"],
+    "faithfulness-custom-bigterm": "7961b5804bb6d9bd60c86825887ee9a389bcc811c4ad409d1691b03e79b8f779",
+    "faithfulness-geometric-q1": "26f230944b1af0559ff71fa9f0b35efff9090211ad27bdec3ffcdf12be6f7106",
     "faithfulness-arithmetic-csv-p30": "38cd61cf10e2cc3f1763c20400129e44258570d49f958d61aaa8e393c3572f5e",
     "dim-measure-uniform": "f8fe367a12f4cfd4debfd46b412e2a40cff75b7e78f058dda1902bb121fe3589",
     "dim-measure-example1": "68ae75ebbb9cdabc7fa6af5bd4a37007c8c8ee318ea86046a4d7cdc52059cebe",

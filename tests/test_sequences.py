@@ -1,5 +1,6 @@
 """Sequence generators, ratio sweeps, Stirling bracketing, envelopes."""
 
+import itertools
 import json
 import math
 
@@ -81,8 +82,9 @@ def test_invalid_descriptors_rejected(spec):
 def test_rational_parameters_need_integer_terms():
     seq = make_sequence({"kind": "arithmetic", "a1": 2, "d": "3/2"})
     assert seq.term(3) == 5  # 2 + 2*(3/2)
-    with pytest.raises(SequenceError):
-        seq.term(2)  # 3.5 is not an integer
+    assert type(seq.term(3)) is int
+    with pytest.raises(SequenceError, match=r"term\(2\) = 7/2 is not an integer"):
+        seq.term(2)
 
 
 def test_custom_table_and_tail():
@@ -310,6 +312,25 @@ def test_diagnostic_short_range_is_not_violated_by_one_spike():
 
 def test_subgeometric_witness_constant():
     assert fit_subgeometric(make_sequence({"kind": "constant", "s": 7}), 50).witness_q == 7
+
+
+def test_fits_are_exact_past_the_working_precision():
+    # 10**70 has more digits than the default 50-digit precision carries
+    rep = faithfulness_diagnostic(make_sequence({"kind": "constant", "s": 10**70}), 5)
+    assert rep.subgeometric.witness_q == 10**70
+    assert rep.envelope.q == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=5000), min_size=2, max_size=8))
+def test_witness_fits_match_a_linear_scan(table):
+    seq = make_sequence({"kind": "custom", "table": table})
+    ranked = list(enumerate(table, 1))
+    witness = next(q for q in itertools.count(2) if all(n <= q**k for k, n in ranked))
+    assert fit_subgeometric(seq, len(table)).witness_q == witness
+    b1 = table[0]
+    q = next(q for q in itertools.count(1) if all(n <= b1 * q ** (k - 1) for k, n in ranked))
+    assert fit_envelope(seq, len(table)).q == q
 
 
 def test_report_serializes_to_json_and_csv():
