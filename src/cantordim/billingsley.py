@@ -104,13 +104,6 @@ class RatioSeries:
             ],
         }
 
-    def csv_rows(self):
-        yield ("k", "b_k")
-        from mpmath import nstr
-
-        for p in self.points:
-            yield (p.k, nstr(p.value, self.dps))
-
 
 def _monotone_segments(points: list[RatioPoint]) -> list[tuple[str, int, int]]:
     segments: list[tuple[str, int, int]] = []
@@ -280,6 +273,8 @@ def example1_report(
     """Run the full counterexample pipeline to rank k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     used = resolve_dps(dps)
     model = example1_model(depth_cap=k_max, tower=tower)
     psi = example1_psi_model(depth_cap=k_max)

@@ -1,12 +1,22 @@
 """Command-line frontend.
 
-One subcommand per pipeline; JSON descriptors arrive inline as flags or in
-a config file (the file wins on conflict, with a warning).  Output is JSON
-by default, CSV or gnuplot-style two-column data on request.  Identical
-configuration and seed produce byte-identical output: reports carry no
-timestamps and all numbers are emitted as fixed-precision decimal strings.
+One subcommand per pipeline.  Every input is a flag, typed by one argparse
+parser: the JSON descriptors (``--seq``, ``--rows``, ``--set``,
+``--digits``) are decoded and ``--x`` is read as an exact rational while
+the flags are parsed.  A ``--config`` JSON file supplies flags too: each
+entry ``"key": value`` becomes ``--key=value`` (a string as it stands,
+any other value JSON-encoded) after the inline flags, so the file wins,
+with a warning when the same flag is also given inline, and its values
+pass the same ``type`` and ``choices`` checks.  Output is JSON by default,
+CSV or gnuplot-style two-column data on request.  Identical configuration
+and seed produce byte-identical output: reports carry no timestamps and
+all numbers are emitted as fixed-precision decimal strings.
 
-Exit codes: 0 success, 1 domain error, 2 configuration error.
+Exit codes: 0 success, 1 domain error (including a descriptor of an
+unknown kind or with a missing or wrong-typed field), 2 configuration
+error (a flag or config value the parser rejects, an unreadable config
+file, an unwritable --out path, an output form the command lacks).
+Every error is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,11 +32,11 @@ from mpmath import nstr
 
 from . import billingsley as bl
 from . import codec, estimator, measure, sequences
-from .precision import default_dps, resolve_dps, working_dps
+from .precision import resolve_dps, working_dps
 
 
 class ConfigError(Exception):
-    """Malformed descriptors, flags, or config files."""
+    """Malformed flags or config files."""
 
 
 DOMAIN_ERRORS = (
@@ -40,43 +50,48 @@ DOMAIN_ERRORS = (
 )
 
 
-def _parse_json_flag(raw, flag):
-    if raw is None:
-        raise ConfigError(f"missing required option {flag}")
-    if not isinstance(raw, str):
-        return raw  # already structured (came from a config file)
+class _Parser(argparse.ArgumentParser):
+    """Raises every parse failure as a ConfigError instead of printing usage
+    and exiting, so it reaches the user as one ``error:`` line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _json_value(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{flag} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
 
 
-def _parse_rational(raw, flag):
-    if raw is None:
-        raise ConfigError(f"missing required option {flag}")
+def _rows_value(raw: str):
+    """A row-rule name, or a JSON descriptor when it starts with '{'."""
+    return _json_value(raw) if raw.lstrip().startswith("{") else raw
+
+
+def _digits(raw: str) -> tuple[int, ...]:
+    value = _json_value(raw)
+    if not isinstance(value, list) or not all(isinstance(d, int) for d in value):
+        raise argparse.ArgumentTypeError("must be a JSON array of integers")
+    return tuple(value)
+
+
+def _rational(raw: str) -> Fraction:
+    # argparse turns only TypeError/ValueError from a type into an error
+    # message; "1/0" raises ZeroDivisionError.
     try:
-        return Fraction(str(raw))
+        return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{flag} is not a rational number: {raw!r}") from exc
-
-
-def _parse_digits(raw, seq):
-    payload = _parse_json_flag(raw, "--digits")
-    if not isinstance(payload, list) or not all(isinstance(d, int) for d in payload):
-        raise ConfigError("--digits must be a JSON array of integers")
-    return codec.DigitString(seq, tuple(payload))
-
-
-def _require(ns, name):
-    value = getattr(ns, name.replace("-", "_"))
-    if value is None:
-        raise ConfigError(f"missing required option --{name}")
-    return value
+        raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Flags are matched by their full names only, so a config key is one
+    # exact flag and the override warning sees every inline spelling.
+    parser = _Parser(
         prog="cantordim",
+        allow_abbrev=False,
         description=(
             "Cantor series expansions: faithfulness diagnostics, dimension "
             "series of digit-product measures, and covering-based dimension "
@@ -86,24 +101,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, *flags):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--precision", type=int, default=None, help="significant decimal digits (default 50 or CANTORDIM_PRECISION)")
-        p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--precision", type=int, help="significant decimal digits (default 50 or CANTORDIM_PRECISION)")
+        p.add_argument("--out", help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv", "plot-data"), default="json")
-        p.add_argument("--config", default=None, help="JSON config file; wins over inline flags")
+        p.add_argument("--config", help="JSON file of flag values; wins over inline flags")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        return p
 
-    seq_flag = ("--seq", {"default": None, "help": "sequence descriptor JSON"})
-    rows_flag = ("--rows", {"default": None, "help": "row-rule descriptor JSON or name"})
-    kmax_flag = ("--k-max", {"type": int, "default": None})
-    digits_flag = ("--digits", {"default": None, "help": "digit string as a JSON array"})
-    depth_flag = ("--depth-cap", {"type": int, "default": None})
+    seq_flag = ("--seq", {"type": _json_value, "required": True, "help": "sequence descriptor JSON"})
+    rows_flag = ("--rows", {"type": _rows_value, "required": True, "help": "row-rule descriptor JSON or name"})
+    kmax_flag = ("--k-max", {"type": int, "required": True})
+    digits_flag = ("--digits", {"type": _digits, "required": True, "help": "digit string as a JSON array"})
+    depth_flag = ("--depth-cap", {"type": int})
+    x_flag = ("--x", {"type": _rational, "required": True, "help": "rational in [0,1), e.g. 5/6 or 0.83"})
+    rank_flag = ("--rank", {"type": int, "required": True})
 
-    add("encode", "digit string of a rational point", seq_flag,
-        ("--x", {"default": None, "help": "rational in [0,1), e.g. 5/6 or 0.83"}),
-        ("--rank", {"type": int, "default": None}))
+    add("encode", "digit string of a rational point", seq_flag, x_flag, rank_flag)
     add("decode", "exact rational value of a digit string", seq_flag, digits_flag)
     add("cylinder", "exact cylinder interval of a digit string", seq_flag, digits_flag)
     add("faithfulness", "faithfulness-ratio sweep and verdict", seq_flag, kmax_flag,
@@ -111,12 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("--violation-threshold", {"type": float, "default": sequences.VIOLATION_THRESHOLD_DEFAULT}))
     add("dim-measure", "entropy dimension series of a digit measure", seq_flag, rows_flag, kmax_flag, depth_flag)
     add("dim-spectrum", "support-count dimension series", seq_flag, rows_flag, kmax_flag, depth_flag)
-    add("cdf", "distribution function at a point", seq_flag, rows_flag, depth_flag,
-        ("--x", {"default": None}), ("--rank", {"type": int, "default": None}))
+    add("cdf", "distribution function at a point", seq_flag, rows_flag, depth_flag, x_flag, rank_flag)
     add("billingsley", "length/measure log-ratio series along a digit string",
         seq_flag, rows_flag, kmax_flag, digits_flag, depth_flag)
     add("boxcount", "cylinder-count dimension estimate of a digit set", seq_flag, kmax_flag,
-        ("--set", {"default": None, "dest": "set_spec", "help": "digit-set descriptor JSON"}))
+        ("--set", {"type": _json_value, "required": True, "help": "digit-set descriptor JSON"}))
     add("example1", "built-in counterexample pipeline", kmax_flag,
         ("--seed", {"type": int, "default": 0}),
         ("--samples", {"type": int, "default": 3}),
@@ -124,30 +137,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(ns: argparse.Namespace) -> None:
-    """Merge a config file into the parsed namespace; file values win and
-    conflicts with explicitly given flags are warned about."""
-    if not ns.config:
-        return
+# Finds --config ahead of the full parse; built once, as it never changes.
+_CONFIG_FLAG = _Parser(add_help=False, allow_abbrev=False)
+_CONFIG_FLAG.add_argument("--config")
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """argv followed by one ``--key=value`` flag per entry of the --config file."""
+    path = _CONFIG_FLAG.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
     try:
-        payload = json.loads(Path(ns.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot load config file: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a JSON object")
+    flags = []
     for key, value in payload.items():
-        dest = key.replace("-", "_")
-        if dest in ("command", "config") or not hasattr(ns, dest):
-            raise ConfigError(f"config key {key!r} is not an option of {ns.command!r}")
-        current = getattr(ns, dest)
-        if current is not None and current != value:
-            print(
-                f"warning: config file overrides --{key} ({current!r} -> {value!r})",
-                file=sys.stderr,
-            )
-        setattr(ns, dest, value)
+        if key == "config":
+            raise ConfigError("a config file cannot name another config file")
+        if value is None:
+            raise ConfigError(f"config key {key!r} is null; leave it out to keep the default")
+        flag = f"--{key}"
+        if any(arg == flag or arg.startswith(flag + "=") for arg in argv):
+            print(f"warning: config file overrides {flag}", file=sys.stderr)
+        flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return [*argv, *flags]
 
 
 # ---------------------------------------------------------------------------
@@ -155,60 +171,39 @@ def _apply_config(ns: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write(text: str, path: str | None) -> None:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
-def _emit_csv(rows, out: str | None, dps: int) -> None:
-    lines = [f"# precision_dps={dps}"]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(ns, payload: dict, dps: int, series=None, column=None) -> None:
+    """Write the JSON report, or its named (k, value) series as CSV or plot-data.
 
-
-def _emit_plot_data(series: dict, out: str | None, dps: int) -> None:
-    """Two-column whitespace-separated data, one file per series."""
-    if len(series) > 1 and not out:
-        raise ConfigError("plot-data with multiple series needs --out as a path prefix")
+    One CSV series goes to --out (or stdout) headed ``k,<column>``; several
+    need --out and go to one ``PATH.<name>.csv`` each, headed ``k,value``.
+    plot-data is two whitespace-separated columns, one ``PATH.<name>.dat``
+    per series with --out.
+    """
+    if ns.format == "json":
+        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", ns.out)
+        return
+    csv = ns.format == "csv"
+    if series is None:
+        raise ConfigError(f"{ns.command} has no {'CSV' if csv else 'plot-data'} form; use --format json")
+    if len(series) > 1 and not ns.out:
+        raise ConfigError(f"{ns.format} with multiple series needs --out as a path prefix")
     for name, points in series.items():
         lines = [f"# precision_dps={dps}"]
-        for k, v in points:
-            lines.append(f"{k} {nstr(v, dps)}")
-        text = "\n".join(lines) + "\n"
-        if out:
-            Path(f"{out}.{name}.dat").write_text(text)
-        else:
-            sys.stdout.write(text)
-
-
-def _emit_series_csv(series: dict, out: str | None, dps: int) -> None:
-    """One CSV file per named series (multi-series reports)."""
-    if not out:
-        raise ConfigError("csv with multiple series needs --out as a path prefix")
-    for name, points in series.items():
-        rows = [("k", "value")] + [(k, nstr(v, dps)) for k, v in points]
-        _emit_csv(rows, f"{out}.{name}.csv", dps)
-
-
-def _emit(ns, payload: dict, dps: int, csv_rows=None, series=None) -> None:
-    if ns.format == "json":
-        _emit_json(payload, ns.out)
-    elif ns.format == "csv":
-        if csv_rows is None:
-            raise ConfigError(f"{ns.command} has no CSV form; use --format json")
-        _emit_csv(csv_rows, ns.out, dps)
-    else:
-        if series is None:
-            raise ConfigError(f"{ns.command} has no plot-data form; use --format json")
-        _emit_plot_data(series, ns.out, dps)
+        if csv:
+            lines.append(f"k,{column if len(series) == 1 else 'value'}")
+        lines += [f"{k}{',' if csv else ' '}{nstr(v, dps)}" for k, v in points]
+        suffix = "" if csv and len(series) == 1 else f".{name}.{'csv' if csv else 'dat'}"
+        _write("\n".join(lines) + "\n", ns.out and ns.out + suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -216,136 +211,90 @@ def _emit(ns, payload: dict, dps: int, csv_rows=None, series=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _seq_from(ns) -> sequences.BasicSequence:
-    return sequences.make_sequence(_parse_json_flag(ns.seq, "--seq"))
+def _fraction_text(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
 
 
 def _model_from(ns, seq, k_hint: int) -> measure.SymbolModel:
-    rows_raw = ns.rows
-    if rows_raw is None:
-        raise ConfigError("missing required option --rows")
-    rows_spec = rows_raw
-    if isinstance(rows_raw, str):
-        stripped = rows_raw.strip()
-        rows_spec = json.loads(stripped) if stripped.startswith("{") else rows_raw
-    rule = measure.make_row_rule(rows_spec)
     depth = ns.depth_cap if ns.depth_cap is not None else max(measure.DEPTH_CAP_DEFAULT, k_hint)
-    return measure.SymbolModel(seq, rule, depth_cap=depth)
+    return measure.SymbolModel(seq, measure.make_row_rule(ns.rows), depth_cap=depth)
 
 
 def _cmd_encode(ns, dps):
-    seq = _seq_from(ns)
-    x = _parse_rational(ns.x, "--x")
-    rank = _require(ns, "rank")
-    d = codec.encode(x, seq, rank)
-    payload = {
-        "precision_dps": dps,
-        "x": f"{x.numerator}/{x.denominator}",
-        "digits": d.to_jsonable(),
-    }
-    _emit(ns, payload, dps)
-    return 0
+    d = codec.encode(ns.x, sequences.make_sequence(ns.seq), ns.rank)
+    _emit(ns, {"precision_dps": dps, "x": _fraction_text(ns.x), "digits": d.to_jsonable()}, dps)
 
 
 def _cmd_decode(ns, dps):
-    seq = _seq_from(ns)
-    d = _parse_digits(ns.digits, seq)
-    value = codec.decode(d)
+    d = codec.DigitString(sequences.make_sequence(ns.seq), ns.digits)
     payload = {
         "precision_dps": dps,
         "digits": d.to_jsonable(),
-        "value": f"{value.numerator}/{value.denominator}",
+        "value": _fraction_text(codec.decode(d)),
     }
     _emit(ns, payload, dps)
-    return 0
 
 
 def _cmd_cylinder(ns, dps):
-    seq = _seq_from(ns)
-    d = _parse_digits(ns.digits, seq)
-    payload = {"precision_dps": dps, "cylinder": codec.cylinder(d).to_jsonable()}
-    _emit(ns, payload, dps)
-    return 0
+    d = codec.DigitString(sequences.make_sequence(ns.seq), ns.digits)
+    _emit(ns, {"precision_dps": dps, "cylinder": codec.cylinder(d).to_jsonable()}, dps)
 
 
 def _cmd_faithfulness(ns, dps):
-    seq = _seq_from(ns)
     report = sequences.faithfulness_diagnostic(
-        seq,
-        _require(ns, "k-max"),
+        sequences.make_sequence(ns.seq),
+        ns.k_max,
         met_tol=ns.met_tol,
         violation_threshold=ns.violation_threshold,
         dps=dps,
     )
-    _emit(ns, report.to_jsonable(), dps, csv_rows=report.csv_rows(),
-          series={"ratios": report.ratios})
-    return 0
+    _emit(ns, report.to_jsonable(), dps, {"ratios": report.ratios}, "r_k")
 
 
 def _cmd_dim(ns, dps, which):
-    seq = _seq_from(ns)
-    k_max = _require(ns, "k-max")
-    model = _model_from(ns, seq, k_max)
+    model = _model_from(ns, sequences.make_sequence(ns.seq), ns.k_max)
     fn = measure.dim_measure_series if which == "measure" else measure.dim_spectrum_series
-    series = fn(model, k_max, dps=dps)
-    _emit(ns, series.to_jsonable(), dps, csv_rows=series.csv_rows(),
-          series={f"dim_{which}": series.points})
-    return 0
+    series = fn(model, ns.k_max, dps=dps)
+    _emit(ns, series.to_jsonable(), dps, {f"dim_{which}": series.points}, "d_k")
 
 
 def _cmd_cdf(ns, dps):
-    seq = _seq_from(ns)
-    rank = _require(ns, "rank")
-    model = _model_from(ns, seq, rank)
-    x = _parse_rational(ns.x, "--x")
-    value = measure.cdf(model, x, rank, dps=dps)
+    model = _model_from(ns, sequences.make_sequence(ns.seq), ns.rank)
+    value = measure.cdf(model, ns.x, ns.rank, dps=dps)
     payload = {
         "precision_dps": dps,
         "model": model.descriptor(),
-        "x": f"{x.numerator}/{x.denominator}",
-        "rank": rank,
+        "x": _fraction_text(ns.x),
+        "rank": ns.rank,
         "cdf": nstr(value, dps),
     }
     _emit(ns, payload, dps)
-    return 0
 
 
 def _cmd_billingsley(ns, dps):
-    seq = _seq_from(ns)
-    k_max = _require(ns, "k-max")
-    model = _model_from(ns, seq, k_max)
-    d = _parse_digits(ns.digits, seq)
-    series = bl.ratio_series(model, d, k_max, dps=dps)
+    seq = sequences.make_sequence(ns.seq)
+    model = _model_from(ns, seq, ns.k_max)
+    series = bl.ratio_series(model, codec.DigitString(seq, ns.digits), ns.k_max, dps=dps)
     payload = series.to_jsonable()
     payload["model"] = model.descriptor()
-    _emit(ns, payload, dps, csv_rows=series.csv_rows(),
-          series={"ratios": [(p.k, p.value) for p in series.points]})
-    return 0
+    _emit(ns, payload, dps, {"ratios": [(p.k, p.value) for p in series.points]}, "b_k")
 
 
 def _cmd_boxcount(ns, dps):
-    seq = _seq_from(ns)
-    spec = estimator.DigitSetSpec.from_descriptor(seq, _parse_json_flag(ns.set_spec, "--set"))
-    estimate = estimator.box_dimension_estimate(spec, _require(ns, "k-max"), dps=dps)
-    _emit(ns, estimate.to_jsonable(), dps, csv_rows=estimate.csv_rows(),
-          series={"ratios": estimate.ratios()})
-    return 0
+    spec = estimator.DigitSetSpec.from_descriptor(sequences.make_sequence(ns.seq), ns.set)
+    estimate = estimator.box_dimension_estimate(spec, ns.k_max, dps=dps)
+    _emit(ns, estimate.to_jsonable(), dps, {"ratios": estimate.ratios()}, "ratio")
 
 
 def _cmd_example1(ns, dps):
     report = bl.example1_report(
-        _require(ns, "k-max"),
+        ns.k_max,
         seed=ns.seed,
         tower=(ns.spike_form == "tower"),
         samples=ns.samples,
         dps=dps,
     )
-    series = report.series_map()
-    if ns.format == "csv":
-        _emit_series_csv(series, ns.out, dps)
-        return 0
-    _emit(ns, report.to_jsonable(), dps, series=series)
-    return 0
+    _emit(ns, report.to_jsonable(), dps, report.series_map())
 
 
 COMMANDS = {
@@ -362,33 +311,30 @@ COMMANDS = {
 }
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def run(argv) -> int:
     # Exact answers (decode/cylinder denominators) may have any number of
     # digits; Python refuses int-to-str past 4300 digits by default.
     sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        ns = build_parser().parse_args(_with_config(argv))
+        dps = resolve_dps(ns.precision)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        _apply_config(ns)
-        dps = resolve_dps(ns.precision) if ns.precision is not None else default_dps()
-    except (ConfigError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigError, ValueError) as exc:
+        return _fail(exc, 2)
     try:
         with working_dps(dps):
-            return COMMANDS[ns.command](ns, dps)
+            COMMANDS[ns.command](ns, dps)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
+    return 0
 
 
 def main() -> None:

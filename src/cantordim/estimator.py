@@ -261,13 +261,6 @@ class BoxCountEstimate:
             "series": [[k, nstr(y / x, n)] for k, x, y in self.points],
         }
 
-    def csv_rows(self):
-        yield ("k", "ratio")
-        from mpmath import nstr
-
-        for k, x, y in self.points:
-            yield (k, nstr(y / x, self.dps))
-
 
 def box_dimension_estimate(E: DigitSetSpec, k_max: int, dps: int | None = None) -> BoxCountEstimate:
     """Regress ln N_k on ln(n_1...n_k) over ranks 2..k_max."""

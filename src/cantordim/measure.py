@@ -519,13 +519,6 @@ class DimensionSeries:
             "points": [[k, nstr(v, n)] for k, v in self.points],
         }
 
-    def csv_rows(self):
-        yield ("k", "d_k")
-        from mpmath import nstr
-
-        for k, v in self.points:
-            yield (k, nstr(v, self.dps))
-
 
 def _dimension_series(
     model: SymbolModel, k_max: int, dps: int | None, formula: str, row_term: Callable[[Row], mpf]

@@ -18,6 +18,7 @@ summation order is fixed in one place.  ``log_prefix_product`` and
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -566,13 +567,6 @@ class FaithfulnessReport:
             "ratios": [[k, nstr(v, n)] for k, v in self.ratios],
         }
 
-    def csv_rows(self):
-        yield ("k", "r_k")
-        from mpmath import nstr
-
-        for k, v in self.ratios:
-            yield (k, nstr(v, self.dps))
-
 
 def faithfulness_diagnostic(
     seq: BasicSequence,
@@ -589,6 +583,10 @@ def faithfulness_diagnostic(
     """
     if k_max < 3:
         raise SequenceError(f"diagnostic needs k_max >= 3, got {k_max}")
+    if not (math.isfinite(met_tol) and math.isfinite(violation_threshold)):
+        raise SequenceError(
+            f"met_tol and violation_threshold must be finite, got {met_tol} and {violation_threshold}"
+        )
     cap = seq.max_rank()
     if cap is not None and k_max > cap:
         raise SequenceError(f"k_max {k_max} exceeds the custom table length {cap}")

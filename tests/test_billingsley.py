@@ -154,6 +154,12 @@ def test_report_headline_and_json():
     assert parsed["spike_exponent_form"] == "10^(10^k)"
 
 
+def test_report_rejects_negative_sample_count():
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        example1_report(10, samples=-2)
+    assert example1_report(10, samples=0).ratio_samples == []
+
+
 def test_report_tower_form_collapses_harder():
     standard = example1_report(10, seed=1)
     tower = example1_report(10, seed=1, tower=True)

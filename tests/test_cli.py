@@ -1,9 +1,15 @@
 """CLI dispatch, serialization formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordim.cli import run
 
@@ -12,10 +18,25 @@ CONST3 = '{"kind":"constant","s":3}'
 ARITH = '{"kind":"arithmetic","a1":2,"d":1}'
 
 
+FAITH5 = ["faithfulness", "--seq", CONST3, "--k-max", "5"]
+EXAMPLE5 = ["example1", "--k-max", "5"]
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_with_config(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code = run(argv + ["--config", str(cfg)])
+    return code, capsys.readouterr()
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_encode_decode_cylinder(capsys):
@@ -201,6 +222,75 @@ def test_config_file_cannot_set_command_or_config(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["faithfulness", "--seq", CONST3], {"k-max": "twelve"}),
+        (EXAMPLE5, {"samples": 2.5}),
+        (["encode", "--seq", CONST3, "--x", "1/2"], {"rank": 2.5}),
+        (FAITH5, {"format": "xml"}),
+        (EXAMPLE5, {"spike-form": "bogus"}),
+        (EXAMPLE5, {"seed": "x"}),
+        (FAITH5, {"out": None}),
+        (["faithfulness", "--seq", CONST3], {"k": 9}),  # flags are not abbreviated
+    ],
+)
+def test_config_values_are_typed_like_inline_flags(tmp_path, capsys, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    code, captured = run_with_config(tmp_path, capsys, argv, config)
+    assert code == 2
+    assert_one_error_line(captured.err)
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]  # no file named "null"
+
+
+def test_config_strings_are_read_as_flag_text(tmp_path, capsys):
+    code, captured = run_with_config(tmp_path, capsys, ["faithfulness", "--seq", CONST3], {"k-max": "12"})
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["k_max"] == 12
+    code, captured = run_with_config(tmp_path, capsys, EXAMPLE5, {"samples": "1"})
+    assert code == 0 and captured.err == ""
+    assert len(json.loads(captured.out)["ratio_series_samples"]) == 1
+
+
+def test_config_warns_only_about_flags_given_inline(tmp_path, capsys):
+    code, captured = run_with_config(tmp_path, capsys, ["faithfulness", "--seq", CONST3], {"k-max": 12})
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["k_max"] == 12
+    code, captured = run_with_config(tmp_path, capsys, FAITH5, {"met-tol": 0.1})
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["met_tol"] == 0.1
+
+
+def test_config_key_set_is_the_set_flag(tmp_path, capsys):
+    argv = ["boxcount", "--seq", CONST3, "--k-max", "12"]
+    assert run(argv + ["--set", '{"every_rank":[0,2]}']) == 0
+    inline = capsys.readouterr().out
+    code, captured = run_with_config(tmp_path, capsys, argv, {"set": {"every_rank": [0, 2]}})
+    assert code == 0 and captured.err == ""
+    assert captured.out == inline
+
+
+def test_flag_errors_outside_argparse_types_are_one_line(tmp_path, capsys):
+    assert run(["encode", "--seq", CONST3, "--x", "1/0", "--rank", "2"]) == 2  # ZeroDivisionError
+    assert_one_error_line(capsys.readouterr().err)
+    assert run(FAITH5 + ["--out", str(tmp_path / "missing" / "out.json")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        FAITH5 + ["--met-tol", "nan"],
+        FAITH5 + ["--violation-threshold", "inf"],
+        EXAMPLE5 + ["--samples", "-2"],
+    ],
+)
+def test_out_of_range_parameters_are_domain_errors(capsys, argv):
+    assert run(argv) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["faithfulness", "--seq", '{"kind":"custom","table":5}', "--k-max", "5"],
@@ -233,10 +323,15 @@ def test_exit_codes(capsys, tmp_path):
 
 
 def test_error_diagnostics_are_one_line(capsys):
-    run(["encode", "--seq", CONST3, "--x", "3/2", "--rank", "3"])
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert err.strip().count("\n") == 0
+    for argv in (
+        ["encode", "--seq", CONST3, "--x", "3/2", "--rank", "3"],
+        ["faithfulness", "--seq", CONST3, "--k-max", "abc"],  # argparse type error
+        ["bogus"],  # unknown subcommand
+    ):
+        run(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.strip().count("\n") == 0
 
 
 def test_emitted_json_reparses(capsys):
@@ -248,3 +343,101 @@ def test_emitted_json_reparses(capsys):
         code, payload = run_json(capsys, argv)
         assert code == 0
         assert "precision_dps" in payload
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: random flag values inline and in config files
+# ---------------------------------------------------------------------------
+
+SMALL = st.integers(-2, 12)
+NUMBER = st.one_of(SMALL, st.integers(), st.floats(), st.sampled_from(["1/2", "3", "x", ""]))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), NUMBER, st.text(max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=8,
+)
+SEQS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
+    {"kind": st.sampled_from(["constant", "arithmetic", "geometric", "counterexample", "custom", "x"])},
+    optional={**{key: NUMBER for key in ("s", "a1", "d", "b1", "q")},
+              "table": st.lists(NUMBER, max_size=6), "tail": JSON_VALUES},
+))
+ROWS = st.one_of(
+    st.sampled_from(["uniform", "example1", "example1:tower", "example1_psi", "point_mass:1", "x"]),
+    st.fixed_dictionaries({"custom": st.lists(st.lists(NUMBER, max_size=4), max_size=3)}),
+    JSON_VALUES,
+)
+SETS = st.one_of(
+    st.just('"all"'),
+    st.fixed_dictionaries({"every_rank": st.lists(NUMBER, max_size=4)}),
+    st.fixed_dictionaries({"except_ranks": st.one_of(st.just("powers_of_10"), st.lists(NUMBER, max_size=4))},
+                          optional={"digits_at_exception": st.lists(NUMBER, max_size=3)}),
+    st.fixed_dictionaries({"per_rank": st.lists(st.lists(NUMBER, max_size=3), max_size=4)}),
+    JSON_VALUES,
+)
+SMALL_FLAG = st.one_of(SMALL, SMALL.map(str), st.none(), st.floats(), st.sampled_from(["", "x", "1.5"]))
+# Every flag but --out (the fuzz writes no files); "command", "config" and
+# "bogus" are not flags.  Counts stay small so every run is quick.
+FLAG_VALUES = {
+    "seq": SEQS, "rows": ROWS, "set": SETS, "digits": st.one_of(st.lists(SMALL, max_size=13), JSON_VALUES),
+    "k-max": SMALL_FLAG, "rank": SMALL_FLAG, "depth-cap": SMALL_FLAG, "samples": SMALL_FLAG,
+    "seed": SMALL_FLAG, "precision": st.one_of(st.integers(15, 20), SMALL_FLAG),
+    "x": st.one_of(NUMBER, st.sampled_from(["1/3", "0.5", "1/0"])),
+    "met-tol": NUMBER, "violation-threshold": NUMBER,
+    "format": st.sampled_from(["json", "csv", "plot-data", "xml"]),
+    "spike-form": st.sampled_from(["double", "tower", "x"]),
+    "command": JSON_VALUES, "config": JSON_VALUES, "bogus": JSON_VALUES,
+}
+BASE_FLAGS = {
+    "encode": {"seq": CONST3, "x": "1/2", "rank": "4"},
+    "decode": {"seq": ARITH, "digits": "[1,2]"},
+    "cylinder": {"seq": ARITH, "digits": "[1,2]"},
+    "faithfulness": {"seq": COUNTER, "k-max": "12"},
+    "dim-measure": {"seq": ARITH, "rows": "example1", "k-max": "8"},
+    "dim-spectrum": {"seq": CONST3, "rows": "uniform", "k-max": "8"},
+    "cdf": {"seq": CONST3, "rows": "uniform", "x": "1/3", "rank": "5"},
+    "billingsley": {"seq": ARITH, "rows": "example1", "k-max": "4", "digits": "[1,1,1,1]"},
+    "boxcount": {"seq": CONST3, "set": '"all"', "k-max": "6"},
+    "example1": {"k-max": "6", "samples": "1"},
+}
+
+
+EXTRA_FLAGS = {
+    "faithfulness": ["met-tol", "violation-threshold"],
+    "dim-measure": ["depth-cap"],
+    "dim-spectrum": ["depth-cap"],
+    "cdf": ["depth-cap"],
+    "billingsley": ["depth-cap"],
+    "example1": ["seed", "spike-form"],
+}
+
+
+def _flag_text(value):
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_flags_and_config_files_never_escape_run(data):
+    command = data.draw(st.sampled_from(sorted(BASE_FLAGS)))
+    flags = dict(BASE_FLAGS[command])
+    descriptors = [k for k in ("seq", "rows", "set", "digits") if k in flags]
+    inline = data.draw(st.fixed_dictionaries({}, optional={k: FLAG_VALUES[k] for k in descriptors}))
+    flags.update((k, _flag_text(v)) for k, v in inline.items())
+    keys = [*flags, *EXTRA_FLAGS.get(command, []), "precision", "format", "command", "config", "bogus"]
+    config = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=3).flatmap(
+        lambda chosen: st.fixed_dictionaries({k: FLAG_VALUES[k] for k in chosen})))
+    argv = [command] + [token for k, v in flags.items() for token in (f"--{k}", v)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if config:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)  # returning at all means no exception escaped
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+        assert all(line.startswith(("error:", "warning:")) for line in lines)

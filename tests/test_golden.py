@@ -3,8 +3,10 @@
 Each case runs one small pipeline through ``cantordim.cli.run`` and
 compares the sha256 of its stdout with a digest recorded before the
 change it guards: the shared rank-log pass for most cases, the exact
-integer witness fits for the big-term and q = 1 faithfulness cases.  Any change to the
-summation order, the emitted precision or the report layout shows here.
+integer witness fits for the big-term and q = 1 faithfulness cases, and
+the single series emitter for the ``-csv`` and ``-plot`` cases.  Any
+change to the summation order, the emitted precision or the report
+layout shows here.
 Re-record a digest only when an output change is intended.
 """
 
@@ -55,6 +57,15 @@ CASES = {
     "example1-tower-p30": ["example1", "--k-max", "120", "--spike-form", "tower", "--precision", "30",
                            "--samples", "2", "--seed", "5"],
 }
+# CSV and plot-data on stdout: one series per report.
+for _name, _formats in (
+    ("faithfulness-counterexample", ("plot",)),  # faithfulness CSV: the -csv-p30 case
+    ("dim-measure-example1", ("csv", "plot")),
+    ("billingsley-example1", ("csv", "plot")),
+    ("boxcount-arithmetic", ("csv", "plot")),
+):
+    for _fmt in _formats:
+        CASES[f"{_name}-{_fmt}"] = CASES[_name] + ["--format", "csv" if _fmt == "csv" else "plot-data"]
 
 DIGESTS = {
     "faithfulness-constant": "2b817373d174bd3d6f18dec8d31589386d9a6f3213e1859be93ecff72c129753",
@@ -62,9 +73,6 @@ DIGESTS = {
     "faithfulness-geometric": "5d38450388be437e98189163a725c8b7825178e94302bdd5f0fab2c4fe0ef431",
     "faithfulness-counterexample": "c3975debc72294733c1a91a94f3ba6b189909286604e39a4bd85dd7f7011eab2",
     "faithfulness-custom": "b4c97b5491cc272376aa77edbb7a910637f80f23f4bf7abbb1297fa3410f8d81",
-    "faithfulness-custom-bigterm": ["faithfulness", "--seq", BIGTERM, "--k-max", "6"],
-    "faithfulness-geometric-q1": ["faithfulness", "--seq", '{"kind":"geometric","b1":3,"q":1}',
-                                  "--k-max", "100"],
     "faithfulness-custom-bigterm": "7961b5804bb6d9bd60c86825887ee9a389bcc811c4ad409d1691b03e79b8f779",
     "faithfulness-geometric-q1": "26f230944b1af0559ff71fa9f0b35efff9090211ad27bdec3ffcdf12be6f7106",
     "faithfulness-arithmetic-csv-p30": "38cd61cf10e2cc3f1763c20400129e44258570d49f958d61aaa8e393c3572f5e",
@@ -82,6 +90,13 @@ DIGESTS = {
     "billingsley-unit-flags": "7aa877037c30dfdd123a9400f3686fa4871da726688d83da6dfc7df61f9d8146",
     "example1": "a6a03fb42cd2feffc43a43d19018033fbcf0901aa39d4b4cce0ba4655e1cab08",
     "example1-tower-p30": "d1f07955b6cef305ce4270c8319037ee46c3433f018bcee157e7d9a12e785f02",
+    "faithfulness-counterexample-plot": "89aca1d9f1368f603e77e9bcd4f123ca65b38fe20434edf9283f964c29631b6b",
+    "dim-measure-example1-csv": "4dd2218bb935cbec05c3d55600610f13c7446a21d6c62f66ec4be5da9e100d74",
+    "dim-measure-example1-plot": "d12eef2a7b3650013c479391c21bce119ca326c4eb44c62b04a162bd02ee4e0c",
+    "billingsley-example1-csv": "7a9d4b1dd79d05a76d225be83a1df35b2715eb53b6aca80bc223da5eb6327571",
+    "billingsley-example1-plot": "8073a565662cd966c94a58d2c3870eba92a82e0df7a219559f148d16ab0bbf0b",
+    "boxcount-arithmetic-csv": "05e48dc0ca293639f95b5bb3a81e03de793530c2e9b8926ad62aa0b639a23dfd",
+    "boxcount-arithmetic-plot": "45a9de33d3e61b6b18a551b7445f5220f4e8c8bf16d344aa87b2f1dc572a1b9c",
 }
 
 
