@@ -316,12 +316,26 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+# The parser run() uses, built on its first call and kept for the process:
+# building one costs more than a short request, and parsing leaves it
+# unchanged, so every run sees the same parser.  It is built through the
+# global name build_parser, so a wrapper installed over it is the one kept.
+_parser = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser
+
+
 def run(argv) -> int:
     # Exact answers (decode/cylinder denominators) may have any number of
     # digits; Python refuses int-to-str past 4300 digits by default.
     sys.set_int_max_str_digits(0)
     try:
-        ns = build_parser().parse_args(_with_config(argv))
+        ns = _shared_parser().parse_args(_with_config(argv))
         dps = resolve_dps(ns.precision)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

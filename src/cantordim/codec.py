@@ -39,8 +39,7 @@ class DigitString:
         object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
         if len(self.digits) > MAX_RANK:
             raise CodecError(f"rank {len(self.digits)} exceeds MAX_RANK = {MAX_RANK}")
-        for i, d in enumerate(self.digits, 1):
-            n = self.seq.term(i)
+        for i, (d, n) in enumerate(zip(self.digits, self.seq.iter_terms(self.rank)), 1):
             if not 0 <= d <= n - 1:
                 raise CodecError(f"digit {d} at rank {i} outside 0..{n - 1}")
 
@@ -90,6 +89,8 @@ def encode(x, seq: BasicSequence, k: int) -> DigitString:
 
     a_i = floor(x_i * n_i), x_{i+1} = x_i * n_i - a_i.  The result is the
     rank-k cylinder whose half-open interval [left, left + length) contains x.
+    x_i is kept as num / den over the fixed denominator of x, so each rank
+    is one integer divmod.
     """
     x = Fraction(x)
     if not 0 <= x < 1:
@@ -98,12 +99,11 @@ def encode(x, seq: BasicSequence, k: int) -> DigitString:
         raise CodecError(f"rank must be >= 0, got {k}")
     if k > MAX_RANK:
         raise CodecError(f"rank {k} exceeds MAX_RANK = {MAX_RANK}")
+    num, den = x.numerator, x.denominator
     digits = []
-    for i in range(1, k + 1):
-        x *= seq.term(i)
-        a = int(x)  # floor for non-negative rationals
+    for n in seq.iter_terms(k):
+        a, num = divmod(num * n, den)
         digits.append(a)
-        x -= a
     return DigitString(seq, tuple(digits))
 
 
@@ -111,8 +111,7 @@ def _mixed_radix(d: DigitString) -> tuple[int, int]:
     """(num, den) with num / den = sum a_i / (n_1 ... n_i) and den = n_1 ... n_k."""
     num = 0
     den = 1
-    for i, a in enumerate(d.digits, 1):
-        n = d.seq.term(i)
+    for a, n in zip(d.digits, d.seq.iter_terms(d.rank)):
         num = num * n + a
         den *= n
     return num, den
@@ -154,7 +153,7 @@ def children(c: Cylinder) -> list[Cylinder]:
 
 def iter_digit_strings(seq: BasicSequence, k: int) -> Iterator[DigitString]:
     """All rank-k digit strings in lexicographic order (small ranks only)."""
-    ranges = [range(seq.term(i)) for i in range(1, k + 1)]
+    ranges = [range(n) for n in seq.iter_terms(k)]
     total = 1
     for r in ranges:
         total *= len(r)

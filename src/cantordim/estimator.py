@@ -245,8 +245,13 @@ class BoxCountEstimate:
     dps: int
     set_descriptor: dict
 
+    def __post_init__(self):
+        # One division per rank, at the precision the estimate is built at;
+        # the JSON series and the CSV/plot-data series both read this list.
+        self._ratios = [(k, y / x) for k, x, y in self.points]
+
     def ratios(self) -> list[tuple[int, mpf]]:
-        return [(k, y / x) for k, x, y in self.points]
+        return self._ratios
 
     def to_jsonable(self) -> dict:
         from mpmath import nstr
@@ -258,7 +263,7 @@ class BoxCountEstimate:
             "slope": nstr(self.slope, n),
             "residual": nstr(self.residual, n),
             "note": FAMILY_NOTE,
-            "series": [[k, nstr(y / x, n)] for k, x, y in self.points],
+            "series": [[k, nstr(r, n)] for k, r in self._ratios],
         }
 
 

@@ -462,6 +462,15 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
     containing x; the truncation error is at most the measure of that
     cylinder.  Terms are computed in the log domain and accumulated
     linearly, skipping anything below the working precision.
+
+    The walk stops at the first rank whose prefix measure (that of the
+    cylinder containing x) is below the skip floor by more than one nat.
+    That changes nothing: every later term is that prefix times further
+    digit probabilities and one row's cumulative mass, and each of these
+    factors is at most e**eps with eps <= 1e-10 (a custom row may sum to
+    1 within that tolerance).  Over at most MAX_RANK = 10**6 ranks they
+    grow the prefix by less than e**(1e-4), so no later term reaches the
+    floor and the sum is the one the full walk would return.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -480,7 +489,7 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
             if not term.is_zero() and term.log() > floor_log:
                 acc += term.to_mpf()
             prefix = prefix * model.row(i).logp(a)
-            if prefix.is_zero():
+            if prefix.log() < floor_log - 1:  # ln 0 = -inf: a zero prefix stops too
                 break
         return acc
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantordim import cli
 from cantordim.cli import run
 
 COUNTER = '{"kind":"counterexample"}'
@@ -332,6 +333,61 @@ def test_error_diagnostics_are_one_line(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.strip().count("\n") == 0
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        ["faithfulness", "--seq", CONST3, "--k-max", "abc"],  # parse error, exit 2
+        ["encode", "--seq", CONST3, "--x", "1/2", "--rank", "-1"],  # domain error, exit 1
+        "config-override",  # a --config file replacing an inline flag, with a warning
+        ["bogus"],  # unknown subcommand
+    ],
+)
+def test_shared_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch, first):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"k-max": 12}))
+    if first == "config-override":
+        first = FAITH5 + ["--config", str(cfg)]
+    good = ["encode", "--seq", ARITH, "--x", "5/7", "--rank", "6"]
+    sequence = [good, first, good, first, FAITH5]
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outcomes()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)  # a new parser per run
+    assert shared == outcomes()
+    assert shared[1][0] != 0 or "overrides" in shared[1][2]
+
+
+def test_parser_is_built_once_over_many_runs(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser(_inner=cli.build_parser):
+        built.append(1)
+        return _inner()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"k-max": 7}))
+    for argv in (
+        FAITH5,
+        ["faithfulness", "--seq", CONST3, "--k-max", "abc"],
+        ["encode", "--seq", CONST3, "--x", "3/2", "--rank", "3"],
+        FAITH5 + ["--config", str(cfg)],
+        ["cdf", "--seq", ARITH, "--rows", "uniform", "--x", "1/3", "--rank", "40"],
+        EXAMPLE5,
+    ):
+        run(argv)
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 def test_emitted_json_reparses(capsys):

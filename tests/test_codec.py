@@ -1,6 +1,7 @@
 """Exact codec roundtrips, cylinder geometry, tiling."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cantordim import (
     CodecError,
     DigitString,
+    SequenceError,
     children,
     cylinder,
     decode,
@@ -65,6 +67,20 @@ def test_digit_bounds_enforced():
         DigitString(ARITH, (2,))  # rank-1 digits are 0..1
     with pytest.raises(CodecError):
         DigitString(CONSTANT2, (0, 2))
+
+
+def test_digit_and_rank_errors_name_the_failing_rank():
+    with pytest.raises(CodecError, match=r"^digit 4 at rank 2 outside 0\.\.2$"):
+        DigitString(ARITH, (1, 4))
+    table = make_sequence({"kind": "custom", "table": [2, 3, 5]})
+    no_tail = r"^rank 4 exceeds the 3-term custom table \(no tail rule\)$"
+    with pytest.raises(SequenceError, match=no_tail):
+        DigitString(table, (0, 0, 0, 0))
+    with pytest.raises(SequenceError, match=no_tail):
+        encode(Fraction(1, 7), table, 4)
+    # a bad digit ahead of the missing rank is reported first
+    with pytest.raises(CodecError, match="digit 3 at rank 2"):
+        DigitString(table, (0, 3, 0, 0))
 
 
 def test_encode_brackets_the_point():
@@ -157,6 +173,78 @@ def test_decode_encode_error_bound(seq, x):
     d = encode(x, seq, k)
     approx = decode(d)
     assert approx <= x < approx + cylinder(d).length
+
+
+def _geo23_term(i):
+    return 2 * 3 ** (i - 1)
+
+
+def test_geometric_codec_at_high_rank_matches_term_oracle():
+    # One iter_terms walk per call must give what term(i) gives rank by rank.
+    # decode/cylinder stop at rank 600: at rank 1500 the denominator
+    # 2**1500 * 3**1124250 has 536,000 digits and one exact decode alone
+    # costs seconds of big-integer work.
+    seq = make_sequence({"kind": "geometric", "b1": 2, "q": 3})
+    rng = random.Random(1500)
+    x = Fraction(rng.randrange(10**40), 10**40 + 7)
+    want, rest = [], x
+    for i in range(1, 1501):
+        rest *= _geo23_term(i)
+        want.append(rest.numerator // rest.denominator)
+        rest -= want[-1]
+    assert encode(x, seq, 1500).digits == tuple(want)
+    top = tuple(want[:-1])
+    assert DigitString(seq, top + (_geo23_term(1500) - 1,)).rank == 1500
+    with pytest.raises(CodecError, match=f"at rank 1500 outside 0..{_geo23_term(1500) - 1}$"):
+        DigitString(seq, top + (_geo23_term(1500),))
+
+    digits = tuple(rng.randrange(_geo23_term(i)) for i in range(1, 601))
+    num, den = 0, 1
+    for i, a in enumerate(digits, 1):
+        num = num * _geo23_term(i) + a
+        den *= _geo23_term(i)
+    d = DigitString(seq, digits)
+    assert decode(d) == Fraction(num, den)
+    c = cylinder(d)
+    assert (c.left, c.length, c.right) == (Fraction(num, den), Fraction(1, den), Fraction(num + 1, den))
+
+
+def _greedy_digits(x, seq, k):
+    """a_i = floor(x_i n_i), x_{i+1} = x_i n_i - a_i in Fraction arithmetic."""
+    digits = []
+    for i in range(1, k + 1):
+        x *= seq.term(i)
+        digits.append(x.numerator // x.denominator)
+        x -= digits[-1]
+    return tuple(digits)
+
+
+ENCODE_SEQS = [
+    CONSTANT3,
+    ARITH,
+    GEO,
+    make_sequence({"kind": "arithmetic", "a1": 3, "d": "4/2"}),  # rational d, integer terms
+    make_sequence({"kind": "arithmetic", "a1": 2, "d": "3/2"}),  # n_2 = 7/2 is no integer
+    make_sequence({"kind": "geometric", "b1": 8, "q": "3/2"}),  # integer up to n_4 = 27
+    make_sequence({"kind": "counterexample"}),
+    make_sequence({"kind": "custom", "table": [2, 3, 5], "tail": {"kind": "arithmetic", "a1": 3, "d": 2}}),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ENCODE_SEQS),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**30).filter(lambda x: x < 1),
+    st.integers(min_value=0, max_value=40),
+)
+def test_encode_matches_fraction_greedy_oracle(seq, x, k):
+    try:
+        want = _greedy_digits(x, seq, k)
+    except SequenceError as exc:
+        with pytest.raises(SequenceError, match=f"^{re.escape(str(exc))}$"):
+            encode(x, seq, k)
+        return
+    assert encode(x, seq, k).digits == want
 
 
 def test_truncate_and_extend():

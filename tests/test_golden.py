@@ -3,8 +3,11 @@
 Each case runs one small pipeline through ``cantordim.cli.run`` and
 compares the sha256 of its stdout with a digest recorded before the
 change it guards: the shared rank-log pass for most cases, the exact
-integer witness fits for the big-term and q = 1 faithfulness cases, and
-the single series emitter for the ``-csv`` and ``-plot`` cases.  Any
+integer witness fits for the big-term and q = 1 faithfulness cases, the
+single series emitter for the ``-csv`` and ``-plot`` cases, and the
+integer codec walk and the ``cdf`` early stop for the ``encode-``,
+``decode-``, ``cylinder-`` and ``cdf-`` cases (the ``-p30`` ones pin the
+stopping rank's dependence on the precision).  Any
 change to the summation order, the emitted precision or the report
 layout shows here.
 Re-record a digest only when an output change is intended.
@@ -25,6 +28,16 @@ CUSTOM = '{"kind":"custom","table":[2,3,5,7,11,13],"tail":{"kind":"arithmetic","
 BIGTERM = json.dumps({"kind": "custom", "table": [10**59 + 7, 2, 3, 5, 7, 11]})
 CUSTOM_ROWS = '{"custom":[["1/2","1/4","1/4"],["1/2",0,"1/2"]]}'
 BILL_DIGITS = json.dumps([0 if k in (10, 100) else (7 * k) % (k + 1) for k in range(1, 121)])
+X = "123456789012345678901234567/987654321098765432109876543211"
+
+
+def _counter_term(k):
+    return 10**k if k >= 10 and str(k) == "1" + "0" * (len(str(k)) - 1) else 2
+
+
+ARITH_DIGITS = json.dumps([pow(3, 5 * k, k + 1) for k in range(1, 301)])
+COUNTER_DIGITS = json.dumps([(pow(3, 5 * k, _counter_term(k)) + k // 2) % _counter_term(k)
+                             for k in range(1, 301)])
 
 CASES = {
     "faithfulness-constant": ["faithfulness", "--seq", CONST3, "--k-max", "200"],
@@ -56,6 +69,20 @@ CASES = {
     "example1": ["example1", "--k-max", "200"],
     "example1-tower-p30": ["example1", "--k-max", "120", "--spike-form", "tower", "--precision", "30",
                            "--samples", "2", "--seed", "5"],
+    "encode-arithmetic": ["encode", "--seq", ARITH, "--x", X, "--rank", "300"],
+    "encode-counterexample": ["encode", "--seq", COUNTER, "--x", X, "--rank", "300"],
+    "decode-arithmetic": ["decode", "--seq", ARITH, "--digits", ARITH_DIGITS],
+    "decode-counterexample": ["decode", "--seq", COUNTER, "--digits", COUNTER_DIGITS],
+    "cylinder-arithmetic": ["cylinder", "--seq", ARITH, "--digits", ARITH_DIGITS],
+    "cylinder-counterexample": ["cylinder", "--seq", COUNTER, "--digits", COUNTER_DIGITS],
+    "cdf-arithmetic-uniform": ["cdf", "--seq", ARITH, "--rows", "uniform", "--x", X, "--rank", "2000"],
+    "cdf-counterexample-uniform": ["cdf", "--seq", COUNTER, "--rows", "uniform", "--x", X, "--rank", "300"],
+    "cdf-arithmetic-example1": ["cdf", "--seq", ARITH, "--rows", "example1", "--x", X, "--rank", "1000"],
+    "cdf-arithmetic-example1-p30": ["cdf", "--seq", ARITH, "--rows", "example1", "--x", X, "--rank", "1000",
+                                    "--precision", "30"],
+    "cdf-constant-custom": ["cdf", "--seq", CONST3, "--rows", CUSTOM_ROWS, "--x", "1/4", "--rank", "300"],
+    "cdf-constant-custom-p30": ["cdf", "--seq", CONST3, "--rows", CUSTOM_ROWS, "--x", "1/4", "--rank", "300",
+                                "--precision", "30"],
 }
 # CSV and plot-data on stdout: one series per report.
 for _name, _formats in (
@@ -97,6 +124,18 @@ DIGESTS = {
     "billingsley-example1-plot": "8073a565662cd966c94a58d2c3870eba92a82e0df7a219559f148d16ab0bbf0b",
     "boxcount-arithmetic-csv": "05e48dc0ca293639f95b5bb3a81e03de793530c2e9b8926ad62aa0b639a23dfd",
     "boxcount-arithmetic-plot": "45a9de33d3e61b6b18a551b7445f5220f4e8c8bf16d344aa87b2f1dc572a1b9c",
+    "encode-arithmetic": "74be0cfc8702490b2d7d3b2555f3e975549cea6a584f74d3286cc5c3213ed33b",
+    "encode-counterexample": "db0a2aec3e6a0e715cc958256e2ea1fd6c9ce1dbc9c038003c2f9d531bb1a845",
+    "decode-arithmetic": "1258de3fafc83ac64e1e38502157503bf71e9c72e6929f9675b4733a31fd86a5",
+    "decode-counterexample": "bd76bf3372cfb5f6eae0b41231283f1964d62252aa42c24c2c6f648ae5f86270",
+    "cylinder-arithmetic": "b6fbd5da2ba2707c177091ba431cc336273e9248240ff48f24bd99fcc8ed70ca",
+    "cylinder-counterexample": "990f11cadc787fc54f3030ef18409bfd1e6bbe24661c187d4311ebc8bf6cc13e",
+    "cdf-arithmetic-uniform": "1318743759ea7af16241614890def0711ffd1c6c8e31c6e2851f9b2cb5263528",
+    "cdf-counterexample-uniform": "50ed19b4e1223916b939e3e93774f07d6714a034621b1c465af056dcc3362577",
+    "cdf-arithmetic-example1": "8c3e30e7040519511944d7835522a3541cd0bb3659e97a1c872206e23b9e8e82",
+    "cdf-arithmetic-example1-p30": "7687a6268e5bc06e152731b06a470dfbb11539941017b63923573baf9b586823",
+    "cdf-constant-custom": "e5e372a58baca3ccde535f252c558853dae38e8812b9ae0726fb075a6d91f405",
+    "cdf-constant-custom-p30": "73777eb454a4855919e8c05a9b69475bdf86ff803197e496f901ae9b4b5d4271",
 }
 
 

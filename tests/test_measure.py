@@ -24,11 +24,13 @@ from cantordim import (
     dim_spectrum_series,
     dp_necessary_conditions,
     entropy,
+    encode,
     eps_for,
     example1_model,
     example1_psi_model,
     iter_digit_strings,
     liminf_estimate,
+    LogReal,
     log_sum,
     make_model,
     make_row_rule,
@@ -265,6 +267,62 @@ def test_cdf_with_huge_branching_rank():
         x = Fraction(7, 13)
         got = cdf(m, x, 12)
         assert abs(got - mpf(7) / 13) <= mpf(2) ** (-9)
+
+
+def full_walk_cdf(model, x, k, dps):
+    """cdf's rank walk without the early stop: it only ends at rank k or at
+    a zero prefix."""
+    with working_dps(dps):
+        if x == 1:
+            return mpf(1)
+        floor_log = -(mp.dps + 2) * mp.ln(10)
+        acc = mpf(0)
+        prefix = LogReal.one()
+        for i, a in enumerate(encode(x, model.seq, k).digits, 1):
+            term = prefix * model.row(i).cum(a)
+            if not term.is_zero() and term.log() > floor_log:
+                acc += term.to_mpf()
+            prefix = prefix * model.row(i).logp(a)
+            if prefix.is_zero():
+                break
+        return acc
+
+
+X40 = Fraction(3141592653589793238462643383279502884197, 10**40 + 39)
+
+
+def _custom_cases(dps):
+    # Rows summing to 1 + 10**(3 - dps), inside the tolerance 10**(5 - dps)
+    # that CustomRule grants at this precision.
+    over = Fraction(1, 10 ** (dps - 3))
+    return [
+        (CONSTANT3, {"custom": [["1/2", "1/4", "1/4"], ["1/2", 0, "1/2"]]}, Fraction(1, 4), 3000),
+        (CONSTANT3, {"custom": [["1/2", "1/4", "1/4"], ["1/2", 0, "1/2"]]}, Fraction(5, 12), 3000),
+        (CONSTANT3, {"custom": [[str(Fraction(1, 2) + over), "1/4", "1/4"]]}, X40, 3000),
+        (CONSTANT2, {"custom": [[str(Fraction(999, 1000) + over), "1/1000"]]}, Fraction(1, 7), 3000),
+    ]
+
+
+CDF_CASES = [
+    (ARITH, "uniform", X40, 3000),
+    (COUNTER, "uniform", X40, 3000),
+    (CONSTANT3, "uniform", X40, 3000),
+    (ARITH, "example1", X40, 1000),
+    (ARITH, "example1", Fraction(1, 2) + Fraction(1, 2 * math.factorial(10)), 1000),  # digit 1 at rank 10
+    (ARITH, "example1", Fraction(1, 2), 1000),  # digit 0 from rank 2 on: the spike at rank 10
+    (CONSTANT3, "point_mass:1", Fraction(1, 2), 3000),  # prefix 1 at every rank
+    (CONSTANT3, "point_mass:0", Fraction(1, 2), 3000),  # zero prefix at rank 1
+    (ARITH, "uniform", Fraction(0), 3000),
+    (ARITH, "uniform", Fraction(1), 3000),
+]
+
+
+@pytest.mark.parametrize("dps", [15, 50, 100])
+def test_cdf_early_stop_equals_full_walk(dps):
+    for seq, rows, x, k in CDF_CASES + _custom_cases(dps):
+        model = SymbolModel(seq, make_row_rule(rows), depth_cap=k)
+        got = cdf(model, x, k, dps=dps)
+        assert got == full_walk_cdf(model, x, k, dps), (seq, rows, x, k)
 
 
 # ---------------------------------------------------------------------------
