@@ -11,6 +11,11 @@ along x.  When it converges to delta, the image of a set under the
 distribution function has dimension delta times the original.  The report
 states that conclusion as a prediction: no finite computation evaluates
 the image set's dimension independently.
+
+``ratio_series`` reads b_k off one ``SymbolModel.walk``, multiplying the
+cylinder measure by one digit's mass per rank.  ``example1_report`` feeds
+the same walk to every series it reports: both dimension series, the DP
+positivity scan and the ratio series of each digit string.
 """
 
 from __future__ import annotations
@@ -25,13 +30,17 @@ from .codec import DigitString
 from .estimator import DigitSetSpec
 from .logreal import LogReal
 from .measure import (
+    MEASURE_ENTROPY,
+    SPECTRUM_COUNT,
     DimensionSeries,
     DpReport,
     LiminfEstimate,
+    PositivityScan,
+    Row,
     SymbolModel,
     cylinder_measure_log,
-    dim_spectrum_series,
-    dp_necessary_conditions,
+    dimension_series,
+    dp_report,
     example1_model,
     example1_psi_model,
     liminf_estimate,
@@ -41,7 +50,6 @@ from .sequences import (
     BasicSequence,
     is_power_of_ten,
     log_prefix_product,
-    rank_logs,
     trailing_decade_start,
 )
 
@@ -59,6 +67,15 @@ class RatioPoint:
     flag: Optional[str] = None
 
 
+def _ratio_point(k: int, log_prefix: mpf, mu: LogReal) -> RatioPoint:
+    """b_k from ln(n_1...n_k) and the cylinder measure mu along the string."""
+    if mu.is_zero():
+        return RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE)
+    if mu.log() == 0:
+        return RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE)
+    return RatioPoint(k=k, value=log_prefix / (-mu.log()))
+
+
 def billingsley_ratio(
     model: SymbolModel, d: DigitString, k: int, dps: int | None = None
 ) -> RatioPoint:
@@ -69,12 +86,7 @@ def billingsley_ratio(
         raise ValueError(f"digit string has rank {d.rank} < k = {k}")
     with working_dps(dps):
         mu = cylinder_measure_log(model, d.truncate(k), dps)
-        if mu.is_zero():
-            return RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE)
-        if mu.log() == 0:
-            return RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE)
-        num = log_prefix_product(model.seq, k, dps).log()
-        return RatioPoint(k=k, value=num / (-mu.log()))
+        return _ratio_point(k, log_prefix_product(model.seq, k, dps).log(), mu)
 
 
 @dataclass
@@ -121,27 +133,37 @@ def _monotone_segments(points: list[RatioPoint]) -> list[tuple[str, int, int]]:
     return segments
 
 
+class _RatioWalk:
+    """b_k along one digit string, fed one rank of a model walk at a time."""
+
+    def __init__(self, d: DigitString):
+        self.d = d
+        self.mu = LogReal.one()
+        self.points: list[RatioPoint] = []
+
+    def step(self, k: int, log_prefix: mpf, row: Row) -> None:
+        self.mu = self.mu * row.logp(self.d.digits[k - 1])
+        self.points.append(_ratio_point(k, log_prefix, self.mu))
+
+    def series(self, dps: int) -> RatioSeries:
+        return RatioSeries(
+            digits=self.d, dps=dps, points=self.points, segments=_monotone_segments(self.points)
+        )
+
+
 def ratio_series(
     model: SymbolModel, d: DigitString, k_max: int, dps: int | None = None
 ) -> RatioSeries:
-    """The full b_k series along d for k = 1..k_max."""
+    """The full b_k series along d for k = 1..k_max, from one ``walk`` of
+    the model's ranks: each row is built once and not cached."""
     if d.rank < k_max:
         raise ValueError(f"digit string has rank {d.rank} < k_max = {k_max}")
     used = resolve_dps(dps)
     with working_dps(dps):
-        points = []
-        mu = LogReal.one()
-        for k, _, _, prefix_log in rank_logs(model.seq, k_max):
-            mu = mu * model.logp(k, d.digits[k - 1])
-            if mu.is_zero():
-                points.append(RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE))
-            elif mu.log() == 0:
-                points.append(RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE))
-            else:
-                points.append(RatioPoint(k=k, value=prefix_log / (-mu.log())))
-        return RatioSeries(
-            digits=d, dps=used, points=points, segments=_monotone_segments(points)
-        )
+        walk = _RatioWalk(d)
+        for k, _, _, log_prefix, row in model.walk(k_max):
+            walk.step(k, log_prefix, row)
+        return walk.series(used)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +292,15 @@ def example1_report(
     samples: int = 3,
     dps: int | None = None,
 ) -> Example1Report:
-    """Run the full counterexample pipeline to rank k_max."""
+    """Run the full counterexample pipeline to rank k_max.
+
+    The digit strings (the extreme element of V, then each sample drawn in
+    full, in turn) come first.  One ``walk`` of the shared arithmetic
+    sequence then feeds every series: each rank builds the row of both
+    models once, adds to the measure and spectrum numerators and to the
+    shared sum of r_k**2, advances the positivity scan of the DP report,
+    and multiplies each string's cylinder measure by its digit's mass.
+    """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if samples < 0:
@@ -280,20 +310,25 @@ def example1_report(
     psi = example1_psi_model(depth_cap=k_max)
     seq = model.seq
     with working_dps(dps):
-        dp = dp_necessary_conditions(model, k_max, dps=dps)
-        mseries = dp.measure_series
-        sseries = dim_spectrum_series(psi, k_max, dps)
+        rng = random.Random(seed)
+        strings = [v_extreme_element(seq, k_max)]
+        strings += [sample_v_element(seq, k_max, rng) for _ in range(samples)]
+        walks = [_RatioWalk(d) for d in strings]
+        scan = PositivityScan()
+
+        def on_rank(k: int, log_prefix: mpf, row: Row) -> None:
+            scan.observe(k, log_prefix, row)
+            for walk in walks:
+                walk.step(k, log_prefix, row)
+
+        mseries, sseries = dimension_series(
+            [(model, MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], k_max, dps, on_rank
+        )
+        dp = dp_report(model, mseries, scan)
         window = k_max - trailing_decade_start(k_max) + 1
         m_est = liminf_estimate(mseries, window)
         s_est = liminf_estimate(sseries, window)
-
-        extreme = v_extreme_element(seq, k_max)
-        extreme_series = ratio_series(model, extreme, k_max, dps)
-        rng = random.Random(seed)
-        sample_series = [
-            ratio_series(model, sample_v_element(seq, k_max, rng), k_max, dps)
-            for _ in range(samples)
-        ]
+        extreme_series, *sample_series = [walk.series(used) for walk in walks]
 
         spikes = [k for k in range(1, k_max + 1) if is_power_of_ten(k)]
         delta_estimate = extreme_series.points[spikes[-1] - 1].value if spikes else mpf(1)

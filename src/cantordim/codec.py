@@ -50,10 +50,25 @@ class DigitString:
     def truncate(self, k: int) -> "DigitString":
         if not 0 <= k <= self.rank:
             raise CodecError(f"cannot truncate rank-{self.rank} string to {k}")
-        return DigitString(self.seq, self.digits[:k])
+        return self._validated(self.digits[:k])  # a prefix of a valid string is valid
 
     def extend(self, digit: int) -> "DigitString":
-        return DigitString(self.seq, self.digits + (int(digit),))
+        """The string with one more digit; only that digit is checked."""
+        digit = int(digit)
+        k = self.rank + 1
+        if k > MAX_RANK:
+            raise CodecError(f"rank {k} exceeds MAX_RANK = {MAX_RANK}")
+        n = self.seq.term(k)
+        if not 0 <= digit <= n - 1:
+            raise CodecError(f"digit {digit} at rank {k} outside 0..{n - 1}")
+        return self._validated(self.digits + (digit,))
+
+    def _validated(self, digits: tuple[int, ...]) -> "DigitString":
+        """A string over the same sequence whose digits are already known valid."""
+        out = object.__new__(DigitString)
+        object.__setattr__(out, "seq", self.seq)
+        object.__setattr__(out, "digits", digits)
+        return out
 
     def to_jsonable(self) -> dict:
         return {"sequence": self.seq.descriptor(), "digits": list(self.digits)}

@@ -6,6 +6,12 @@ probabilities.  Rows are structured objects queried in O(1) (a uniform row
 over 10**10 digits is never materialized), and all probabilities live in
 the log domain as LogReals, since the built-in counterexample model uses
 digit masses as small as 10**-(10**100).
+
+The series pipelines read ranks through ``SymbolModel.walk``: one pass
+that yields ln n_k, the prefix logs and each row, built once and never
+cached.  ``dimension_series`` computes several dimension series over
+models that share a sequence from one walk, with per-rank consumers
+(the DP positivity scan, ratio series) riding along.
 """
 
 from __future__ import annotations
@@ -75,10 +81,12 @@ class Row(ABC):
 class UniformRow(Row):
     def __init__(self, n: int):
         self.n = n
-        self._logp = LogReal.from_log(-ln_int(n))
+        self._logp = None  # built on the first logp call; the dimension series never ask
 
     def logp(self, digit: int) -> LogReal:
         self._check_digit(digit)
+        if self._logp is None:
+            self._logp = LogReal.from_log(-ln_int(self.n))
         return self._logp
 
     def cum(self, digit: int) -> LogReal:
@@ -373,8 +381,9 @@ DEPTH_CAP_DEFAULT = 100
 
 class SymbolModel:
     """Law of a random point whose Cantor digits are independent with
-    per-rank rows.  Rows are built lazily and cached per precision; all
-    query operations are logically pure."""
+    per-rank rows.  ``row`` builds rows lazily and caches them per
+    precision; ``walk`` builds each row once and keeps none.  All query
+    operations are logically pure."""
 
     def __init__(self, seq: BasicSequence, rule: RowRule, depth_cap: int = DEPTH_CAP_DEFAULT):
         if depth_cap < 1:
@@ -384,9 +393,12 @@ class SymbolModel:
         self.depth_cap = depth_cap
         self._rows: dict[tuple[int, int], Row] = {}
 
-    def row(self, k: int) -> Row:
+    def _check_rank(self, k: int) -> None:
         if not 1 <= k <= self.depth_cap:
             raise ModelError(f"rank {k} outside 1..depth_cap={self.depth_cap}")
+
+    def row(self, k: int) -> Row:
+        self._check_rank(k)
         key = (k, mp.prec)
         row = self._rows.get(key)
         if row is None:
@@ -396,6 +408,19 @@ class SymbolModel:
 
     def logp(self, k: int, digit: int) -> LogReal:
         return self.row(k).logp(digit)
+
+    def walk(self, k_max: int):
+        """The measure pipelines' shared rank walk: yield (k, ln n_k,
+        ln(n_1...n_{k-1}), ln(n_1...n_k), row k) for k = 1..k_max.
+
+        The logs come from ``rank_logs``.  Each row is built by
+        ``rule.row(k, n_k)`` at the ambient precision and is not cached, so
+        a walk holds one row at a time whatever k_max is.  A rank's log is
+        taken before its depth cap, term and row are checked, in that order.
+        """
+        for k, log_n, before, prefix in rank_logs(self.seq, k_max):
+            self._check_rank(k)
+            yield k, log_n, before, prefix, self.rule.row(k, self.seq.term(k))
 
     def descriptor(self) -> dict:
         return {
@@ -529,44 +554,63 @@ class DimensionSeries:
         }
 
 
-def _dimension_series(
-    model: SymbolModel, k_max: int, dps: int | None, formula: str, row_term: Callable[[Row], mpf]
-) -> DimensionSeries:
-    """d_k = (row_term(row 1) + ... + row_term(row k)) / ln(n_1 ... n_k),
-    with the partial sum of r_k**2 accumulated in the same rank walk."""
-    if not 1 <= k_max <= model.depth_cap:
-        raise ModelError(f"k_max {k_max} outside 1..depth_cap={model.depth_cap}")
+# A dimension series' formula tag and the per-row term its numerator sums.
+MEASURE_ENTROPY = ("measure_entropy", lambda row: row.entropy())
+SPECTRUM_COUNT = ("spectrum_count", lambda row: ln_int(row.support_count()))
+
+
+def dimension_series(
+    specs: Sequence[tuple[SymbolModel, tuple[str, Callable[[Row], mpf]]]],
+    k_max: int,
+    dps: int | None = None,
+    on_rank: Callable[[int, mpf, Row], None] | None = None,
+) -> list[DimensionSeries]:
+    """d_k = (term(row 1) + ... + term(row k)) / ln(n_1 ... n_k) for each
+    (model, (formula, term)) in specs, all from one ``walk`` of the first
+    model.  The models share its sequence, so the others' rows are built
+    at the walk's n_k, and the partial sum of r_k**2 is summed once for
+    all.  ``on_rank(k, ln(n_1...n_k), row)`` sees each row of the walk.
+    """
+    for model, _ in specs:
+        if not 1 <= k_max <= model.depth_cap:
+            raise ModelError(f"k_max {k_max} outside 1..depth_cap={model.depth_cap}")
+        if model.seq != specs[0][0].seq:
+            raise ModelError("dimension series sharing a walk need one sequence")
     used = resolve_dps(dps)
     with working_dps(dps):
-        points = []
-        numerator = mpf(0)
+        numerators = [mpf(0)] * len(specs)
+        points: list[list[tuple[int, mpf]]] = [[] for _ in specs]
         square_partial = mpf(0)
-        for k, log_n, before, log_prefix in rank_logs(model.seq, k_max):
-            numerator += row_term(model.row(k))
-            points.append((k, numerator / log_prefix))
+        for k, log_n, before, log_prefix, row in specs[0][0].walk(k_max):
+            for i, (model, (_, row_term)) in enumerate(specs):
+                numerators[i] += row_term(row if i == 0 else model.rule.row(k, row.n))
+                points[i].append((k, numerators[i] / log_prefix))
             if k > 1:
                 r = log_n / before
                 square_partial += r * r
-        return DimensionSeries(
-            formula=formula,
-            model_descriptor=model.descriptor(),
-            dps=used,
-            points=points,
-            precondition_partial=square_partial,
-        )
+            if on_rank is not None:
+                on_rank(k, log_prefix, row)
+        return [
+            DimensionSeries(
+                formula=formula,
+                model_descriptor=model.descriptor(),
+                dps=used,
+                points=series_points,
+                precondition_partial=square_partial,
+            )
+            for (model, (formula, _)), series_points in zip(specs, points)
+        ]
 
 
 def dim_measure_series(model: SymbolModel, k_max: int, dps: int | None = None) -> DimensionSeries:
     """d_k = (h_1 + ... + h_k) / ln(n_1 ... n_k) for k <= k_max."""
-    return _dimension_series(model, k_max, dps, "measure_entropy", lambda row: row.entropy())
+    return dimension_series([(model, MEASURE_ENTROPY)], k_max, dps)[0]
 
 
 def dim_spectrum_series(model: SymbolModel, k_max: int, dps: int | None = None) -> DimensionSeries:
     """d_k = ln(m_1 ... m_k) / ln(n_1 ... n_k) with m_i the number of
     positive entries in row i."""
-    return _dimension_series(
-        model, k_max, dps, "spectrum_count", lambda row: ln_int(row.support_count())
-    )
+    return dimension_series([(model, SPECTRUM_COUNT)], k_max, dps)[0]
 
 
 @dataclass
@@ -660,6 +704,24 @@ class DpReport:
         }
 
 
+class PositivityScan:
+    """Condition (a), fed each rank of a walk: the first rank whose row has
+    a zero entry (and that digit), and the least log probability before it."""
+
+    def __init__(self) -> None:
+        self.first_zero: Optional[tuple[int, int]] = None
+        self.min_log: Optional[mpf] = None
+
+    def observe(self, k: int, log_prefix: mpf, row: Row) -> None:
+        if self.first_zero is not None:
+            return
+        if row.support_count() < row.n:
+            self.first_zero = (k, row.first_zero_digit())
+            return
+        m = row.min_positive_log()
+        self.min_log = m if self.min_log is None else min(self.min_log, m)
+
+
 def dp_necessary_conditions(
     model: SymbolModel, k_max: int, tol: float = 0.05, dps: int | None = None
 ) -> DpReport:
@@ -668,46 +730,43 @@ def dp_necessary_conditions(
     (a) every digit probability positive up to k_max, (b) the measure
     dimension estimate at least 1 - tol, and (c) whether the sequence is
     bounded with probabilities separated from zero, in which case the
-    dimension-1 condition is also sufficient.
+    dimension-1 condition is also sufficient.  The positivity scan rides
+    on the measure dimension series' rank walk.
     """
-    if not 1 <= k_max <= model.depth_cap:
-        raise ModelError(f"k_max {k_max} outside 1..depth_cap={model.depth_cap}")
-    used = resolve_dps(dps)
-    with working_dps(dps):
-        all_positive = True
-        first_zero = None
-        min_log = None
-        for k in range(1, k_max + 1):
-            row = model.row(k)
-            if row.support_count() < row.n:
-                all_positive = False
-                first_zero = (k, row.first_zero_digit())
-                break
-            m = row.min_positive_log()
-            min_log = m if min_log is None else min(min_log, m)
-        series = dim_measure_series(model, k_max, dps)
+    scan = PositivityScan()
+    (series,) = dimension_series([(model, MEASURE_ENTROPY)], k_max, dps, scan.observe)
+    return dp_report(model, series, scan, tol)
+
+
+def dp_report(
+    model: SymbolModel, series: DimensionSeries, scan: PositivityScan, tol: float = 0.05
+) -> DpReport:
+    """The DP verdict from a walk's measure dimension series and positivity scan."""
+    k_max = len(series.points)
+    all_positive = scan.first_zero is None
+    with working_dps(series.dps):
         window = k_max - trailing_decade_start(k_max) + 1
         estimate = liminf_estimate(series, window).estimate
         dim_ok = estimate >= 1 - mpf(tol)
-        bounded = model.seq.eventually_bounded()
-        separated = model.rule.separated_from_zero(model.seq) if all_positive else False
-        if not all_positive or not dim_ok:
-            verdict = DP_VIOLATED
-        elif bounded and separated:
-            verdict = DP_HYPOTHESES_MET
-        else:
-            verdict = DP_NECESSARY_ONLY
-        return DpReport(
-            verdict=verdict,
-            all_positive=all_positive,
-            first_zero=first_zero,
-            dim_estimate=estimate,
-            dim_ok=bool(dim_ok),
-            tol=tol,
-            sequence_bounded=bounded,
-            probabilities_separated=separated,
-            min_log_probability=min_log,
-            k_max=k_max,
-            dps=used,
-            measure_series=series,
-        )
+    bounded = model.seq.eventually_bounded()
+    separated = model.rule.separated_from_zero(model.seq) if all_positive else False
+    if not all_positive or not dim_ok:
+        verdict = DP_VIOLATED
+    elif bounded and separated:
+        verdict = DP_HYPOTHESES_MET
+    else:
+        verdict = DP_NECESSARY_ONLY
+    return DpReport(
+        verdict=verdict,
+        all_positive=all_positive,
+        first_zero=scan.first_zero,
+        dim_estimate=estimate,
+        dim_ok=bool(dim_ok),
+        tol=tol,
+        sequence_bounded=bounded,
+        probabilities_separated=separated,
+        min_log_probability=scan.min_log,
+        k_max=k_max,
+        dps=series.dps,
+        measure_series=series,
+    )

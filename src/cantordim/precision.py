@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_log
 
 ENV_PRECISION = "CANTORDIM_PRECISION"
 DEFAULT_DPS = 50
@@ -58,7 +59,10 @@ def eps_for(dps: int | None = None, slack: int = 5) -> mpf:
 
 @lru_cache(maxsize=65536)
 def _ln_int_cached(n: int, prec_bits: int) -> mpf:
-    return mp.ln(mpf(n))
+    # The libmp kernel under mp.ln(mpf(n)), without its wrappers: mpf(n)
+    # is from_int(n) rounded to the ambient precision, so the bits agree.
+    rnd = mp._prec_rounding[1]
+    return mp.make_mpf(mpf_log(from_int(n, prec_bits, rnd), prec_bits, rnd))
 
 
 def ln_int(n: int) -> mpf:

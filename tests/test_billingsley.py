@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from mpmath import mp, mpf
@@ -10,9 +11,13 @@ from cantordim import (
     DigitString,
     SymbolModel,
     billingsley_ratio,
+    dim_spectrum_series,
+    dp_necessary_conditions,
     eps_for,
     example1_model,
+    example1_psi_model,
     example1_report,
+    liminf_estimate,
     make_row_rule,
     make_sequence,
     ratio_series,
@@ -167,3 +172,32 @@ def test_report_tower_form_collapses_harder():
     t = tower.ratio_extreme.points[-1].value
     assert t < s  # log p0 jumps from -10**k ln 10 to -10**(10**k) ln 10
     assert tower.spike_form == "10^(10^(10^k))"
+
+
+@pytest.mark.parametrize("dps", [15, 50, 100])
+@pytest.mark.parametrize("samples", [0, 1, 2, 3])
+@pytest.mark.parametrize("tower", [False, True])
+def test_example1_report_equals_its_unfused_composition(tower, samples, dps):
+    k_max, seed = 120, 11
+    report = example1_report(k_max, seed=seed, tower=tower, samples=samples, dps=dps)
+    model = example1_model(depth_cap=k_max, tower=tower)
+    dp = dp_necessary_conditions(model, k_max, dps=dps)
+    spectrum = dim_spectrum_series(example1_psi_model(depth_cap=k_max), k_max, dps)
+    rng = random.Random(seed)
+    strings = [v_extreme_element(ARITH, k_max)]
+    strings += [sample_v_element(ARITH, k_max, rng) for _ in range(samples)]
+    ratios = [ratio_series(model, d, k_max, dps) for d in strings]
+    # == on every mpf: the fused walk does the same operations in the same order
+    assert report.dp_report == dp
+    assert report.measure_series == dp.measure_series
+    assert report.spectrum_series == spectrum
+    assert report.measure_series.precondition_partial == spectrum.precondition_partial
+    window = k_max - 100 + 1
+    assert report.measure_liminf == liminf_estimate(dp.measure_series, window)
+    assert report.spectrum_liminf == liminf_estimate(spectrum, window)
+    assert [report.ratio_extreme] + report.ratio_samples == ratios
+    assert report.delta_estimate == ratios[0].points[99].value
+    # the walked ratios also equal the cached-row single-point oracle
+    for series in ratios:
+        for k in (9, 10, 11, 99, 100, 120):
+            assert series.points[k - 1] == billingsley_ratio(model, series.digits, k, dps)

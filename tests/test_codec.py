@@ -251,8 +251,48 @@ def test_truncate_and_extend():
     d = DigitString(ARITH, (1, 2, 3))
     assert d.truncate(2).digits == (1, 2)
     assert d.extend(0).digits == (1, 2, 3, 0)
+    assert d.extend(0) == DigitString(ARITH, (1, 2, 3, 0))
+    assert d.truncate(0) == DigitString(ARITH, ())
     with pytest.raises(CodecError):
         d.truncate(7)
+
+
+def test_extend_checks_the_new_digit_with_the_old_messages():
+    d = DigitString(ARITH, (1, 2, 3))
+    with pytest.raises(CodecError, match=r"^digit 5 at rank 4 outside 0\.\.4$"):
+        d.extend(5)
+    with pytest.raises(CodecError, match=r"^digit -1 at rank 4 outside 0\.\.4$"):
+        d.extend(-1)
+    table = make_sequence({"kind": "custom", "table": [2, 3, 5]})
+    with pytest.raises(SequenceError, match=r"^rank 4 exceeds the 3-term custom table"):
+        DigitString(table, (1, 2, 4)).extend(0)
+
+
+class _CountingSequence(type(CONSTANT3)):
+    """constant(3) that counts its term() calls."""
+
+    calls = 0
+
+    def term(self, k):
+        type(self).calls += 1
+        return super().term(k)
+
+
+def test_truncate_extend_and_children_read_only_the_new_term():
+    seq = _CountingSequence(3)
+    d = DigitString(seq, tuple(k % 3 for k in range(1, 201)))
+    _CountingSequence.calls = 0
+    assert d.truncate(150).digits == d.digits[:150]
+    assert _CountingSequence.calls == 0
+    assert d.extend(2).rank == 201
+    assert _CountingSequence.calls == 1
+    c = cylinder(d)
+    _CountingSequence.calls = 0
+    kids = children(c)
+    assert [kid.digits.digits[-1] for kid in kids] == [0, 1, 2]
+    # one term for the branching factor, one per child; a full
+    # re-validation would read 201 terms per child
+    assert _CountingSequence.calls == 1 + 3
 
 
 def test_enumeration_refuses_oversize_ranks():

@@ -7,7 +7,11 @@ integer witness fits for the big-term and q = 1 faithfulness cases, the
 single series emitter for the ``-csv`` and ``-plot`` cases, and the
 integer codec walk and the ``cdf`` early stop for the ``encode-``,
 ``decode-``, ``cylinder-`` and ``cdf-`` cases (the ``-p30`` ones pin the
-stopping rank's dependence on the precision).  Any
+stopping rank's dependence on the precision), and the one-pass measure
+walk for the ``example1-1500-``, ``example1-tower-p80``,
+``dim-spectrum-counterexample-psi``, ``dim-measure-pointmass``,
+``dim-measure-custom-zero-p30`` and ``billingsley-counterexample-csv``
+cases (the ``example1-1500-`` ones cross the spike at rank 1000).  Any
 change to the summation order, the emitted precision or the report
 layout shows here.
 Re-record a digest only when an output change is intended.
@@ -28,6 +32,8 @@ CUSTOM = '{"kind":"custom","table":[2,3,5,7,11,13],"tail":{"kind":"arithmetic","
 BIGTERM = json.dumps({"kind": "custom", "table": [10**59 + 7, 2, 3, 5, 7, 11]})
 CUSTOM_ROWS = '{"custom":[["1/2","1/4","1/4"],["1/2",0,"1/2"]]}'
 BILL_DIGITS = json.dumps([0 if k in (10, 100) else (7 * k) % (k + 1) for k in range(1, 121)])
+ZERO_ROWS = '{"custom":[[0,"1/2","1/2"],["1/3","1/3","1/3"],["1/6",0,"5/6"]]}'
+COUNTER_BILL_DIGITS = json.dumps([0 if k in (10, 100) else k % 2 for k in range(1, 151)])
 X = "123456789012345678901234567/987654321098765432109876543211"
 
 
@@ -69,6 +75,18 @@ CASES = {
     "example1": ["example1", "--k-max", "200"],
     "example1-tower-p30": ["example1", "--k-max", "120", "--spike-form", "tower", "--precision", "30",
                            "--samples", "2", "--seed", "5"],
+    "example1-1500-nosamples": ["example1", "--k-max", "1500", "--samples", "0"],
+    "example1-1500-samples-p80": ["example1", "--k-max", "1500", "--samples", "2", "--seed", "7",
+                                  "--precision", "80"],
+    "example1-tower-p80": ["example1", "--k-max", "150", "--spike-form", "tower", "--samples", "1",
+                           "--seed", "3", "--precision", "80"],
+    "dim-spectrum-counterexample-psi": ["dim-spectrum", "--seq", COUNTER, "--rows", "example1_psi",
+                                        "--k-max", "300"],
+    "dim-measure-pointmass": ["dim-measure", "--seq", CONST3, "--rows", "point_mass:0", "--k-max", "80"],
+    "dim-measure-custom-zero-p30": ["dim-measure", "--seq", CONST3, "--rows", ZERO_ROWS, "--k-max", "90",
+                                    "--precision", "30"],
+    "billingsley-counterexample-csv": ["billingsley", "--seq", COUNTER, "--rows", "uniform",
+                                       "--k-max", "150", "--digits", COUNTER_BILL_DIGITS, "--format", "csv"],
     "encode-arithmetic": ["encode", "--seq", ARITH, "--x", X, "--rank", "300"],
     "encode-counterexample": ["encode", "--seq", COUNTER, "--x", X, "--rank", "300"],
     "decode-arithmetic": ["decode", "--seq", ARITH, "--digits", ARITH_DIGITS],
@@ -124,6 +142,13 @@ DIGESTS = {
     "billingsley-example1-plot": "8073a565662cd966c94a58d2c3870eba92a82e0df7a219559f148d16ab0bbf0b",
     "boxcount-arithmetic-csv": "05e48dc0ca293639f95b5bb3a81e03de793530c2e9b8926ad62aa0b639a23dfd",
     "boxcount-arithmetic-plot": "45a9de33d3e61b6b18a551b7445f5220f4e8c8bf16d344aa87b2f1dc572a1b9c",
+    "example1-1500-nosamples": "ece31b5052a1dcab0ac35509b8f4dc742cbff4d5db554874e00ce2f0334638aa",
+    "example1-1500-samples-p80": "fe7c9e55d0281137d77a8a4fc7928a23bec47322710a509f1ad1d2432ec62c9b",
+    "example1-tower-p80": "2160d42dfd52f7ff7d2dca1bb5485175ca910bcca309e95610f1f23262fd51ae",
+    "dim-spectrum-counterexample-psi": "28ecaa56893931a746e7ae78955f09a0a47ccd86061c471e3bb0ed65ffb8f5b2",
+    "dim-measure-pointmass": "aa1a6a498506788273ce7bce83af266fdcda6c739ae4039d0b5930569c5f3587",
+    "dim-measure-custom-zero-p30": "a935d01b3f6b3af20424fb2edb1d6a7c36fa223e400d1aea5478ce4d7d79e085",
+    "billingsley-counterexample-csv": "ca4059261f1cb931919975a6f54d9d3ea9e850efe1c83ec6582f0073e85be069",
     "encode-arithmetic": "74be0cfc8702490b2d7d3b2555f3e975549cea6a584f74d3286cc5c3213ed33b",
     "encode-counterexample": "db0a2aec3e6a0e715cc958256e2ea1fd6c9ce1dbc9c038003c2f9d531bb1a845",
     "decode-arithmetic": "1258de3fafc83ac64e1e38502157503bf71e9c72e6929f9675b4733a31fd86a5",

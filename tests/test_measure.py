@@ -20,6 +20,7 @@ from cantordim import (
     cdf,
     cylinder,
     cylinder_measure_log,
+    SequenceError,
     dim_measure_series,
     dim_spectrum_series,
     dp_necessary_conditions,
@@ -37,6 +38,8 @@ from cantordim import (
     make_sequence,
     working_dps,
 )
+from cantordim.measure import MEASURE_ENTROPY, SPECTRUM_COUNT, UniformRow, dimension_series
+from cantordim.precision import ln_int
 
 CONSTANT2 = make_sequence({"kind": "constant", "s": 2})
 CONSTANT3 = make_sequence({"kind": "constant", "s": 3})
@@ -482,6 +485,109 @@ def test_dp_zero_probability_violates():
     assert rep.verdict == "necessary_conditions_violated"
     assert rep.all_positive is False
     assert rep.first_zero == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the shared rank walk
+# ---------------------------------------------------------------------------
+
+TAILLESS = make_sequence({"kind": "custom", "table": [2, 3, 5]})
+THIRDS = ["1/3", "1/3", "1/3"]
+# (sequence, rows, exception type, message); the messages are the ones the
+# cached-row path gave, so walking rows changes no error a user sees
+WALK_ERRORS = [
+    (TAILLESS, "uniform", SequenceError, "rank 4 exceeds the 3-term custom table (no tail rule)"),
+    (CONSTANT3, "point_mass:5", ModelError, "point mass digit 5 outside 0..2 at rank 1"),
+    (CONSTANT3, {"custom": [THIRDS, ["1/2", "1/2"]]}, ModelError,
+     "custom row for rank 2 has 2 entries, expected 3"),
+    # the missing term is reported before the row of the wrong length
+    (make_sequence({"kind": "custom", "table": [3, 3]}), {"custom": [THIRDS, THIRDS, ["1/2", "1/2"]]},
+     SequenceError, "rank 3 exceeds the 2-term custom table (no tail rule)"),
+    # a zero entry ahead of the bad row does not stop the walk early
+    (CONSTANT3, {"custom": [[0, "1/2", "1/2"], THIRDS, ["1/2", "1/2"]]}, ModelError,
+     "custom row for rank 3 has 2 entries, expected 3"),
+]
+
+
+@pytest.mark.parametrize("fn", [dim_measure_series, dim_spectrum_series, dp_necessary_conditions])
+@pytest.mark.parametrize("seq, rows, exc, message", WALK_ERRORS)
+def test_walk_errors_keep_type_and_text(fn, seq, rows, exc, message):
+    model = SymbolModel(seq, make_row_rule(rows), depth_cap=10)
+    with pytest.raises(exc) as info:
+        fn(model, 5)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rows", [
+    "uniform", "example1", "point_mass:0", CANTOR_ROWS,
+    {"custom": [["1/4", "1/4", "1/2"], ["1/8", "3/8", "1/2"], [0, "1/2", "1/2"], ["1/100", "49/100", "1/2"]]},
+])
+def test_dp_scan_matches_a_row_by_row_oracle(rows):
+    model = SymbolModel(CONSTANT3 if isinstance(rows, dict) else ARITH, make_row_rule(rows), depth_cap=120)
+    rep = dp_necessary_conditions(model, 110, dps=30)
+    with working_dps(30):
+        first_zero = min_log = None
+        for k in range(1, 111):  # condition (a): stop at the first zero entry
+            row = model.row(k)
+            if row.support_count() < row.n:
+                first_zero = (k, row.first_zero_digit())
+                break
+            m = row.min_positive_log()
+            min_log = m if min_log is None else min(min_log, m)
+    assert rep.first_zero == first_zero
+    assert rep.all_positive is (first_zero is None)
+    assert rep.min_log_probability == min_log
+
+
+def test_dimension_series_leave_the_row_cache_empty():
+    for rows in ("uniform", "example1", "point_mass:0", CANTOR_ROWS):
+        seq = CONSTANT3 if rows == CANTOR_ROWS else ARITH
+        model = SymbolModel(seq, make_row_rule(rows), depth_cap=200)
+        dim_measure_series(model, 150)
+        dim_spectrum_series(model, 150)
+        dp_necessary_conditions(model, 150)
+        assert model._rows == {}
+
+
+def test_one_walk_for_two_models_equals_two_walks():
+    for dps in (15, 50):
+        e1, psi = example1_model(depth_cap=150), example1_psi_model(depth_cap=150)
+        scanned = []
+        both = dimension_series(
+            [(e1, MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], 150, dps,
+            lambda k, log_prefix, row: scanned.append((k, row.n)),
+        )
+        assert both == [dim_measure_series(e1, 150, dps), dim_spectrum_series(psi, 150, dps)]
+        assert scanned == [(k, k + 1) for k in range(1, 151)]
+    with pytest.raises(ModelError, match="need one sequence"):
+        dimension_series([(e1, MEASURE_ENTROPY), (uniform_model(CONSTANT3), SPECTRUM_COUNT)], 10)
+    with pytest.raises(ModelError, match=r"k_max 151 outside 1\.\.depth_cap=150"):
+        dimension_series([(uniform_model(ARITH), MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], 151)
+
+
+def test_walk_checks_the_depth_cap_after_the_rank_log():
+    with pytest.raises(ModelError, match=r"^rank 5 outside 1\.\.depth_cap=4$"):
+        list(uniform_model(CONSTANT3, depth=4).walk(6))
+    # the missing term of a tail-less table is reported first
+    with pytest.raises(SequenceError, match="rank 4 exceeds"):
+        list(uniform_model(TAILLESS, depth=3).walk(6))
+    # ln n_3 of geometric(2, 3/2) exists, but the term 9/2 is checked after the cap
+    halves = make_sequence({"kind": "geometric", "b1": 2, "q": "3/2"})
+    with pytest.raises(ModelError, match=r"^rank 3 outside 1\.\.depth_cap=2$"):
+        list(uniform_model(halves, depth=2).walk(3))
+    with pytest.raises(SequenceError, match=r"^term\(3\) = 9/2 is not an integer$"):
+        list(uniform_model(halves, depth=3).walk(3))
+
+
+def test_uniform_row_builds_its_log_probability_once_on_demand():
+    with working_dps(50):
+        row = UniformRow(7)
+        assert row._logp is None
+        p = row.logp(3)
+        assert p.log() == -ln_int(7)
+        assert row.logp(6) is p
+        assert row.entropy() == ln_int(7)
 
 
 # ---------------------------------------------------------------------------
