@@ -155,7 +155,9 @@ def ratio_series(
     model: SymbolModel, d: DigitString, k_max: int, dps: int | None = None
 ) -> RatioSeries:
     """The full b_k series along d for k = 1..k_max, from one ``walk`` of
-    the model's ranks: each row is built once and not cached."""
+    the model's ranks: each row is built once and not kept."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if d.rank < k_max:
         raise ValueError(f"digit string has rank {d.rank} < k_max = {k_max}")
     used = resolve_dps(dps)

@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 from .codec import DigitString
 from .logreal import LogReal
 from .precision import ln_int, resolve_dps, working_dps
-from .sequences import BasicSequence, is_power_of_ten, rank_logs
+from .sequences import BasicSequence, as_integer, is_power_of_ten, rank_logs
 
 FAMILY_NOTE = (
     "slope is the dimension w.r.t. the cylinder family; it equals the "
@@ -58,7 +58,7 @@ class DigitSetSpec:
 
     @classmethod
     def constant_digits(cls, seq: BasicSequence, digits: Sequence[int]) -> "DigitSetSpec":
-        return cls(seq, "every_rank", digits=_digit_tuple(digits))
+        return cls(seq, "every_rank", digits=_sorted_entries(digits, "every_rank"))
 
     @classmethod
     def with_exceptions(
@@ -72,13 +72,13 @@ class DigitSetSpec:
         return cls(
             seq,
             "exceptions",
-            digits=_digit_tuple(digits_at_exception),
-            exception_ranks=tuple(sorted(set(exception_ranks))) if exception_ranks else None,
+            digits=_sorted_entries(digits_at_exception, "digits_at_exception"),
+            exception_ranks=_sorted_entries(exception_ranks, "except_ranks") if exception_ranks else None,
         )
 
     @classmethod
     def from_table(cls, seq: BasicSequence, per_rank: Sequence[Sequence[int]]) -> "DigitSetSpec":
-        table = tuple(_digit_tuple(r) for r in per_rank)
+        table = tuple(_sorted_entries(r, "per_rank") for r in per_rank)
         if not table:
             raise EstimatorError("per-rank table must not be empty")
         return cls(seq, "per_rank", per_rank=table)
@@ -188,10 +188,10 @@ class DigitSetSpec:
         return {"sequence": self.seq.descriptor(), "admissible": admissible}
 
 
-def _digit_tuple(digits: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(d) for d in digits)))
+def _sorted_entries(values: Sequence[int], what: str) -> tuple[int, ...]:
+    out = tuple(sorted({as_integer(v, f"{what} entry", EstimatorError) for v in values}))
     if out and out[0] < 0:
-        raise EstimatorError(f"negative digit {out[0]} in admissible set")
+        raise EstimatorError(f"negative {what} entry {out[0]}")
     return out
 
 

@@ -7,11 +7,11 @@ over 10**10 digits is never materialized), and all probabilities live in
 the log domain as LogReals, since the built-in counterexample model uses
 digit masses as small as 10**-(10**100).
 
-The series pipelines read ranks through ``SymbolModel.walk``: one pass
-that yields ln n_k, the prefix logs and each row, built once and never
-cached.  ``dimension_series`` computes several dimension series over
-models that share a sequence from one walk, with per-rank consumers
-(the DP positivity scan, ratio series) riding along.
+``SymbolModel.row`` builds every row and keeps none.  The series pipelines
+read ranks through ``SymbolModel.walk``: one pass yielding ln n_k, the
+prefix logs and each rank's row.  ``dimension_series`` computes several
+dimension series over models that share a sequence from one walk, with
+per-rank consumers (the DP positivity scan, ratio series) riding along.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .precision import GUARD_DPS, MIN_DPS, eps_for, ln_int, resolve_dps, working
 from .sequences import (
     ArithmeticSequence,
     BasicSequence,
+    as_integer,
     is_power_of_ten,
     make_sequence,
     rank_logs,
@@ -381,9 +382,8 @@ DEPTH_CAP_DEFAULT = 100
 
 class SymbolModel:
     """Law of a random point whose Cantor digits are independent with
-    per-rank rows.  ``row`` builds rows lazily and caches them per
-    precision; ``walk`` builds each row once and keeps none.  All query
-    operations are logically pure."""
+    per-rank rows.  ``row`` builds a rank's row at the ambient precision
+    on every call and keeps none.  All query operations are pure."""
 
     def __init__(self, seq: BasicSequence, rule: RowRule, depth_cap: int = DEPTH_CAP_DEFAULT):
         if depth_cap < 1:
@@ -391,36 +391,23 @@ class SymbolModel:
         self.seq = seq
         self.rule = rule
         self.depth_cap = depth_cap
-        self._rows: dict[tuple[int, int], Row] = {}
-
-    def _check_rank(self, k: int) -> None:
-        if not 1 <= k <= self.depth_cap:
-            raise ModelError(f"rank {k} outside 1..depth_cap={self.depth_cap}")
 
     def row(self, k: int) -> Row:
-        self._check_rank(k)
-        key = (k, mp.prec)
-        row = self._rows.get(key)
-        if row is None:
-            row = self.rule.row(k, self.seq.term(k))
-            self._rows[key] = row
-        return row
-
-    def logp(self, k: int, digit: int) -> LogReal:
-        return self.row(k).logp(digit)
+        """Rank k's row, built from n_k after the depth-cap check; nothing is kept."""
+        if not 1 <= k <= self.depth_cap:
+            raise ModelError(f"rank {k} outside 1..depth_cap={self.depth_cap}")
+        return self.rule.row(k, self.seq.term(k))
 
     def walk(self, k_max: int):
         """The measure pipelines' shared rank walk: yield (k, ln n_k,
         ln(n_1...n_{k-1}), ln(n_1...n_k), row k) for k = 1..k_max.
 
-        The logs come from ``rank_logs``.  Each row is built by
-        ``rule.row(k, n_k)`` at the ambient precision and is not cached, so
-        a walk holds one row at a time whatever k_max is.  A rank's log is
+        The logs come from ``rank_logs`` and each row from ``row``, so a
+        walk holds one row at a time whatever k_max is.  A rank's log is
         taken before its depth cap, term and row are checked, in that order.
         """
         for k, log_n, before, prefix in rank_logs(self.seq, k_max):
-            self._check_rank(k)
-            yield k, log_n, before, prefix, self.rule.row(k, self.seq.term(k))
+            yield k, log_n, before, prefix, self.row(k)
 
     def descriptor(self) -> dict:
         return {
@@ -439,7 +426,8 @@ def make_model(spec: Mapping) -> SymbolModel:
         rule = make_row_rule(spec["rows"])
     except KeyError as exc:
         raise ModelError(f"model descriptor missing {exc}") from exc
-    return SymbolModel(seq, rule, int(spec.get("depth_cap", DEPTH_CAP_DEFAULT)))
+    depth_cap = as_integer(spec.get("depth_cap", DEPTH_CAP_DEFAULT), "depth_cap", ModelError)
+    return SymbolModel(seq, rule, depth_cap)
 
 
 def example1_model(depth_cap: int = DEPTH_CAP_DEFAULT, tower: bool = False) -> SymbolModel:
@@ -474,7 +462,7 @@ def cylinder_measure_log(model: SymbolModel, d: DigitString, dps: int | None = N
     with working_dps(dps):
         out = LogReal.one()
         for i, a in enumerate(d.digits, 1):
-            out = out * model.logp(i, a)
+            out = out * model.row(i).logp(a)
             if out.is_zero():
                 break
         return out
@@ -510,10 +498,11 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
         acc = mpf(0)
         prefix = LogReal.one()
         for i, a in enumerate(digits.digits, 1):
-            term = prefix * model.row(i).cum(a)
+            row = model.row(i)
+            term = prefix * row.cum(a)
             if not term.is_zero() and term.log() > floor_log:
                 acc += term.to_mpf()
-            prefix = prefix * model.row(i).logp(a)
+            prefix = prefix * row.logp(a)
             if prefix.log() < floor_log - 1:  # ln 0 = -inf: a zero prefix stops too
                 break
         return acc

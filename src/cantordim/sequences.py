@@ -19,6 +19,7 @@ summation order is fixed in one place.  ``log_prefix_product`` and
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,14 @@ def is_power_of_ten(k: int) -> bool:
 def trailing_decade_start(k_max: int) -> int:
     """Largest power of ten <= k_max (the start of the final decade)."""
     return 10 ** (len(str(k_max)) - 1)
+
+
+def as_integer(value, what: str, error: type[ValueError] = SequenceError) -> int:
+    """An integer field read without truncation (numpy ints pass); else ``error`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _as_ratio(value) -> Fraction:
@@ -110,10 +119,6 @@ class ConstantSequence(BasicSequence):
     def term(self, k: int) -> int:
         self._check_rank(k)
         return self.s
-
-    def log_term(self, k: int) -> mpf:
-        self._check_rank(k)
-        return ln_int(self.s)
 
     def eventually_bounded(self) -> bool:
         return True
@@ -237,7 +242,8 @@ class CustomSequence(BasicSequence):
     kind: ClassVar[str] = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(t) for t in self.table))
+        table = tuple(as_integer(t, f"custom table term({i})") for i, t in enumerate(self.table, 1))
+        object.__setattr__(self, "table", table)
         if not self.table:
             raise SequenceError("custom table must have at least one term")
         for i, t in enumerate(self.table, 1):
@@ -284,11 +290,11 @@ def make_sequence(spec: Mapping) -> BasicSequence:
     kind = spec.get("kind")
     try:
         if kind == "constant":
-            return ConstantSequence(int(spec["s"]))
+            return ConstantSequence(as_integer(spec["s"], "constant s"))
         if kind == "arithmetic":
-            return ArithmeticSequence(int(spec["a1"]), _as_ratio(spec.get("d", 1)))
+            return ArithmeticSequence(as_integer(spec["a1"], "arithmetic a1"), _as_ratio(spec.get("d", 1)))
         if kind == "geometric":
-            return GeometricSequence(int(spec["b1"]), _as_ratio(spec.get("q", 1)))
+            return GeometricSequence(as_integer(spec["b1"], "geometric b1"), _as_ratio(spec.get("q", 1)))
         if kind == "counterexample":
             return CounterexampleSequence()
         if kind == "custom":

@@ -284,6 +284,7 @@ def test_flag_errors_outside_argparse_types_are_one_line(tmp_path, capsys):
         FAITH5 + ["--met-tol", "nan"],
         FAITH5 + ["--violation-threshold", "inf"],
         EXAMPLE5 + ["--samples", "-2"],
+        ["billingsley", "--seq", CONST3, "--rows", "uniform", "--digits", "[1]", "--k-max", "0"],
     ],
 )
 def test_out_of_range_parameters_are_domain_errors(capsys, argv):
@@ -297,6 +298,17 @@ def test_out_of_range_parameters_are_domain_errors(capsys, argv):
         ["faithfulness", "--seq", '{"kind":"custom","table":5}', "--k-max", "5"],
         ["dim-measure", "--seq", CONST3, "--rows", '{"custom":5}', "--k-max", "5"],
         ["boxcount", "--seq", CONST3, "--set", '{"every_rank":5}', "--k-max", "5"],
+        # integer fields given as non-integers are rejected, not truncated
+        ["faithfulness", "--seq", '{"kind":"arithmetic","a1":2.5,"d":1}', "--k-max", "5"],
+        ["faithfulness", "--seq", '{"kind":"constant","s":3.5}', "--k-max", "5"],
+        ["faithfulness", "--seq", '{"kind":"geometric","b1":"2","q":2}', "--k-max", "5"],
+        ["faithfulness", "--seq", '{"kind":"custom","table":[3,2.0]}', "--k-max", "2"],
+        ["boxcount", "--seq", CONST3, "--set", '{"every_rank":[0.9,2]}', "--k-max", "5"],
+        ["boxcount", "--seq", CONST3, "--set", '{"per_rank":[[0],[1.5]]}', "--k-max", "2"],
+        ["boxcount", "--seq", CONST3, "--set",
+         '{"except_ranks":"powers_of_10","digits_at_exception":[0.5]}', "--k-max", "5"],
+        ["boxcount", "--seq", CONST3, "--set",
+         '{"except_ranks":[2.5],"digits_at_exception":[0]}', "--k-max", "5"],
     ],
 )
 def test_wrong_typed_descriptor_fields_are_one_line_errors(capsys, argv):

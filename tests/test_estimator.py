@@ -98,6 +98,27 @@ def test_from_descriptor_rejects_unknown():
         DigitSetSpec.from_descriptor(CONSTANT3, {"except_ranks": "fibonacci", "digits_at_exception": [0]})
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"every_rank": [0.9, 2]}, "every_rank"),
+        ({"per_rank": [[0], [1.5]]}, "per_rank"),
+        ({"except_ranks": "powers_of_10", "digits_at_exception": [0.5]}, "digits_at_exception"),
+        ({"except_ranks": [2.5], "digits_at_exception": [0]}, "except_ranks"),
+    ],
+)
+def test_digit_set_integers_are_not_truncated(spec, field):
+    with pytest.raises(EstimatorError, match=f"^{field} entry must be an integer, got "):
+        DigitSetSpec.from_descriptor(CONSTANT3, spec)
+
+
+def test_negative_digits_and_exception_ranks_are_rejected():
+    with pytest.raises(EstimatorError, match="^negative every_rank entry -1$"):
+        DigitSetSpec.from_descriptor(CONSTANT3, {"every_rank": [0, -1]})
+    with pytest.raises(EstimatorError, match="^negative except_ranks entry -2$"):
+        DigitSetSpec.from_descriptor(CONSTANT3, {"except_ranks": [-2, 3], "digits_at_exception": [0]})
+
+
 def test_explicit_exception_ranks():
     spec = DigitSetSpec.from_descriptor(
         CONSTANT3, {"except_ranks": [2, 5], "digits_at_exception": [0, 1]}

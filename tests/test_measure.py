@@ -540,14 +540,20 @@ def test_dp_scan_matches_a_row_by_row_oracle(rows):
     assert rep.min_log_probability == min_log
 
 
-def test_dimension_series_leave_the_row_cache_empty():
-    for rows in ("uniform", "example1", "point_mass:0", CANTOR_ROWS):
-        seq = CONSTANT3 if rows == CANTOR_ROWS else ARITH
-        model = SymbolModel(seq, make_row_rule(rows), depth_cap=200)
-        dim_measure_series(model, 150)
-        dim_spectrum_series(model, 150)
-        dp_necessary_conditions(model, 150)
-        assert model._rows == {}
+@pytest.mark.parametrize("rows", ["uniform", "point_mass:0", "example1", "example1_psi", CANTOR_ROWS])
+def test_row_and_walk_build_the_same_rows_and_keep_none(rows):
+    model = SymbolModel(CONSTANT3 if rows == CANTOR_ROWS else ARITH, make_row_rule(rows), depth_cap=120)
+    with working_dps(30):
+        for k, _, _, _, walked in model.walk(110):
+            row = model.row(k)
+            assert type(row) is type(walked) and row.n == walked.n
+            assert row.entropy() == walked.entropy()
+            assert row.support_count() == walked.support_count()
+            assert row.first_zero_digit() == walked.first_zero_digit()
+            for digit in {0, 1, row.n - 1}:
+                assert row.logp(digit) == walked.logp(digit)
+                assert row.cum(digit) == walked.cum(digit)
+            assert model.row(k) is not model.row(k)
 
 
 def test_one_walk_for_two_models_equals_two_walks():
@@ -601,6 +607,14 @@ def test_model_descriptor_round_trip():
     assert model.descriptor()["depth_cap"] == 17
     again = make_model(model.descriptor())
     assert again.descriptor() == model.descriptor()
+
+
+def test_model_depth_cap_must_be_an_integer():
+    spec = {"sequence": {"kind": "constant", "s": 3}, "rows": "uniform"}
+    with pytest.raises(ModelError, match=r"^depth_cap must be an integer, got 17\.5$"):
+        make_model({**spec, "depth_cap": 17.5})
+    numpy = pytest.importorskip("numpy")
+    assert make_model({**spec, "depth_cap": numpy.int64(17)}).depth_cap == 17
 
 
 def test_make_row_rule_rejects_unknown():

@@ -79,6 +79,25 @@ def test_invalid_descriptors_rejected(spec):
         make_sequence(spec)
 
 
+@pytest.mark.parametrize(
+    "spec_with, field",
+    [
+        (lambda v: {"kind": "constant", "s": v}, "constant s"),
+        (lambda v: {"kind": "arithmetic", "a1": v, "d": 1}, "arithmetic a1"),
+        (lambda v: {"kind": "geometric", "b1": v, "q": 2}, "geometric b1"),
+        (lambda v: {"kind": "custom", "table": [3, v]}, r"custom table term\(2\)"),
+    ],
+)
+def test_integer_fields_are_not_truncated(spec_with, field):
+    for bad in (3.5, 3.0, "3"):
+        with pytest.raises(SequenceError, match=f"^{field} must be an integer, got "):
+            make_sequence(spec_with(bad))
+    numpy = pytest.importorskip("numpy")
+    seq = make_sequence(spec_with(numpy.int64(3)))
+    assert type(seq.term(2)) is int
+    assert json.loads(json.dumps(seq.descriptor())) == seq.descriptor()
+
+
 def test_rational_parameters_need_integer_terms():
     seq = make_sequence({"kind": "arithmetic", "a1": 2, "d": "3/2"})
     assert seq.term(3) == 5  # 2 + 2*(3/2)
