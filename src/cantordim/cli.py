@@ -22,10 +22,13 @@ Every error is one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from mpmath import nstr
@@ -171,12 +174,94 @@ def _with_config(argv: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _write(text: str, path: str | None) -> None:
-    if not path:
-        sys.stdout.write(text)
-        return
+# Output is written in pieces of about CHUNK_CHARS characters, so no report
+# is ever held as one string; runs of flat list items are formatted
+# BATCH_ITEMS at a time.
+CHUNK_CHARS = 1 << 16
+BATCH_ITEMS = 2048
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(value) -> str:
+    # json.dumps(value) exactly, with its two common cases inlined.
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _formatter(values):
+    """The function giving each value's JSON text, or None if one is a container."""
+    types = set(map(type, values))
+    if types == {int}:
+        return int.__repr__
+    return None if any(issubclass(t, _CONTAINERS) for t in types) else _scalar
+
+
+def _scalar_list_text(values, text, indent: str) -> str:
+    """The indented layout of a non-empty list of scalars."""
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(text, values)) + "\n" + indent + "]"
+
+
+def _json_pieces(value, indent: str = ""):
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, in pieces.
+
+    A list of scalars (a digit string) or of non-empty scalar lists (a
+    ``[k, value]`` series) is formatted BATCH_ITEMS items to a piece."""
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            yield sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from _json_pieces(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        text = _formatter(value)
+        if text is None and set(map(type, value)) <= {list, tuple} and all(value):
+            item_text = _formatter(itertools.chain.from_iterable(value))
+            if item_text:
+                text = partial(_scalar_list_text, text=item_text, indent=inner)
+        if text is None:
+            for i, item in enumerate(value):
+                yield "[\n" + inner if i == 0 else sep
+                yield from _json_pieces(item, inner)
+        else:
+            for i in range(0, len(value), BATCH_ITEMS):
+                yield ("[\n" + inner if i == 0 else sep) + sep.join(map(text, value[i : i + BATCH_ITEMS]))
+        yield "\n" + indent + "]"
+    else:
+        yield _scalar(value)
+
+
+def _series_pieces(points, head: str, sep: str, dps: int):
+    yield head
+    for k, v in points:
+        yield f"{k}{sep}{nstr(v, dps)}\n"
+
+
+def _write(pieces, path: str | None) -> None:
+    """Write the text pieces to ``path`` (stdout if None), CHUNK_CHARS at a time."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+            buf, size = [], 0
+            for piece in pieces:
+                buf.append(piece)
+                size += len(piece)
+                if size >= CHUNK_CHARS:
+                    fh.write("".join(buf))
+                    buf, size = [], 0
+            fh.write("".join(buf))
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
 
@@ -184,13 +269,15 @@ def _write(text: str, path: str | None) -> None:
 def _emit(ns, payload: dict, dps: int, series=None, column=None) -> None:
     """Write the JSON report, or its named (k, value) series as CSV or plot-data.
 
-    One CSV series goes to --out (or stdout) headed ``k,<column>``; several
-    need --out and go to one ``PATH.<name>.csv`` each, headed ``k,value``.
-    plot-data is two whitespace-separated columns, one ``PATH.<name>.dat``
-    per series with --out.
+    The JSON is byte for byte ``json.dumps(payload, sort_keys=True,
+    indent=2)`` plus a newline.  One CSV series goes to --out (or stdout)
+    headed ``k,<column>``; several need --out and go to one
+    ``PATH.<name>.csv`` each, headed ``k,value``.  plot-data is two
+    whitespace-separated columns, one ``PATH.<name>.dat`` per series with
+    --out.
     """
     if ns.format == "json":
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", ns.out)
+        _write(itertools.chain(_json_pieces(payload), ("\n",)), ns.out)
         return
     csv = ns.format == "csv"
     if series is None:
@@ -198,12 +285,11 @@ def _emit(ns, payload: dict, dps: int, series=None, column=None) -> None:
     if len(series) > 1 and not ns.out:
         raise ConfigError(f"{ns.format} with multiple series needs --out as a path prefix")
     for name, points in series.items():
-        lines = [f"# precision_dps={dps}"]
+        head = f"# precision_dps={dps}\n"
         if csv:
-            lines.append(f"k,{column if len(series) == 1 else 'value'}")
-        lines += [f"{k}{',' if csv else ' '}{nstr(v, dps)}" for k, v in points]
+            head += f"k,{column if len(series) == 1 else 'value'}\n"
         suffix = "" if csv and len(series) == 1 else f".{name}.{'csv' if csv else 'dat'}"
-        _write("\n".join(lines) + "\n", ns.out and ns.out + suffix)
+        _write(_series_pieces(points, head, "," if csv else " ", dps), ns.out and ns.out + suffix)
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,14 @@ class DigitSetSpec:
     ) -> "DigitSetSpec":
         """All digits admissible except at the exception ranks (default:
         the powers of ten), where only ``digits_at_exception`` are."""
+        ranks = None if exception_ranks is None else _sorted_entries(exception_ranks, "except_ranks")
+        if ranks and ranks[0] < 1:
+            raise EstimatorError(f"except_ranks entry {ranks[0]} is not a rank; ranks start at 1")
         return cls(
             seq,
             "exceptions",
             digits=_sorted_entries(digits_at_exception, "digits_at_exception"),
-            exception_ranks=_sorted_entries(exception_ranks, "except_ranks") if exception_ranks else None,
+            exception_ranks=ranks,
         )
 
     @classmethod

@@ -363,7 +363,12 @@ def make_row_rule(spec) -> RowRule:
         if spec == "example1_psi":
             return SpikedPointMassRule()
         if spec.startswith("point_mass:"):
-            return PointMassRule(int(spec.split(":", 1)[1]))
+            text = spec.split(":", 1)[1]
+            try:
+                j = int(text)
+            except ValueError:
+                raise ModelError(f"point_mass digit must be an integer, got {text!r}") from None
+            return PointMassRule(j)
         raise ModelError(f"unknown row rule {spec!r}")
     if isinstance(spec, Mapping) and "custom" in spec:
         try:

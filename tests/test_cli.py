@@ -318,6 +318,27 @@ def test_wrong_typed_descriptor_fields_are_one_line_errors(capsys, argv):
     assert err.count("error:") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        # rank 0 is not a rank: it used to be accepted and never matched
+        (["boxcount", "--seq", CONST3, "--set", '{"except_ranks":[0],"digits_at_exception":[0]}',
+          "--k-max", "5"], ["except_ranks", "0"]),
+        (["boxcount", "--seq", CONST3, "--set", '{"except_ranks":[3,0,5],"digits_at_exception":[0]}',
+          "--k-max", "5"], ["except_ranks", "0"]),
+        (["dim-measure", "--seq", CONST3, "--rows", "point_mass:1.5", "--k-max", "5"], ["point_mass", "'1.5'"]),
+        (["dim-measure", "--seq", CONST3, "--rows", "point_mass:x", "--k-max", "5"], ["point_mass", "'x'"]),
+        (["cdf", "--seq", CONST3, "--rows", "point_mass:", "--x", "1/3", "--rank", "3"], ["point_mass", "''"]),
+    ],
+)
+def test_bad_descriptor_values_are_named_in_one_line(capsys, argv, names):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert all(name in captured.err for name in names)
+    assert captured.out == ""
+
+
 def test_exit_codes(capsys, tmp_path):
     assert run(["bogus"]) == 2  # unknown subcommand
     capsys.readouterr()

@@ -117,6 +117,14 @@ def test_negative_digits_and_exception_ranks_are_rejected():
         DigitSetSpec.from_descriptor(CONSTANT3, {"every_rank": [0, -1]})
     with pytest.raises(EstimatorError, match="^negative except_ranks entry -2$"):
         DigitSetSpec.from_descriptor(CONSTANT3, {"except_ranks": [-2, 3], "digits_at_exception": [0]})
+    with pytest.raises(EstimatorError, match="^except_ranks entry 0 is not a rank; ranks start at 1$"):
+        DigitSetSpec.from_descriptor(CONSTANT3, {"except_ranks": [0], "digits_at_exception": [0]})
+
+
+def test_empty_exception_rank_list_is_the_full_set():
+    spec = DigitSetSpec.from_descriptor(CONSTANT3, {"except_ranks": [], "digits_at_exception": [0]})
+    assert [count_cylinders(spec, k) for k in (1, 10)] == [3, 3**10]
+    assert spec.descriptor()["admissible"]["except_ranks"] == []
 
 
 def test_explicit_exception_ranks():

@@ -13,7 +13,10 @@ walk for the ``example1-1500-``, ``example1-tower-p80``,
 ``dim-measure-custom-zero-p30`` and ``billingsley-counterexample-csv``
 cases (the ``example1-1500-`` ones cross the spike at rank 1000).  Any
 change to the summation order, the emitted precision or the report
-layout shows here.
+layout shows here.  The same bytes must reach an ``--out`` file, and the
+per-series files of multi-series CSV and plot-data (``MULTI_SERIES``) are
+pinned too; both were recorded before the chunked writer replaced
+``json.dumps`` and whole-document writes.
 Re-record a digest only when an output change is intended.
 """
 
@@ -164,8 +167,53 @@ DIGESTS = {
 }
 
 
+# Multi-series CSV and plot-data: argv (without --out) and the digest of
+# each PREFIX.<series>.<ext> file written with --out PREFIX.
+MULTI_SERIES = {
+    "example1-csv": (["example1", "--k-max", "200", "--format", "csv"], {
+        ".measure_dim.csv": "77f728527d313552d0b4381b53fecd857e98a5bd0c1c0bdcf8d3f522f7c6eeb4",
+        ".ratio_extreme.csv": "43db98222f0a669da35dd2a8f6f3d6e997deb8787ca7af0e5231620a8b9ad336",
+        ".ratio_sample_0.csv": "43db98222f0a669da35dd2a8f6f3d6e997deb8787ca7af0e5231620a8b9ad336",
+        ".ratio_sample_1.csv": "43db98222f0a669da35dd2a8f6f3d6e997deb8787ca7af0e5231620a8b9ad336",
+        ".ratio_sample_2.csv": "43db98222f0a669da35dd2a8f6f3d6e997deb8787ca7af0e5231620a8b9ad336",
+        ".spectrum_dim.csv": "d2604c1265e0e32d8d5ed519847c67976b08552d03d1cdea2b3f2401e453d3a2",
+    }),
+    "example1-plot": (["example1", "--k-max", "200", "--format", "plot-data"], {
+        ".measure_dim.dat": "d600bbf2236b89455c1567f9d40d669c0ee79c6f495419c7f3ecd99051153efb",
+        ".ratio_extreme.dat": "d1269a18eed35d7ef1251d85f994d0cb313dcdf1ce2a48fd535b7e32ccc16a78",
+        ".ratio_sample_0.dat": "d1269a18eed35d7ef1251d85f994d0cb313dcdf1ce2a48fd535b7e32ccc16a78",
+        ".ratio_sample_1.dat": "d1269a18eed35d7ef1251d85f994d0cb313dcdf1ce2a48fd535b7e32ccc16a78",
+        ".ratio_sample_2.dat": "d1269a18eed35d7ef1251d85f994d0cb313dcdf1ce2a48fd535b7e32ccc16a78",
+        ".spectrum_dim.dat": "3ed75c66359b6011b25009fe37f9530d4d3fed6fad739f0a621093bfa80e010b",
+    }),
+    "example1-tower-p30-csv": (CASES["example1-tower-p30"] + ["--format", "csv"], {
+        ".measure_dim.csv": "993be3a18b632b38153d90a29fb2af942efc23dc52ccb92f83ec18075a8f51f1",
+        ".ratio_extreme.csv": "8ca72ed659955252ff3ccd9fd7b6d6ca8b7ea94845593af588705404c86c53f8",
+        ".ratio_sample_0.csv": "8ca72ed659955252ff3ccd9fd7b6d6ca8b7ea94845593af588705404c86c53f8",
+        ".ratio_sample_1.csv": "8ca72ed659955252ff3ccd9fd7b6d6ca8b7ea94845593af588705404c86c53f8",
+        ".spectrum_dim.csv": "609b29fdef2791a4926508bc22845d5de757fc15aa2ea8a36cf365609f832ff6",
+    }),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_unchanged(name, capsys):
     assert run(CASES[name]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_out_file_holds_the_stdout_bytes(name, tmp_path):
+    assert run(CASES[name] + ["--out", str(tmp_path / "report")]) == 0
+    (written,) = tmp_path.iterdir()  # plot-data names its file report.<series>.dat
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_SERIES))
+def test_multi_series_files_unchanged(name, tmp_path):
+    argv, digests = MULTI_SERIES[name]
+    assert run(argv + ["--out", str(tmp_path / "run")]) == 0
+    written = {p.name.removeprefix("run"): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == digests

@@ -100,6 +100,12 @@ def test_point_mass_needs_digit_in_range():
         SymbolModel(CONSTANT2, make_row_rule("point_mass:5"), 10).row(1)
 
 
+@pytest.mark.parametrize("text", ["1.5", "x", ""])
+def test_point_mass_digit_must_be_an_integer(text):
+    with pytest.raises(ModelError, match=f"^point_mass digit must be an integer, got '{text}'$"):
+        make_row_rule(f"point_mass:{text}")
+
+
 # ---------------------------------------------------------------------------
 # cylinder measures
 # ---------------------------------------------------------------------------
