@@ -75,7 +75,7 @@ def _rows_value(raw: str):
 
 def _digits(raw: str) -> tuple[int, ...]:
     value = _json_value(raw)
-    if not isinstance(value, list) or not all(isinstance(d, int) for d in value):
+    if not isinstance(value, list) or not all(type(d) is int for d in value):
         raise argparse.ArgumentTypeError("must be a JSON array of integers")
     return tuple(value)
 

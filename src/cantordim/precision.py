@@ -57,7 +57,12 @@ def eps_for(dps: int | None = None, slack: int = 5) -> mpf:
     return mpf(10) ** (slack - resolve_dps(dps))
 
 
-@lru_cache(maxsize=65536)
+# A walk asks for ln n_k twice within one rank (its log, then its row's
+# entropy) and rarely again later, so a large cache mostly keeps logs no one
+# reads: full at 65,536 entries it held 26 MB on a 7*10**4-rank arithmetic
+# walk. 4,096 entries keep every in-rank repeat and all 2,647 keys the 300
+# short exact-codec requests of the benchmark use between them.
+@lru_cache(maxsize=4096)
 def _ln_int_cached(n: int, prec_bits: int) -> mpf:
     # The libmp kernel under mp.ln(mpf(n)), without its wrappers: mpf(n)
     # is from_int(n) rounded to the ambient precision, so the bits agree.
@@ -68,9 +73,11 @@ def _ln_int_cached(n: int, prec_bits: int) -> mpf:
 def ln_int(n: int) -> mpf:
     """Natural log of a positive integer at the ambient precision.
 
-    Cached per (n, mp.prec) so repeated factors reuse the identical mpf
-    object; sums assembled from shared terms then cancel exactly, which
-    several exactness guarantees downstream rely on.
+    Cached per (n, mp.prec), and recomputed bit for bit after an eviction,
+    so every call for the same (n, mp.prec) returns an mpf with the same
+    ``_mpf_`` (equal bits, not always the same object); sums assembled
+    from shared terms then cancel exactly, which several exactness
+    guarantees downstream rely on.
     """
     if n <= 0:
         raise ValueError(f"ln_int needs a positive integer, got {n}")

@@ -46,19 +46,25 @@ def trailing_decade_start(k_max: int) -> int:
 
 
 def as_integer(value, what: str, error: type[ValueError] = SequenceError) -> int:
-    """An integer field read without truncation (numpy ints pass); else ``error`` naming it."""
+    """An integer field read without truncation (numpy ints pass); else ``error`` naming it.
+
+    JSON ``true``/``false`` are refused although ``bool`` subclasses ``int``.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
-def _as_ratio(value) -> Fraction:
+def _as_ratio(value, what: str) -> Fraction:
     try:
-        q = Fraction(value)
+        if isinstance(value, bool):
+            raise TypeError
+        return Fraction(value)
     except (TypeError, ValueError) as exc:
-        raise SequenceError(f"not a rational parameter: {value!r}") from exc
-    return q
+        raise SequenceError(f"{what} is not a rational parameter: {value!r}") from exc
 
 
 class BasicSequence(ABC):
@@ -137,7 +143,7 @@ class ArithmeticSequence(BasicSequence):
     kind: ClassVar[str] = "arithmetic"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _as_ratio(self.d))
+        object.__setattr__(self, "d", _as_ratio(self.d, "arithmetic d"))
         if self.a1 < 2:
             raise SequenceError(f"arithmetic a1 must be >= 2, got {self.a1}")
         if self.d < 1:
@@ -168,7 +174,7 @@ class GeometricSequence(BasicSequence):
     kind: ClassVar[str] = "geometric"
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_ratio(self.q))
+        object.__setattr__(self, "q", _as_ratio(self.q, "geometric q"))
         if self.b1 < 2:
             raise SequenceError(f"geometric b1 must be >= 2, got {self.b1}")
         if self.q < 1:
@@ -292,9 +298,9 @@ def make_sequence(spec: Mapping) -> BasicSequence:
         if kind == "constant":
             return ConstantSequence(as_integer(spec["s"], "constant s"))
         if kind == "arithmetic":
-            return ArithmeticSequence(as_integer(spec["a1"], "arithmetic a1"), _as_ratio(spec.get("d", 1)))
+            return ArithmeticSequence(as_integer(spec["a1"], "arithmetic a1"), spec.get("d", 1))
         if kind == "geometric":
-            return GeometricSequence(as_integer(spec["b1"], "geometric b1"), _as_ratio(spec.get("q", 1)))
+            return GeometricSequence(as_integer(spec["b1"], "geometric b1"), spec.get("q", 1))
         if kind == "counterexample":
             return CounterexampleSequence()
         if kind == "custom":
@@ -618,11 +624,12 @@ def faithfulness_diagnostic(
                 current_max = r
         decade_maxima.append((current_decade, current_max))
 
-        violation_ranks = [
-            k for k, r in ratios if k >= VIOLATION_BURN_IN and r >= violation_threshold
-        ]
+        # Converted once, not on every comparison; a double is exact in mpf
+        # at any working precision (>= 53 bits), so no verdict moves.
+        threshold, tol = mpf(violation_threshold), mpf(met_tol)
+        violation_ranks = [k for k, r in ratios if k >= VIOLATION_BURN_IN and r >= threshold]
         final_start = trailing_decade_start(k_max)
-        final_ok = all(r < met_tol for k, r in ratios if k >= final_start)
+        final_ok = all(r < tol for k, r in ratios if k >= final_start)
         maxima_values = [v for _, v in decade_maxima]
         maxima_decreasing = all(
             maxima_values[i + 1] < maxima_values[i] for i in range(len(maxima_values) - 1)

@@ -309,6 +309,12 @@ def test_out_of_range_parameters_are_domain_errors(capsys, argv):
          '{"except_ranks":"powers_of_10","digits_at_exception":[0.5]}', "--k-max", "5"],
         ["boxcount", "--seq", CONST3, "--set",
          '{"except_ranks":[2.5],"digits_at_exception":[0]}', "--k-max", "5"],
+        # JSON booleans are not integers, although Python's bool is an int
+        ["decode", "--seq", ARITH, "--digits", "[true, 0]"],
+        ["boxcount", "--seq", CONST3, "--set", '{"every_rank":[true]}', "--k-max", "5"],
+        ["faithfulness", "--seq", '{"kind":"arithmetic","a1":2,"d":true}', "--k-max", "5"],
+        ["faithfulness", "--seq", '{"kind":"geometric","b1":2,"q":false}', "--k-max", "5"],
+        ["faithfulness", "--seq", '{"kind":"constant","s":true}', "--k-max", "5"],
     ],
 )
 def test_wrong_typed_descriptor_fields_are_one_line_errors(capsys, argv):

@@ -105,6 +105,8 @@ def test_from_descriptor_rejects_unknown():
         ({"per_rank": [[0], [1.5]]}, "per_rank"),
         ({"except_ranks": "powers_of_10", "digits_at_exception": [0.5]}, "digits_at_exception"),
         ({"except_ranks": [2.5], "digits_at_exception": [0]}, "except_ranks"),
+        ({"every_rank": [True]}, "every_rank"),
+        ({"except_ranks": [True], "digits_at_exception": [0]}, "except_ranks"),
     ],
 )
 def test_digit_set_integers_are_not_truncated(spec, field):

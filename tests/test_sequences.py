@@ -22,7 +22,14 @@ from cantordim import (
     stirling_log_factorial,
     working_dps,
 )
-from cantordim.sequences import SequenceError
+from cantordim.sequences import (
+    VERDICT_INCONCLUSIVE,
+    VERDICT_MET,
+    VERDICT_VIOLATED,
+    VIOLATION_BURN_IN,
+    SequenceError,
+    trailing_decade_start,
+)
 
 CONSTANT2 = {"kind": "constant", "s": 2}
 ARITH = {"kind": "arithmetic", "a1": 2, "d": 1}
@@ -89,7 +96,7 @@ def test_invalid_descriptors_rejected(spec):
     ],
 )
 def test_integer_fields_are_not_truncated(spec_with, field):
-    for bad in (3.5, 3.0, "3"):
+    for bad in (3.5, 3.0, "3", True):
         with pytest.raises(SequenceError, match=f"^{field} must be an integer, got "):
             make_sequence(spec_with(bad))
     numpy = pytest.importorskip("numpy")
@@ -329,6 +336,30 @@ def test_diagnostic_rejects_non_finite_tolerances(tolerances):
     # non-JSON NaN/Infinity in the report.
     with pytest.raises(SequenceError, match="must be finite"):
         faithfulness_diagnostic(make_sequence(CONSTANT2), 10, **tolerances)
+
+
+@pytest.mark.parametrize("spec, k_max", [(COUNTER, 1000), (ARITH, 300), (GEO, 150)])
+def test_tolerance_verdicts_match_a_float_comparison_oracle(spec, k_max):
+    # Thresholds set to the double nearest a ratio of the series sit as close
+    # to that ratio as a float can, so a lossy conversion would move a rank.
+    seq = make_sequence(spec)
+    ratios = faithfulness_diagnostic(seq, k_max).ratios
+    final_start = trailing_decade_start(k_max)
+    picks = [r for k, r in ratios if k in (VIOLATION_BURN_IN, final_start, (final_start + k_max) // 2, k_max)]
+    for r in picks:
+        tol = float(r)
+        rep = faithfulness_diagnostic(seq, k_max, met_tol=tol, violation_threshold=tol)
+        with working_dps(rep.dps):
+            violation_ranks = [k for k, r in rep.ratios if k >= VIOLATION_BURN_IN and r >= tol]
+            final_ok = all(r < tol for k, r in rep.ratios if k >= final_start)
+            maxima = [v for _, v in rep.decade_maxima]
+        if len(violation_ranks) >= 2:
+            verdict = VERDICT_VIOLATED
+        elif final_ok and all(b < a for a, b in zip(maxima, maxima[1:])):
+            verdict = VERDICT_MET
+        else:
+            verdict = VERDICT_INCONCLUSIVE
+        assert (rep.violation_ranks, rep.verdict) == (violation_ranks, verdict)
 
 
 def test_diagnostic_short_range_is_not_violated_by_one_spike():
