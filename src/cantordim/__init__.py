@@ -14,20 +14,16 @@ from .billingsley import (
     example1_report,
     ratio_series,
     sample_v_element,
-    v_digit_set,
     v_extreme_element,
-    v_membership,
 )
 from .codec import (
     Cylinder,
     CodecError,
     DigitString,
-    children,
     cylinder,
     decode,
     encode,
     iter_digit_strings,
-    root_cylinder,
 )
 from .estimator import (
     BoxCountEstimate,
@@ -35,7 +31,6 @@ from .estimator import (
     EstimatorError,
     box_dimension_estimate,
     count_cylinders,
-    premeasure,
 )
 from .logreal import LogReal, log_sum
 from .measure import (
@@ -49,7 +44,6 @@ from .measure import (
     dim_measure_series,
     dim_spectrum_series,
     dp_necessary_conditions,
-    entropy,
     example1_model,
     example1_psi_model,
     liminf_estimate,

@@ -27,7 +27,6 @@ from typing import Optional
 from mpmath import mpf
 
 from .codec import DigitString
-from .estimator import DigitSetSpec
 from .logreal import LogReal
 from .measure import (
     MEASURE_ENTROPY,
@@ -99,9 +98,6 @@ class RatioSeries:
     points: list[RatioPoint]
     segments: list[tuple[str, int, int]] = field(default_factory=list)
 
-    def values(self) -> list[mpf]:
-        return [p.value for p in self.points]
-
     def to_jsonable(self) -> dict:
         from mpmath import nstr
 
@@ -171,18 +167,6 @@ def ratio_series(
 # ---------------------------------------------------------------------------
 # the digit-constrained set V: digit 0 forced at power-of-ten ranks
 # ---------------------------------------------------------------------------
-
-
-def v_membership(d: DigitString) -> bool:
-    """True iff every digit at a power-of-ten rank is 0 (vacuously true for
-    the empty string)."""
-    return all(a == 0 for k, a in enumerate(d.digits, 1) if is_power_of_ten(k))
-
-
-def v_digit_set(seq: BasicSequence) -> DigitSetSpec:
-    """The digit-set spec of V: all digits free except digit 0 forced at
-    power-of-ten ranks."""
-    return DigitSetSpec.with_exceptions(seq, digits_at_exception=(0,))
 
 
 def v_extreme_element(seq: BasicSequence, k_max: int) -> DigitString:
@@ -327,13 +311,12 @@ def example1_report(
             [(model, MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], k_max, dps, on_rank
         )
         dp = dp_report(model, mseries, scan)
-        window = k_max - trailing_decade_start(k_max) + 1
+        last_spike = trailing_decade_start(k_max)  # a spike only from rank 10 on
+        window = k_max - last_spike + 1
         m_est = liminf_estimate(mseries, window)
         s_est = liminf_estimate(sseries, window)
         extreme_series, *sample_series = [walk.series(used) for walk in walks]
-
-        spikes = [k for k in range(1, k_max + 1) if is_power_of_ten(k)]
-        delta_estimate = extreme_series.points[spikes[-1] - 1].value if spikes else mpf(1)
+        delta_estimate = extreme_series.points[last_spike - 1].value if last_spike >= 10 else mpf(1)
         return Example1Report(
             k_max=k_max,
             dps=used,

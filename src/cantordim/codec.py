@@ -9,18 +9,19 @@ two representations, and the right endpoint 1 has no expansion at all.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .sequences import BasicSequence
+from .sequences import BasicSequence, as_integer
 
 # Rank cap keeps denominators (factorial-like products) from growing
 # without bound by accident.
 MAX_RANK = 10**6
 
-# children() materializes a list; refuse branching factors that would not
-# fit in memory (the counterexample sequence branches 10**10 ways at rank 10).
+# iter_digit_strings() refuses ranks with more strings than this (the
+# counterexample sequence branches 10**10 ways at rank 10).
 MAX_CHILDREN = 10**7
 
 
@@ -36,7 +37,15 @@ class DigitString:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        raw = tuple(self.digits)
+        try:  # operator.index, unlike int(), refuses 1.9 and "1"
+            if bool in map(type, raw):
+                raise TypeError
+            object.__setattr__(self, "digits", tuple(map(operator.index, raw)))
+        except TypeError:
+            for i, d in enumerate(raw, 1):  # name the first digit that is no integer
+                as_integer(d, f"digit at rank {i}", CodecError)
+            raise
         if len(self.digits) > MAX_RANK:
             raise CodecError(f"rank {len(self.digits)} exceeds MAX_RANK = {MAX_RANK}")
         for i, (d, n) in enumerate(zip(self.digits, self.seq.iter_terms(self.rank)), 1):
@@ -51,17 +60,6 @@ class DigitString:
         if not 0 <= k <= self.rank:
             raise CodecError(f"cannot truncate rank-{self.rank} string to {k}")
         return self._validated(self.digits[:k])  # a prefix of a valid string is valid
-
-    def extend(self, digit: int) -> "DigitString":
-        """The string with one more digit; only that digit is checked."""
-        digit = int(digit)
-        k = self.rank + 1
-        if k > MAX_RANK:
-            raise CodecError(f"rank {k} exceeds MAX_RANK = {MAX_RANK}")
-        n = self.seq.term(k)
-        if not 0 <= digit <= n - 1:
-            raise CodecError(f"digit {digit} at rank {k} outside 0..{n - 1}")
-        return self._validated(self.digits + (digit,))
 
     def _validated(self, digits: tuple[int, ...]) -> "DigitString":
         """A string over the same sequence whose digits are already known valid."""
@@ -85,10 +83,6 @@ class Cylinder:
     left: Fraction
     right: Fraction
     length: Fraction
-
-    @property
-    def rank(self) -> int:
-        return self.digits.rank
 
     def to_jsonable(self) -> dict:
         return {
@@ -144,26 +138,6 @@ def cylinder(d: DigitString) -> Cylinder:
     left = Fraction(num, den)
     length = Fraction(1, den)
     return Cylinder(digits=d, left=left, right=left + length, length=length)
-
-
-def root_cylinder(seq: BasicSequence) -> Cylinder:
-    return cylinder(DigitString(seq, ()))
-
-
-def children(c: Cylinder) -> list[Cylinder]:
-    """The rank-(k+1) sub-cylinders of c in left-to-right order; their
-    union is c and their lengths sum to its length."""
-    k = c.rank
-    n = c.digits.seq.term(k + 1)
-    if n > MAX_CHILDREN:
-        raise CodecError(f"refusing to materialize {n} children (cap {MAX_CHILDREN})")
-    out = []
-    step = c.length / n
-    for a in range(n):
-        d = c.digits.extend(a)
-        left = c.left + a * step
-        out.append(Cylinder(digits=d, left=left, right=left + step, length=step))
-    return out
 
 
 def iter_digit_strings(seq: BasicSequence, k: int) -> Iterator[DigitString]:

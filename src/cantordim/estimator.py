@@ -15,8 +15,6 @@ from typing import Mapping, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .codec import DigitString
-from .logreal import LogReal
 from .precision import ln_int, resolve_dps, working_dps
 from .sequences import BasicSequence, as_integer, is_power_of_ten, rank_logs
 
@@ -123,27 +121,11 @@ class DigitSetSpec:
     def max_rank(self) -> Optional[int]:
         return len(self.per_rank) if self.mode == "per_rank" else None
 
-    def admissible_count(self, k: int) -> int:
-        """|admissible(k)|, validated against 0..n_k-1 without materializing
-        the full digit range."""
-        n = self.seq.term(k)
-        if self.mode == "all":
-            return n
-        if self.mode == "every_rank":
-            return self._validated_count(self.digits, n, k)
-        if self.mode == "exceptions":
-            if self._is_exception(k):
-                return self._validated_count(self.digits, n, k)
-            return n
-        cap = len(self.per_rank)
-        if k > cap:
-            raise EstimatorError(f"rank {k} exceeds the {cap}-rank digit table")
-        return self._validated_count(self.per_rank[k - 1], n, k)
-
-    def admissible_digits(self, k: int) -> tuple[int, ...]:
-        n = self.seq.term(k)
+    def _listed(self, k: int, n: int) -> Optional[tuple[int, ...]]:
+        """The explicit admissible digits at rank k (where n_k = n),
+        validated against 0..n-1, or None when every digit is admissible."""
         if self.mode == "all" or (self.mode == "exceptions" and not self._is_exception(k)):
-            return tuple(range(n))
+            return None
         if self.mode == "per_rank":
             cap = len(self.per_rank)
             if k > cap:
@@ -151,28 +133,25 @@ class DigitSetSpec:
             digits = self.per_rank[k - 1]
         else:
             digits = self.digits
-        self._validated_count(digits, n, k)
-        return digits
-
-    def contains(self, d: DigitString) -> bool:
-        if self.seq.descriptor() != d.seq.descriptor():
-            raise EstimatorError("digit string bound to a different sequence")
-        for k, a in enumerate(d.digits, 1):
-            if self.mode == "all" or (self.mode == "exceptions" and not self._is_exception(k)):
-                continue
-            if a not in self.admissible_digits(k):
-                return False
-        return True
-
-    @staticmethod
-    def _validated_count(digits: tuple[int, ...], n: int, k: int) -> int:
         if not digits:
             raise EstimatorError(f"admissible set at rank {k} is empty")
         if digits[-1] > n - 1:
             raise EstimatorError(
                 f"admissible digit {digits[-1]} at rank {k} outside 0..{n - 1}"
             )
-        return len(digits)
+        return digits
+
+    def admissible_count(self, k: int) -> int:
+        """|admissible(k)|, validated against 0..n_k-1 without materializing
+        the full digit range."""
+        n = self.seq.term(k)
+        listed = self._listed(k, n)
+        return n if listed is None else len(listed)
+
+    def admissible_digits(self, k: int) -> tuple[int, ...]:
+        n = self.seq.term(k)
+        listed = self._listed(k, n)
+        return tuple(range(n)) if listed is None else listed
 
     def descriptor(self) -> dict:
         if self.mode == "all":
@@ -199,7 +178,7 @@ def _sorted_entries(values: Sequence[int], what: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# counting, premeasure, slope
+# counting, slope
 # ---------------------------------------------------------------------------
 
 
@@ -220,20 +199,6 @@ def _log_counts(E: DigitSetSpec, k_max: int):
     for k, _, _, log_prefix in rank_logs(E.seq, k_max):
         log_count += ln_int(E.admissible_count(k))
         yield k, log_prefix, log_count
-
-
-def premeasure(E: DigitSetSpec, alpha, k: int, dps: int | None = None) -> mpf:
-    """Sum over counted cylinders of length**alpha:
-    N_k * (n_1...n_k)**(-alpha), an upper bound for the covering premeasure
-    at mesh 1/(n_1...n_k)."""
-    alpha = mpf(alpha)
-    if not 0 <= alpha <= 1:
-        raise EstimatorError(f"alpha must be in [0,1], got {alpha}")
-    if k < 1:
-        raise EstimatorError(f"rank must be >= 1, got {k}")
-    with working_dps(dps):
-        *_, (_, log_prefix, log_count) = _log_counts(E, k)
-        return LogReal.from_log(log_count - alpha * log_prefix).to_mpf()
 
 
 @dataclass

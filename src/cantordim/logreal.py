@@ -22,9 +22,6 @@ from .precision import ln_int
 # the doubly-exponential probabilities this type exists to carry).
 LINEAR_LOG_LIMIT = mpf("1e6")
 
-_FLOAT_MAX_LOG = mpf("709.0")
-_FLOAT_MIN_LOG = mpf("-745.0")
-
 
 def _absorb_gap() -> mpf:
     # exp(-gap) < 2**-(prec+4) contributes nothing at the ambient precision.
@@ -89,9 +86,6 @@ class LogReal:
         """ln|value|; -inf for zero."""
         return self.log_mag
 
-    def log10(self) -> mpf:
-        return self.log_mag / mp.ln(10)
-
     def to_mpf(self) -> mpf:
         """Linear-domain value as mpf.
 
@@ -106,23 +100,10 @@ class LogReal:
             )
         return self.sign * mp.exp(self.log_mag)
 
-    def to_float(self) -> float:
-        """Linear value as a float; underflows to 0.0, overflow raises."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_mag > _FLOAT_MAX_LOG:
-            raise OverflowError("value exceeds float range")
-        if self.log_mag < _FLOAT_MIN_LOG:
-            return 0.0
-        return float(self.sign * mp.exp(self.log_mag))
-
     # ---- arithmetic ----------------------------------------------------
 
     def __neg__(self) -> "LogReal":
         return LogReal(-self.sign, self.log_mag)
-
-    def __abs__(self) -> "LogReal":
-        return LogReal(abs(self.sign), self.log_mag)
 
     def __mul__(self, other: "LogReal") -> "LogReal":
         if self.sign == 0 or other.sign == 0:
@@ -159,69 +140,16 @@ class LogReal:
     def __sub__(self, other: "LogReal") -> "LogReal":
         return self + (-other)
 
-    def __pow__(self, exponent) -> "LogReal":
-        """Raise to a real power; the base must be positive (or zero with
-        a positive exponent)."""
-        e = mpf(exponent)
-        if self.sign == 0:
-            if e > 0:
-                return LogReal.zero()
-            if e == 0:
-                return LogReal.one()
-            raise ZeroDivisionError("zero to a negative power")
-        if self.sign < 0:
-            raise ValueError("negative base for a real exponent")
-        return LogReal(1, self.log_mag * e)
-
-    # ---- ordering --------------------------------------------------------
-
-    def _cmp(self, other: "LogReal") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
-            return 0
-        if self.log_mag == other.log_mag:
-            return 0
-        mag_cmp = -1 if self.log_mag < other.log_mag else 1
-        return mag_cmp * self.sign
+    # ---- comparison and presentation ------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LogReal) and self._cmp(other) == 0
-
-    def __lt__(self, other: "LogReal") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "LogReal") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "LogReal") -> bool:
-        return self._cmp(other) >= 0
+        return isinstance(other, LogReal) and (self.sign, self.log_mag) == (other.sign, other.log_mag)
 
     def __hash__(self):
         return hash((self.sign, self.log_mag))
 
-    # ---- presentation ----------------------------------------------------
-
-    def sci_string(self, digits: int = 12) -> str:
-        """Decimal scientific form; falls back to a 10**(...) rendering when
-        the decimal exponent itself is too large to write out."""
-        from mpmath import nstr
-
-        if self.sign == 0:
-            return "0"
-        prefix = "-" if self.sign < 0 else ""
-        e10 = self.log10()
-        if abs(e10) < mpf("1e15"):
-            exponent = int(mp.floor(e10))
-            mantissa = mp.power(10, e10 - exponent)
-            return f"{prefix}{nstr(mantissa, digits)}e{exponent:+d}"
-        return f"{prefix}10^({nstr(e10, digits)})"
-
     def __repr__(self) -> str:
-        return f"LogReal({self.sci_string()})"
+        return f"LogReal(sign={self.sign}, log_mag={self.log_mag})"
 
 
 def log_sum(values) -> LogReal:

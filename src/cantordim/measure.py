@@ -513,12 +513,6 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
         return acc
 
 
-def entropy(model: SymbolModel, k: int, dps: int | None = None) -> mpf:
-    """Entropy h_k of the rank-k digit distribution, in nats."""
-    with working_dps(dps):
-        return model.row(k).entropy()
-
-
 @dataclass
 class DimensionSeries:
     """A running dimension approximation d_k with its formula tag and the

@@ -52,9 +52,9 @@ def working_dps(dps: int | None = None):
         yield
 
 
-def eps_for(dps: int | None = None, slack: int = 5) -> mpf:
-    """Comparison tolerance at a given precision: 10**(slack - dps)."""
-    return mpf(10) ** (slack - resolve_dps(dps))
+def eps_for(dps: int | None = None) -> mpf:
+    """Comparison tolerance at a given precision: 10**(5 - dps)."""
+    return mpf(10) ** (5 - resolve_dps(dps))
 
 
 # A walk asks for ln n_k twice within one rank (its log, then its row's

@@ -22,8 +22,8 @@ from cantordim import (
     make_sequence,
     ratio_series,
     sample_v_element,
+    is_power_of_ten,
     v_extreme_element,
-    v_membership,
     working_dps,
 )
 from cantordim.billingsley import FLAG_UNIT_MEASURE, FLAG_ZERO_MEASURE
@@ -116,20 +116,13 @@ def test_precision_self_consistency():
             assert abs(a.value - b.value) <= tol * denom
 
 
-def test_v_membership():
-    assert v_membership(DigitString(ARITH, (1,) * 9 + (0,)))
-    assert not v_membership(DigitString(ARITH, (0,) * 9 + (1,)))
-    assert v_membership(DigitString(ARITH, ()))
-    assert v_membership(DigitString(ARITH, (1, 1, 1)))  # no constrained rank yet
-
-
 def test_sampled_elements_stay_in_v():
     import random
 
     rng = random.Random(3)
     for _ in range(5):
         d = sample_v_element(ARITH, 30, rng)
-        assert v_membership(d)
+        assert all(a == 0 for k, a in enumerate(d.digits, 1) if is_power_of_ten(k))
         assert d.rank == 30
 
 

@@ -12,13 +12,11 @@ from cantordim import (
     CodecError,
     DigitString,
     SequenceError,
-    children,
     cylinder,
     decode,
     encode,
     iter_digit_strings,
     make_sequence,
-    root_cylinder,
 )
 
 CONSTANT2 = make_sequence({"kind": "constant", "s": 2})
@@ -81,6 +79,12 @@ def test_digit_and_rank_errors_name_the_failing_rank():
     # a bad digit ahead of the missing rank is reported first
     with pytest.raises(CodecError, match="digit 3 at rank 2"):
         DigitString(table, (0, 3, 0, 0))
+    # digits are read exactly: 1.9, 1.0, "1" and True are refused, not truncated
+    for bad in (1.9, 1.0, "1", True, None):
+        with pytest.raises(CodecError, match=rf"^digit at rank 2 must be an integer, got {re.escape(repr(bad))}$"):
+            DigitString(ARITH, (1, bad))
+    with pytest.raises(CodecError, match=r"^digit at rank 1 must be an integer, got True$"):
+        DigitString(ARITH, [True, 2.5])  # the first offending rank is named
 
 
 def test_encode_brackets_the_point():
@@ -104,36 +108,6 @@ def test_cylinder_examples():
     assert (c2.left, c2.right, c2.length) == (Fraction(5, 6), 1, Fraction(1, 6))
 
 
-def test_children_tile_parent():
-    kids = children(root_cylinder(CONSTANT3))
-    assert len(kids) == 3
-    assert all(k.length == Fraction(1, 3) for k in kids)
-    kids2 = children(cylinder(DigitString(ARITH, (1,))))
-    assert [k.digits.digits for k in kids2] == [(1, 0), (1, 1), (1, 2)]
-    assert all(k.length == Fraction(1, 6) for k in kids2)
-
-
-def test_children_lengths_sum_to_parent_on_random_cylinders():
-    rng = random.Random(12345)
-    seqs = [CONSTANT2, CONSTANT3, ARITH, GEO]
-    for _ in range(1000):
-        seq = rng.choice(seqs)
-        rank = rng.randrange(0, 6)
-        digits = tuple(rng.randrange(seq.term(i)) for i in range(1, rank + 1))
-        parent = cylinder(DigitString(seq, digits))
-        kids = children(parent)
-        assert sum(k.length for k in kids) == parent.length
-        assert kids[0].left == parent.left
-        assert kids[-1].right == parent.right
-
-
-def test_children_refuses_huge_branching():
-    counter = make_sequence({"kind": "counterexample"})
-    nine = cylinder(DigitString(counter, (0,) * 9))
-    with pytest.raises(CodecError):
-        children(nine)  # rank 10 branches 10**10 ways
-
-
 @pytest.mark.parametrize("seq,rank", [(CONSTANT2, 8), (CONSTANT3, 7), (ARITH, 6)])
 def test_tiling_nesting_and_order(seq, rank):
     cyls = [cylinder(d) for d in iter_digit_strings(seq, rank)]
@@ -144,7 +118,7 @@ def test_tiling_nesting_and_order(seq, rank):
         assert a.left < b.left  # lexicographic order is spatial order
     # nesting: extending one digit stays inside
     for c in cyls[:50]:
-        kid = cylinder(c.digits.extend(0))
+        kid = cylinder(DigitString(seq, c.digits.digits + (0,)))
         assert c.left <= kid.left and kid.right <= c.right
 
 
@@ -247,25 +221,12 @@ def test_encode_matches_fraction_greedy_oracle(seq, x, k):
     assert encode(x, seq, k).digits == want
 
 
-def test_truncate_and_extend():
+def test_truncate():
     d = DigitString(ARITH, (1, 2, 3))
     assert d.truncate(2).digits == (1, 2)
-    assert d.extend(0).digits == (1, 2, 3, 0)
-    assert d.extend(0) == DigitString(ARITH, (1, 2, 3, 0))
     assert d.truncate(0) == DigitString(ARITH, ())
     with pytest.raises(CodecError):
         d.truncate(7)
-
-
-def test_extend_checks_the_new_digit_with_the_old_messages():
-    d = DigitString(ARITH, (1, 2, 3))
-    with pytest.raises(CodecError, match=r"^digit 5 at rank 4 outside 0\.\.4$"):
-        d.extend(5)
-    with pytest.raises(CodecError, match=r"^digit -1 at rank 4 outside 0\.\.4$"):
-        d.extend(-1)
-    table = make_sequence({"kind": "custom", "table": [2, 3, 5]})
-    with pytest.raises(SequenceError, match=r"^rank 4 exceeds the 3-term custom table"):
-        DigitString(table, (1, 2, 4)).extend(0)
 
 
 class _CountingSequence(type(CONSTANT3)):
@@ -278,21 +239,12 @@ class _CountingSequence(type(CONSTANT3)):
         return super().term(k)
 
 
-def test_truncate_extend_and_children_read_only_the_new_term():
+def test_truncate_reads_no_term():
     seq = _CountingSequence(3)
     d = DigitString(seq, tuple(k % 3 for k in range(1, 201)))
     _CountingSequence.calls = 0
     assert d.truncate(150).digits == d.digits[:150]
-    assert _CountingSequence.calls == 0
-    assert d.extend(2).rank == 201
-    assert _CountingSequence.calls == 1
-    c = cylinder(d)
-    _CountingSequence.calls = 0
-    kids = children(c)
-    assert [kid.digits.digits[-1] for kid in kids] == [0, 1, 2]
-    # one term for the branching factor, one per child; a full
-    # re-validation would read 201 terms per child
-    assert _CountingSequence.calls == 1 + 3
+    assert _CountingSequence.calls == 0  # a prefix of a valid string is not re-validated
 
 
 def test_enumeration_refuses_oversize_ranks():

@@ -1,4 +1,4 @@
-"""Cylinder counting, premeasure behavior, and the count-slope estimator."""
+"""Cylinder counting and the count-slope estimator."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,6 @@ from mpmath import mp, mpf
 
 from cantordim import (
     DigitSetSpec,
-    DigitString,
     EstimatorError,
     SymbolModel,
     box_dimension_estimate,
@@ -17,14 +16,13 @@ from cantordim import (
     eps_for,
     make_row_rule,
     make_sequence,
-    premeasure,
-    v_digit_set,
     working_dps,
 )
 
 CONSTANT3 = make_sequence({"kind": "constant", "s": 3})
 ARITH = make_sequence({"kind": "arithmetic", "a1": 2, "d": 1})
 
+V = DigitSetSpec.with_exceptions(ARITH, (0,))  # digit 0 forced at power-of-ten ranks
 CANTOR = DigitSetSpec.constant_digits(CONSTANT3, (0, 2))
 FULL3 = DigitSetSpec.full(CONSTANT3)
 
@@ -39,7 +37,6 @@ def test_count_cantor_powers_of_two():
 
 
 def test_count_constrained_set_at_first_spike():
-    V = v_digit_set(ARITH)
     assert count_cylinders(V, 10) == 3628800  # 10! free choices, forced 0 at rank 10
     assert count_cylinders(V, 9) == 3628800
 
@@ -74,16 +71,8 @@ def test_admissible_validation():
         count_cylinders(table, 3)
 
 
-def test_contains_and_membership():
-    V = v_digit_set(ARITH)
-    inside = DigitString(ARITH, tuple(0 if k == 10 else k - 1 for k in range(1, 12)))
-    outside = DigitString(ARITH, (0,) * 9 + (1,))
-    assert V.contains(inside)
-    assert not V.contains(outside)
-
-
 def test_descriptor_round_trip():
-    for spec in (CANTOR, FULL3, v_digit_set(ARITH),
+    for spec in (CANTOR, FULL3, V,
                  DigitSetSpec.from_table(CONSTANT3, [(0, 1), (2,)])):
         desc = spec.descriptor()
         again = DigitSetSpec.from_descriptor(CONSTANT3 if desc["sequence"]["kind"] == "constant" else ARITH,
@@ -144,52 +133,6 @@ def test_from_descriptor_accepts_wrapped_form():
 
 
 # ---------------------------------------------------------------------------
-# premeasure
-# ---------------------------------------------------------------------------
-
-
-def test_premeasure_at_critical_exponent_is_one():
-    with working_dps(50):
-        alpha = mp.ln(2) / mp.ln(3)
-        for k in (1, 6, 20):
-            assert abs(premeasure(CANTOR, alpha, k) - 1) <= eps_for(50)
-
-
-def test_premeasure_above_critical_decays():
-    with working_dps(50):
-        values = [premeasure(CANTOR, mpf("0.7"), k) for k in range(1, 25)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-        assert values[-1] < mpf("0.2")
-
-
-def test_premeasure_full_set_at_one_is_total_length():
-    with working_dps(50):
-        for k in (1, 5, 12):
-            assert abs(premeasure(FULL3, 1, k) - 1) <= eps_for(50)
-
-
-def test_premeasure_monotone_away_from_slope():
-    # checked on the example sets with rank-constant branching: above the
-    # critical exponent the premeasure is non-increasing in k, below it
-    # non-decreasing
-    with working_dps(50):
-        slope = mp.ln(2) / mp.ln(3)
-        hi = [premeasure(CANTOR, slope + mpf("0.06"), k) for k in range(1, 16)]
-        lo = [premeasure(CANTOR, slope - mpf("0.06"), k) for k in range(1, 16)]
-        assert all(b <= a for a, b in zip(hi, hi[1:]))
-        assert all(b >= a for a, b in zip(lo, lo[1:]))
-        full_hi = [premeasure(FULL3, 1, k) for k in range(1, 16)]
-        assert all(abs(b - a) <= eps_for(50) for a, b in zip(full_hi, full_hi[1:]))
-
-
-def test_premeasure_domain():
-    with pytest.raises(EstimatorError):
-        premeasure(CANTOR, mpf("1.2"), 3)
-    with pytest.raises(EstimatorError):
-        premeasure(CANTOR, mpf("0.5"), 0)
-
-
-# ---------------------------------------------------------------------------
 # slope estimation
 # ---------------------------------------------------------------------------
 
@@ -203,7 +146,7 @@ def test_box_dimension_cantor_exact():
 
 def test_box_dimension_constrained_set_near_one():
     with working_dps(50):
-        est = box_dimension_estimate(v_digit_set(ARITH), 150)
+        est = box_dimension_estimate(V, 150)
         assert abs(est.slope - 1) < mpf("0.05")
         ratios = dict(est.ratios())
         assert ratios[9] == 1  # unconstrained through rank 9

@@ -48,17 +48,6 @@ def test_mul_div_match_fraction_arithmetic(a, b):
         )
 
 
-@settings(max_examples=200, deadline=None)
-@given(nonzero_fractions, nonzero_fractions)
-def test_ordering_matches_fractions(a, b):
-    with working_dps(50):
-        la, lb = LogReal.from_fraction(a), LogReal.from_fraction(b)
-        if a < b:
-            assert la < lb
-        elif a > b:
-            assert la > lb
-
-
 def test_exact_cancellation_and_zero():
     with working_dps(50):
         x = LogReal.from_fraction(Fraction(3, 7))
@@ -86,40 +75,26 @@ def test_huge_magnitude_products():
         assert (down * down).log() == -2 * mp.ln(10) * (10**10)
 
 
-def test_to_mpf_guard_and_float_edges():
+def test_to_mpf_guard():
     with working_dps(50):
         ok = LogReal.from_log(mpf(200))
         assert ok.to_mpf() == mp.exp(200)
         too_big = LogReal.from_log(mpf("1e7"))
         with pytest.raises(OverflowError):
             too_big.to_mpf()
-        assert LogReal.from_log(mpf(-800)).to_float() == 0.0
-        with pytest.raises(OverflowError):
-            LogReal.from_log(mpf(800)).to_float()
 
 
-def test_pow_and_sign_rules():
+def test_sign_rules():
     with working_dps(50):
         half = LogReal.from_fraction(Fraction(1, 2))
-        assert abs((half**3).log() - 3 * half.log()) <= eps_for(50)
-        assert (LogReal.zero() ** 2).is_zero()
-        assert (LogReal.zero() ** 0) == LogReal.one()
-        with pytest.raises(ValueError):
-            (-half) ** 0.5
+        assert (-half) * (-half) == half * half
+        assert (-half) / half == -LogReal.one()
         with pytest.raises(ZeroDivisionError):
             half / LogReal.zero()
+        assert repr(LogReal.zero()) == "LogReal(sign=0, log_mag=-inf)"
 
 
 def test_log_sum_is_left_fold():
     with working_dps(50):
         parts = [LogReal.from_fraction(Fraction(1, 4)) for _ in range(4)]
         assert abs(log_sum(parts).log()) <= eps_for(50)
-
-
-def test_sci_string_forms():
-    with working_dps(50):
-        assert LogReal.zero().sci_string() == "0"
-        s = LogReal.from_log(-mp.ln(10) * (10**10)).sci_string(5)
-        assert s.endswith("e-10000000000")
-        tower = LogReal.from_log(-mp.ln(10) * mp.power(10, 10**10)).sci_string(5)
-        assert tower.startswith("-") is False and "10^(" in tower

@@ -24,7 +24,6 @@ from cantordim import (
     dim_measure_series,
     dim_spectrum_series,
     dp_necessary_conditions,
-    entropy,
     encode,
     eps_for,
     example1_model,
@@ -156,7 +155,7 @@ def test_additivity_parent_equals_sum_of_children():
                 digits = tuple(rng.randrange(m.seq.term(i)) for i in range(1, rank + 1))
                 parent = DigitString(m.seq, digits)
                 total = log_sum(
-                    cylinder_measure_log(m, parent.extend(a))
+                    cylinder_measure_log(m, DigitString(m.seq, digits + (a,)))
                     for a in range(m.seq.term(rank + 1))
                 )
                 want = cylinder_measure_log(m, parent)
@@ -343,19 +342,20 @@ def test_entropy_uniform_is_log_n():
     with working_dps(50):
         m = uniform_model(ARITH)
         for k in (1, 9, 41):
-            assert entropy(m, k) == mp.ln(k + 1)
+            assert m.row(k).entropy() == mp.ln(k + 1)
 
 
 def test_entropy_point_mass_is_zero():
     m = SymbolModel(CONSTANT3, make_row_rule("point_mass:0"), 10)
-    assert entropy(m, 4) == 0
+    with working_dps(50):
+        assert m.row(4).entropy() == 0
 
 
 def test_entropy_spike_row_vs_direct_oracle():
     # independent path: evaluate -(p0 ln p0 + (1-p0) ln((1-p0)/10)) in raw mpf
     with working_dps(50):
         m = example1_model(depth_cap=12)
-        got = entropy(m, 10)
+        got = m.row(10).entropy()
         p0 = mp.power(10, -(10**10))
         want = -(p0 * mp.ln(p0) + (1 - p0) * mp.ln((1 - p0) / 10))
         assert abs(got - want) <= eps_for(50)
@@ -367,9 +367,9 @@ def test_entropy_bounded_by_log_n_with_equality_iff_uniform():
         skew = SymbolModel(
             CONSTANT3, make_row_rule({"custom": [["2/3", "1/6", "1/6"]]}), 10
         )
-        h = entropy(skew, 2)
+        h = skew.row(2).entropy()
         assert 0 <= h < mp.ln(3)
-        assert entropy(uniform_model(CONSTANT3, 10), 2) == mp.ln(3)
+        assert uniform_model(CONSTANT3, 10).row(2).entropy() == mp.ln(3)
 
 
 # ---------------------------------------------------------------------------
