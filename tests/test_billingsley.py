@@ -140,6 +140,17 @@ def test_report_at_first_spike():
     assert report.ratio_extreme.points[-1].value < mpf("1e-8")
 
 
+@pytest.mark.parametrize("k_max", [9, 10, 11, 99, 100])
+def test_delta_estimate_is_the_ratio_at_the_last_spike(k_max):
+    report = example1_report(k_max, samples=0)
+    spikes = [k for k in range(1, k_max + 1) if is_power_of_ten(k)]
+    if spikes:
+        assert report.delta_estimate == report.ratio_extreme.points[spikes[-1] - 1].value
+        assert report.delta_estimate < 1
+    else:
+        assert report.delta_estimate == 1
+
+
 def test_report_headline_and_json():
     report = example1_report(20, seed=7)
     payload = report.to_jsonable()

@@ -2,8 +2,10 @@
 
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,26 @@ def test_digit_and_rank_errors_name_the_failing_rank():
         DigitString(ARITH, [True, 2.5])  # the first offending rank is named
 
 
+class _Index:
+    def __index__(self):
+        return 1
+
+
+@pytest.mark.parametrize(
+    "bad", [Fraction(1), Decimal("1"), 1 + 0j, [1], b"1"], ids=["fraction", "decimal", "complex", "list", "bytes"]
+)
+def test_digit_string_refuses_values_without_index(bad):
+    with pytest.raises(CodecError, match=rf"^digit at rank 3 must be an integer, got {re.escape(repr(bad))}$"):
+        DigitString(ARITH, (0, 2, bad))
+
+
+def test_digit_string_stores_index_types_as_int():
+    d = DigitString(ARITH, (np.int64(1), _Index(), np.uint8(3)))
+    assert d.digits == (1, 1, 3)
+    assert all(type(a) is int for a in d.digits)
+    assert d == DigitString(ARITH, (1, 1, 3))
+
+
 def test_encode_brackets_the_point():
     x = Fraction(7, 13)
     for seq in (CONSTANT2, CONSTANT3, ARITH, GEO):
@@ -106,6 +128,36 @@ def test_cylinder_examples():
     assert (c.left, c.right, c.length) == (0, Fraction(1, 2), Fraction(1, 2))
     c2 = cylinder(DigitString(ARITH, (1, 2)))
     assert (c2.left, c2.right, c2.length) == (Fraction(5, 6), 1, Fraction(1, 6))
+
+
+def _children(c):
+    """The rank-(k+1) cylinders inside the rank-k cylinder c, in digit order."""
+    d = c.digits
+    return [cylinder(DigitString(d.seq, d.digits + (j,))) for j in range(d.seq.term(d.rank + 1))]
+
+
+def test_children_tile_parent():
+    kids = _children(cylinder(DigitString(CONSTANT3, ())))
+    assert len(kids) == 3
+    assert all(k.length == Fraction(1, 3) for k in kids)
+    kids2 = _children(cylinder(DigitString(ARITH, (1,))))
+    assert [k.digits.digits for k in kids2] == [(1, 0), (1, 1), (1, 2)]
+    assert all(k.length == Fraction(1, 6) for k in kids2)
+
+
+def test_children_lengths_sum_to_parent_on_random_cylinders():
+    rng = random.Random(12345)
+    seqs = [CONSTANT2, CONSTANT3, ARITH, GEO]
+    for _ in range(1000):
+        seq = rng.choice(seqs)
+        rank = rng.randrange(0, 6)
+        digits = tuple(rng.randrange(seq.term(i)) for i in range(1, rank + 1))
+        parent = cylinder(DigitString(seq, digits))
+        kids = _children(parent)
+        assert sum(k.length for k in kids) == parent.length
+        assert kids[0].left == parent.left
+        assert kids[-1].right == parent.right
+        assert all(a.right == b.left for a, b in zip(kids, kids[1:]))
 
 
 @pytest.mark.parametrize("seq,rank", [(CONSTANT2, 8), (CONSTANT3, 7), (ARITH, 6)])
@@ -237,6 +289,16 @@ class _CountingSequence(type(CONSTANT3)):
     def term(self, k):
         type(self).calls += 1
         return super().term(k)
+
+
+def test_last_digit_errors_keep_their_messages():
+    with pytest.raises(CodecError, match=r"^digit 5 at rank 4 outside 0\.\.4$"):
+        DigitString(ARITH, (1, 2, 3, 5))
+    with pytest.raises(CodecError, match=r"^digit -1 at rank 4 outside 0\.\.4$"):
+        DigitString(ARITH, (1, 2, 3, -1))
+    table = make_sequence({"kind": "custom", "table": [2, 3, 5]})
+    with pytest.raises(SequenceError, match=r"^rank 4 exceeds the 3-term custom table"):
+        DigitString(table, (1, 2, 4, 0))
 
 
 def test_truncate_reads_no_term():

@@ -1,6 +1,7 @@
 """Cylinder counting and the count-slope estimator."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from mpmath import mp, mpf
 from cantordim import (
     DigitSetSpec,
     EstimatorError,
+    SequenceError,
     SymbolModel,
     box_dimension_estimate,
     count_cylinders,
@@ -69,6 +71,50 @@ def test_admissible_validation():
     assert count_cylinders(table, 2) == 2
     with pytest.raises(EstimatorError):
         count_cylinders(table, 3)
+
+
+def test_v_admissible_digits_decide_membership():
+    # membership in V is every digit lying in its rank's admissible set
+    inside = tuple(0 if k == 10 else k - 1 for k in range(1, 12))
+    outside = (0,) * 9 + (1,)
+    assert all(a in V.admissible_digits(k) for k, a in enumerate(inside, 1))
+    assert not all(a in V.admissible_digits(k) for k, a in enumerate(outside, 1))
+    assert V.admissible_digits(10) == (0,)
+    assert V.admissible_digits(9) == tuple(range(10))
+
+
+SPECS_BY_MODE = {
+    "all": FULL3,
+    "every_rank": CANTOR,
+    "exceptions": DigitSetSpec.with_exceptions(ARITH, (0, 2), exception_ranks=(2, 5)),
+    "per_rank": DigitSetSpec.from_table(CONSTANT3, [(0,), (1, 2), (0, 1, 2), (2,)]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SPECS_BY_MODE))
+def test_admissible_count_is_the_size_of_admissible_digits(mode):
+    spec = SPECS_BY_MODE[mode]
+    assert spec.mode == mode
+    for k in range(1, 7):
+        try:
+            digits = spec.admissible_digits(k)
+        except EstimatorError as exc:
+            with pytest.raises(EstimatorError, match=f"^{re.escape(str(exc))}$"):
+                spec.admissible_count(k)
+            assert spec.max_rank() is not None and k > spec.max_rank()
+            continue
+        assert spec.admissible_count(k) == len(digits)
+        assert list(digits) == sorted(set(digits))
+        assert all(0 <= a < spec.seq.term(k) for a in digits)
+
+
+@pytest.mark.parametrize("query", ["admissible_count", "admissible_digits"])
+def test_term_is_read_before_the_table_cap(query):
+    short = make_sequence({"kind": "custom", "table": [2, 3]})
+    spec = DigitSetSpec.from_table(short, [(0,), (1,)])
+    assert getattr(spec, query)(2) in (1, (1,))
+    with pytest.raises(SequenceError, match=r"^rank 3 exceeds the 2-term custom table"):
+        getattr(spec, query)(3)  # both rank 3 and the table cap fail; the term is read first
 
 
 def test_descriptor_round_trip():

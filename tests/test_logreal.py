@@ -94,6 +94,18 @@ def test_sign_rules():
         assert repr(LogReal.zero()) == "LogReal(sign=0, log_mag=-inf)"
 
 
+def test_equality_and_hash_follow_sign_and_log():
+    with working_dps(50):
+        x = LogReal.from_fraction(Fraction(3, 7))
+        same = LogReal.from_log(x.log())
+        assert x == same and hash(x) == hash(same)
+        assert -x != x and -(-x) == x
+        assert LogReal.zero() == LogReal.from_fraction(Fraction(0))
+        assert LogReal.one() == LogReal.from_int(1)
+        assert x != Fraction(3, 7)  # only another LogReal compares equal
+        assert len({x, same, -x, LogReal.zero()}) == 3
+
+
 def test_log_sum_is_left_fold():
     with working_dps(50):
         parts = [LogReal.from_fraction(Fraction(1, 4)) for _ in range(4)]
