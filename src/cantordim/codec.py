@@ -45,7 +45,7 @@ class DigitString:
         except TypeError:
             for i, d in enumerate(raw, 1):  # name the first digit that is no integer
                 as_integer(d, f"digit at rank {i}", CodecError)
-            raise
+            raise CodecError(f"digits must be integers, got {raw!r}") from None
         if len(self.digits) > MAX_RANK:
             raise CodecError(f"rank {len(self.digits)} exceeds MAX_RANK = {MAX_RANK}")
         for i, (d, n) in enumerate(zip(self.digits, self.seq.iter_terms(self.rank)), 1):

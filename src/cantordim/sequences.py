@@ -49,6 +49,7 @@ def as_integer(value, what: str, error: type[ValueError] = SequenceError) -> int
     """An integer field read without truncation (numpy ints pass); else ``error`` naming it.
 
     JSON ``true``/``false`` are refused although ``bool`` subclasses ``int``.
+    ``DigitString.__post_init__`` inlines this rule for speed; keep the two in step.
     """
     try:
         if isinstance(value, bool):

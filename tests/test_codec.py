@@ -5,7 +5,6 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,10 +102,17 @@ def test_digit_string_refuses_values_without_index(bad):
 
 
 def test_digit_string_stores_index_types_as_int():
-    d = DigitString(ARITH, (np.int64(1), _Index(), np.uint8(3)))
+    d = DigitString(ARITH, (1, _Index(), 3))
     assert d.digits == (1, 1, 3)
     assert all(type(a) is int for a in d.digits)
     assert d == DigitString(ARITH, (1, 1, 3))
+
+
+def test_digit_string_stores_numpy_ints_as_int():
+    numpy = pytest.importorskip("numpy")
+    d = DigitString(ARITH, (numpy.int64(1), numpy.uint8(2), numpy.int32(3)))
+    assert d.digits == (1, 2, 3)
+    assert all(type(a) is int for a in d.digits)
 
 
 def test_encode_brackets_the_point():

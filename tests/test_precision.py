@@ -2,14 +2,12 @@
 
 import tracemalloc
 
-import pytest
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from cantordim import SymbolModel, dim_measure_series, eps_for, make_row_rule, make_sequence, working_dps
-from cantordim.precision import _ln_int_cached, default_dps, ln_int
+from cantordim import SymbolModel, dim_measure_series, make_row_rule, make_sequence, working_dps
+from cantordim.precision import _ln_int_cached, ln_int
 from cantordim.sequences import rank_logs
 
 
@@ -67,9 +65,3 @@ def test_each_rank_reads_its_log_from_the_cache_once_more():
     finally:
         _ln_int_cached.cache_clear()
     assert (info.misses, info.hits) == (ranks, ranks)
-
-
-@pytest.mark.parametrize("dps", [15, 50])
-def test_eps_for_keeps_five_guard_digits(dps):
-    assert eps_for(dps) == mpf(10) ** (5 - dps)
-    assert eps_for() == eps_for(default_dps())  # None reads the package default
