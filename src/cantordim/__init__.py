@@ -47,7 +47,6 @@ from .measure import (
     example1_model,
     example1_psi_model,
     liminf_estimate,
-    make_model,
     make_row_rule,
 )
 from .precision import default_dps, eps_for, working_dps
@@ -67,8 +66,6 @@ from .sequences import (
     envelope_ratio_bound,
     faithfulness_diagnostic,
     faithfulness_ratio,
-    fit_envelope,
-    fit_subgeometric,
     is_power_of_ten,
     log_prefix_product,
     make_sequence,

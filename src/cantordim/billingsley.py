@@ -227,12 +227,12 @@ class Example1Report:
     def headline(self) -> dict:
         from mpmath import nstr
 
+        with working_dps(self.dps):  # the report's precision, not the caller's
+            predicted = self.delta_estimate * self.spectrum_liminf.estimate
         return {
             "set_dimension_estimate": nstr(self.spectrum_liminf.estimate, 17),
             "ratio_limit_estimate_at_last_spike": nstr(self.delta_estimate, 17),
-            "predicted_image_dimension": nstr(
-                self.delta_estimate * self.spectrum_liminf.estimate, 17
-            ),
+            "predicted_image_dimension": nstr(predicted, 17),
             "conclusion": (
                 "set dimension stays near 1 while the ratio limit collapses to 0, "
                 "so the predicted image dimension is 0: the distribution function "

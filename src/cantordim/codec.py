@@ -46,8 +46,7 @@ class DigitString:
             for i, d in enumerate(raw, 1):  # name the first digit that is no integer
                 as_integer(d, f"digit at rank {i}", CodecError)
             raise CodecError(f"digits must be integers, got {raw!r}") from None
-        if len(self.digits) > MAX_RANK:
-            raise CodecError(f"rank {len(self.digits)} exceeds MAX_RANK = {MAX_RANK}")
+        check_max_rank(len(self.digits))
         for i, (d, n) in enumerate(zip(self.digits, self.seq.iter_terms(self.rank)), 1):
             if not 0 <= d <= n - 1:
                 raise CodecError(f"digit {d} at rank {i} outside 0..{n - 1}")
@@ -93,27 +92,34 @@ class Cylinder:
         }
 
 
+def check_max_rank(k: int) -> None:
+    if k > MAX_RANK:
+        raise CodecError(f"rank {k} exceeds MAX_RANK = {MAX_RANK}")
+
+
+def greedy_digits(x: Fraction, terms) -> Iterator[tuple[int, int]]:
+    """Yield (n_i, a_i) per term: a_i = floor(x_i * n_i), x_{i+1} = x_i * n_i - a_i
+    from x_1 = x in [0,1), kept as num / den over x's denominator (one integer
+    divmod a rank).  A caller that stops early may read ``terms`` on."""
+    num, den = x.numerator, x.denominator
+    for n in terms:
+        a, num = divmod(num * n, den)
+        yield n, a
+
+
 def encode(x, seq: BasicSequence, k: int) -> DigitString:
     """Greedy digit extraction of x in [0,1) to rank k.
 
-    a_i = floor(x_i * n_i), x_{i+1} = x_i * n_i - a_i.  The result is the
-    rank-k cylinder whose half-open interval [left, left + length) contains x.
-    x_i is kept as num / den over the fixed denominator of x, so each rank
-    is one integer divmod.
+    The result is the rank-k cylinder whose half-open interval
+    [left, left + length) contains x.
     """
     x = Fraction(x)
     if not 0 <= x < 1:
         raise CodecError(f"encode needs 0 <= x < 1, got {x}")
     if k < 0:
         raise CodecError(f"rank must be >= 0, got {k}")
-    if k > MAX_RANK:
-        raise CodecError(f"rank {k} exceeds MAX_RANK = {MAX_RANK}")
-    num, den = x.numerator, x.denominator
-    digits = []
-    for n in seq.iter_terms(k):
-        a, num = divmod(num * n, den)
-        digits.append(a)
-    return DigitString(seq, tuple(digits))
+    check_max_rank(k)
+    return DigitString(seq, tuple(a for _, a in greedy_digits(x, seq.iter_terms(k))))
 
 
 def _mixed_radix(d: DigitString) -> tuple[int, int]:

@@ -141,10 +141,9 @@ class DigitSetSpec:
             )
         return digits
 
-    def admissible_count(self, k: int) -> int:
-        """|admissible(k)|, validated against 0..n_k-1 without materializing
-        the full digit range."""
-        n = self.seq.term(k)
+    def admissible_count(self, k: int, n: int) -> int:
+        """|admissible(k)| given the term n = n_k already read, validated
+        against 0..n-1 without materializing the full digit range."""
         listed = self._listed(k, n)
         return n if listed is None else len(listed)
 
@@ -188,16 +187,16 @@ def count_cylinders(E: DigitSetSpec, k: int) -> int:
     if k < 1:
         raise EstimatorError(f"rank must be >= 1, got {k}")
     out = 1
-    for i in range(1, k + 1):
-        out *= E.admissible_count(i)
+    for i, n in enumerate(E.seq.iter_terms(k), 1):
+        out *= E.admissible_count(i, n)
     return out
 
 
 def _log_counts(E: DigitSetSpec, k_max: int):
     """Yield (k, ln(n_1...n_k), ln N_k) for k = 1..k_max."""
     log_count = mpf(0)
-    for k, _, _, log_prefix in rank_logs(E.seq, k_max):
-        log_count += ln_int(E.admissible_count(k))
+    for k, n, _, _, log_prefix in rank_logs(E.seq, k_max):
+        log_count += ln_int(E.admissible_count(k, n))
         yield k, log_prefix, log_count
 
 

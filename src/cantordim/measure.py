@@ -7,31 +7,32 @@ over 10**10 digits is never materialized), and all probabilities live in
 the log domain as LogReals, since the built-in counterexample model uses
 digit masses as small as 10**-(10**100).
 
-``SymbolModel.row`` builds every row and keeps none.  The series pipelines
-read ranks through ``SymbolModel.walk``: one pass yielding ln n_k, the
-prefix logs and each rank's row.  ``dimension_series`` computes several
-dimension series over models that share a sequence from one walk, with
-per-rank consumers (the DP positivity scan, ratio series) riding along.
+Rows are built on demand and never kept.  The series pipelines read ranks
+through ``SymbolModel.walk``: one pass that reads each term n_k once and
+yields ln n_k, the prefix logs and the rank's row, built from that n_k.
+``dimension_series`` computes several dimension series over models that
+share a sequence from one walk, with per-rank consumers (the DP positivity
+scan, ratio series) riding along.  ``cdf`` builds its rows from the terms
+of its own greedy digit walk.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .codec import DigitString, encode
+from .codec import DigitString, check_max_rank, greedy_digits
 from .logreal import LogReal, log_sum
 from .precision import GUARD_DPS, MIN_DPS, eps_for, ln_int, resolve_dps, working_dps
 from .sequences import (
     ArithmeticSequence,
     BasicSequence,
-    as_integer,
     is_power_of_ten,
-    make_sequence,
     rank_logs,
     trailing_decade_start,
 )
@@ -397,22 +398,24 @@ class SymbolModel:
         self.rule = rule
         self.depth_cap = depth_cap
 
-    def row(self, k: int) -> Row:
-        """Rank k's row, built from n_k after the depth-cap check; nothing is kept."""
+    def row(self, k: int, n: int | None = None) -> Row:
+        """Rank k's row, built after the depth-cap check from n = n_k (read
+        here when not given); nothing is kept."""
         if not 1 <= k <= self.depth_cap:
             raise ModelError(f"rank {k} outside 1..depth_cap={self.depth_cap}")
-        return self.rule.row(k, self.seq.term(k))
+        return self.rule.row(k, self.seq.term(k) if n is None else n)
 
     def walk(self, k_max: int):
         """The measure pipelines' shared rank walk: yield (k, ln n_k,
         ln(n_1...n_{k-1}), ln(n_1...n_k), row k) for k = 1..k_max.
 
-        The logs come from ``rank_logs`` and each row from ``row``, so a
-        walk holds one row at a time whatever k_max is.  A rank's log is
-        taken before its depth cap, term and row are checked, in that order.
+        The terms and logs come from ``rank_logs`` and each row is built
+        from its n_k, so a walk reads each term once and holds one row at a
+        time whatever k_max is.  A rank's term is read, then its log taken,
+        then its depth cap and row are checked, in that order.
         """
-        for k, log_n, before, prefix in rank_logs(self.seq, k_max):
-            yield k, log_n, before, prefix, self.row(k)
+        for k, n, log_n, before, prefix in rank_logs(self.seq, k_max):
+            yield k, log_n, before, prefix, self.row(k, n)
 
     def descriptor(self) -> dict:
         return {
@@ -420,19 +423,6 @@ class SymbolModel:
             "rows": self.rule.descriptor(),
             "depth_cap": self.depth_cap,
         }
-
-
-def make_model(spec: Mapping) -> SymbolModel:
-    """Model descriptor: {"sequence": ..., "rows": ..., "depth_cap": n}."""
-    if not isinstance(spec, Mapping):
-        raise ModelError(f"model descriptor must be a mapping, got {type(spec).__name__}")
-    try:
-        seq = make_sequence(spec["sequence"])
-        rule = make_row_rule(spec["rows"])
-    except KeyError as exc:
-        raise ModelError(f"model descriptor missing {exc}") from exc
-    depth_cap = as_integer(spec.get("depth_cap", DEPTH_CAP_DEFAULT), "depth_cap", ModelError)
-    return SymbolModel(seq, rule, depth_cap)
 
 
 def example1_model(depth_cap: int = DEPTH_CAP_DEFAULT, tower: bool = False) -> SymbolModel:
@@ -481,9 +471,11 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
     cylinder.  Terms are computed in the log domain and accumulated
     linearly, skipping anything below the working precision.
 
-    The walk stops at the first rank whose prefix measure (that of the
-    cylinder containing x) is below the skip floor by more than one nat.
-    That changes nothing: every later term is that prefix times further
+    The digits of x and the rows come from one pass over n_1..n_k.  It
+    stops at the first rank whose prefix measure (that of the cylinder
+    containing x) is below the skip floor by more than one nat; the terms
+    past it are still read, so a missing or non-integer term raises as it
+    would on the full walk.  The stop changes no value: every later term is that prefix times further
     digit probabilities and one row's cumulative mass, and each of these
     factors is at most e**eps with eps <= 1e-10 (a custom row may sum to
     1 within that tolerance).  Over at most MAX_RANK = 10**6 ranks they
@@ -498,18 +490,20 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
     with working_dps(dps):
         if x == 1:
             return mpf(1)
-        digits = encode(x, model.seq, k)
+        check_max_rank(k)
         floor_log = -(mp.dps + 2) * mp.ln(10)
         acc = mpf(0)
         prefix = LogReal.one()
-        for i, a in enumerate(digits.digits, 1):
-            row = model.row(i)
+        terms = model.seq.iter_terms(k)
+        for i, (n, a) in enumerate(greedy_digits(x, terms), 1):
+            row = model.rule.row(i, n)
             term = prefix * row.cum(a)
             if not term.is_zero() and term.log() > floor_log:
                 acc += term.to_mpf()
             prefix = prefix * row.logp(a)
             if prefix.log() < floor_log - 1:  # ln 0 = -inf: a zero prefix stops too
                 break
+        deque(terms, maxlen=0)  # the terms past the stop are still checked
         return acc
 
 
@@ -673,23 +667,24 @@ class DpReport:
     def to_jsonable(self) -> dict:
         from mpmath import nstr
 
-        return {
-            "verdict": self.verdict,
-            "all_probabilities_positive": self.all_positive,
-            "first_zero": list(self.first_zero) if self.first_zero else None,
-            "dim_measure_estimate": nstr(self.dim_estimate, 17),
-            "dim_estimate_at_least_1_minus_tol": self.dim_ok,
-            "tol": self.tol,
-            "sequence_bounded": self.sequence_bounded,
-            "probabilities_separated_from_zero": self.probabilities_separated,
-            "min_log10_probability": (
-                nstr(self.min_log_probability / mp.ln(10), 17)
-                if self.min_log_probability is not None
-                else None
-            ),
-            "k_max": self.k_max,
-            "precision_dps": self.dps,
-        }
+        with working_dps(self.dps):  # the report's precision, not the caller's
+            return {
+                "verdict": self.verdict,
+                "all_probabilities_positive": self.all_positive,
+                "first_zero": list(self.first_zero) if self.first_zero else None,
+                "dim_measure_estimate": nstr(self.dim_estimate, 17),
+                "dim_estimate_at_least_1_minus_tol": self.dim_ok,
+                "tol": self.tol,
+                "sequence_bounded": self.sequence_bounded,
+                "probabilities_separated_from_zero": self.probabilities_separated,
+                "min_log10_probability": (
+                    nstr(self.min_log_probability / mp.ln(10), 17)
+                    if self.min_log_probability is not None
+                    else None
+                ),
+                "k_max": self.k_max,
+                "precision_dps": self.dps,
+            }
 
 
 class PositivityScan:

@@ -10,9 +10,11 @@ as covering families for dimension computation.  A finite sweep cannot
 decide a limit, so the verdicts here are explicitly threshold heuristics;
 the raw ratio series is always part of the report.
 
-``rank_logs`` is the single rank walk: every pipeline series over ln(n_k)
-and the prefix logs ln(n_1 * ... * n_k) reads them from it, so their
-summation order is fixed in one place.  ``log_prefix_product`` and
+``rank_logs`` is the single rank walk: it reads each term n_k once, from
+one ``iter_terms`` pass, and yields it with ln(n_k) and the prefix logs
+ln(n_1 * ... * n_k).  Every pipeline series and per-rank consumer (rows,
+admissible counts, the witness fits) takes n_k from it, and the summation
+order of the prefix logs is fixed in one place.  ``log_prefix_product`` and
 ``faithfulness_ratio`` recompute single values as independent oracles.
 """
 
@@ -23,6 +25,7 @@ import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import ClassVar, Mapping, Optional
 
 from mpmath import mp, mpf
@@ -81,13 +84,14 @@ class BasicSequence(ABC):
     def descriptor(self) -> dict:
         """JSON-serializable round-trip form."""
 
-    def log_term(self, k: int) -> mpf:
-        """ln(n_k) at the ambient precision.
+    def log_term(self, k: int, n: int) -> mpf:
+        """ln(n_k) at the ambient precision, given the term n = n_k already read.
 
-        Subclasses override when the term itself would be a needlessly
-        huge integer (geometric tails, power-of-ten spikes).
+        Subclasses override with a closed form where the log of a huge
+        term is cheaper from its parameters (geometric tails, power-of-ten
+        spikes).
         """
-        return ln_int(self.term(k))
+        return ln_int(n)
 
     def max_rank(self) -> Optional[int]:
         """Largest usable rank, or None when unbounded."""
@@ -188,8 +192,7 @@ class GeometricSequence(BasicSequence):
             raise SequenceError(f"term({k}) = {value} is not an integer")
         return int(value)
 
-    def log_term(self, k: int) -> mpf:
-        self._check_rank(k)
+    def log_term(self, k: int, n: int) -> mpf:
         q = self.q
         log_q = ln_int(q.numerator) - ln_int(q.denominator)
         return ln_int(self.b1) + (k - 1) * log_q
@@ -224,8 +227,7 @@ class CounterexampleSequence(BasicSequence):
         self._check_rank(k)
         return 10**k if is_power_of_ten(k) else 2
 
-    def log_term(self, k: int) -> mpf:
-        self._check_rank(k)
+    def log_term(self, k: int, n: int) -> mpf:
         return k * ln_int(10) if is_power_of_ten(k) else ln_int(2)
 
     def eventually_bounded(self) -> bool:
@@ -263,11 +265,8 @@ class CustomSequence(BasicSequence):
             return self.table[k - 1]
         return self.tail.term(k)
 
-    def log_term(self, k: int) -> mpf:
-        self._check_rank(k)
-        if k <= len(self.table):
-            return ln_int(self.table[k - 1])
-        return self.tail.log_term(k)
+    def log_term(self, k: int, n: int) -> mpf:
+        return ln_int(n) if k <= len(self.table) else self.tail.log_term(k, n)
 
     def max_rank(self) -> Optional[int]:
         return len(self.table) if self.tail is None else None
@@ -323,18 +322,19 @@ def make_sequence(spec: Mapping) -> BasicSequence:
 
 
 def rank_logs(seq: BasicSequence, k_max: int):
-    """Yield (k, ln n_k, ln(n_1...n_{k-1}), ln(n_1...n_k)) for k = 1..k_max.
+    """Yield (k, n_k, ln n_k, ln(n_1...n_{k-1}), ln(n_1...n_k)) for k = 1..k_max.
 
+    Each term is read once, from one ``iter_terms`` pass, before its log.
     Prefix logs are summed from mpf(0) in rank order at the ambient
     precision, so every series built on them is reproducible bit for bit.
     Nothing is stored, so memory stays flat at any k_max.
     """
     prefix = mpf(0)
-    for k in range(1, k_max + 1):
-        log_n = seq.log_term(k)
+    for k, n in enumerate(seq.iter_terms(k_max), 1):
+        log_n = seq.log_term(k, n)
         before = prefix
         prefix += log_n
-        yield k, log_n, before, prefix
+        yield k, n, log_n, before, prefix
 
 
 def log_prefix_product(seq: BasicSequence, k: int, dps: int | None = None) -> LogReal:
@@ -348,7 +348,7 @@ def log_prefix_product(seq: BasicSequence, k: int, dps: int | None = None) -> Lo
     with working_dps(dps):
         total = mpf(0)
         for i in range(1, k + 1):
-            total += seq.log_term(i)
+            total += seq.log_term(i, seq.term(i))
         return LogReal.from_log(total)
 
 
@@ -357,7 +357,7 @@ def faithfulness_ratio(seq: BasicSequence, k: int, dps: int | None = None) -> mp
     if k < 2:
         raise SequenceError(f"faithfulness ratio needs k >= 2, got {k}")
     with working_dps(dps):
-        return seq.log_term(k) / log_prefix_product(seq, k - 1, dps).log()
+        return seq.log_term(k, seq.term(k)) / log_prefix_product(seq, k - 1, dps).log()
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,9 @@ def envelope_bound_monotone_from(
 @dataclass(frozen=True)
 class EnvelopeFit:
     """Progression envelope a1 + (k-1)d <= n_k <= b1 * q**(k-1) fitted over
-    the diagnosed range.  ``fits`` is decided by the arithmetic side (a
+    the diagnosed range: the lower side anchored at a1 = 2 with the largest
+    feasible integer d, the upper at b1 = max(2, n_1) with the smallest
+    feasible integer q.  ``fits`` is decided by the arithmetic side (a
     geometric upper envelope always exists on finite data); q == 1 marks
     the degenerate bounded case and is flagged rather than rejected."""
 
@@ -481,42 +483,6 @@ def _min_q_for_power(target: int, exponent: int, floor: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if mid**exponent >= target else (mid, hi)
     return hi
-
-
-def fit_envelope(seq: BasicSequence, k_max: int) -> EnvelopeFit:
-    """Fit the widest progression envelope to n_1..n_{k_max}.
-
-    Lower side is anchored at a1 = 2 with the largest feasible integer d;
-    upper side at b1 = max(2, n_1) with the smallest feasible integer q.
-    """
-    if k_max < 2:
-        raise SequenceError(f"envelope fitting needs k_max >= 2, got {k_max}")
-    d = None
-    b1 = None
-    q = 1
-    for k, term in enumerate(seq.iter_terms(k_max), 1):
-        if k == 1:
-            b1 = max(2, term)
-            continue
-        cap = (term - 2) // (k - 1)
-        d = cap if d is None else min(d, cap)
-        need = -(-term // b1)  # ceil(n_k / b1)
-        q = _min_q_for_power(need, k - 1, q)
-    arithmetic_ok = d is not None and d >= 1
-    if not arithmetic_ok:
-        return EnvelopeFit(fits=False, b1=b1, q=q, degenerate_geometric=(q == 1))
-    return EnvelopeFit(
-        fits=True, a1=2, d=int(d), b1=b1, q=q, degenerate_geometric=(q == 1)
-    )
-
-
-def fit_subgeometric(seq: BasicSequence, k_max: int) -> SubgeometricFit:
-    if k_max < 1:
-        raise SequenceError(f"subgeometric fitting needs k_max >= 1, got {k_max}")
-    witness = 2
-    for k, term in enumerate(seq.iter_terms(k_max), 1):
-        witness = _min_q_for_power(term, k, witness)
-    return SubgeometricFit(holds=True, witness_q=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +556,10 @@ def faithfulness_diagnostic(
 ) -> FaithfulnessReport:
     """Sweep r_k for 2 <= k <= k_max and classify the sequence.
 
-    Also fits the progression envelope and subgeometric witness over the
-    observed range and accumulates the partial sum of r_k**2 (the validity
-    precondition of the measure-dimension formula).
+    The same walk fits the progression envelope and the subgeometric
+    witness over the observed range from each n_k, in exact integers, and
+    accumulates the partial sum of r_k**2 (the validity precondition of the
+    measure-dimension formula).
     """
     if k_max < 3:
         raise SequenceError(f"diagnostic needs k_max >= 3, got {k_max}")
@@ -607,23 +574,22 @@ def faithfulness_diagnostic(
     with working_dps(dps):
         ratios: list[tuple[int, mpf]] = []
         square_partial = mpf(0)
-        decade_maxima: list[tuple[int, mpf]] = []
-        current_decade = None
-        current_max = None
-        for k, log_n, prefix_log, _ in rank_logs(seq, k_max):
+        witness, d, q = 2, math.inf, 1
+        for k, n, log_n, prefix_log, _ in rank_logs(seq, k_max):
+            witness = _min_q_for_power(n, k, witness)
             if k == 1:
+                b1 = max(2, n)
                 continue
+            d = min(d, (n - 2) // (k - 1))
+            q = _min_q_for_power(-(-n // b1), k - 1, q)  # ceil(n_k / b1)
             r = log_n / prefix_log
             ratios.append((k, r))
             square_partial += r * r
-            decade = trailing_decade_start(k)
-            if decade != current_decade:
-                if current_decade is not None:
-                    decade_maxima.append((current_decade, current_max))
-                current_decade, current_max = decade, r
-            elif r > current_max:
-                current_max = r
-        decade_maxima.append((current_decade, current_max))
+        # max keeps the first of equal values, as a running maximum would
+        decade_maxima = [
+            (decade, max(r for _, r in group))
+            for decade, group in groupby(ratios, key=lambda p: trailing_decade_start(p[0]))
+        ]
 
         # Converted once, not on every comparison; a double is exact in mpf
         # at any working precision (>= 53 bits), so no verdict moves.
@@ -631,10 +597,7 @@ def faithfulness_diagnostic(
         violation_ranks = [k for k, r in ratios if k >= VIOLATION_BURN_IN and r >= threshold]
         final_start = trailing_decade_start(k_max)
         final_ok = all(r < tol for k, r in ratios if k >= final_start)
-        maxima_values = [v for _, v in decade_maxima]
-        maxima_decreasing = all(
-            maxima_values[i + 1] < maxima_values[i] for i in range(len(maxima_values) - 1)
-        )
+        maxima_decreasing = all(b < a for (_, a), (_, b) in zip(decade_maxima, decade_maxima[1:]))
 
         if len(violation_ranks) >= 2:
             verdict = VERDICT_VIOLATED
@@ -643,8 +606,12 @@ def faithfulness_diagnostic(
         else:
             verdict = VERDICT_INCONCLUSIVE
 
-        envelope = fit_envelope(seq, k_max)
-        subgeometric = fit_subgeometric(seq, k_max)
+        fits = d >= 1
+        envelope = EnvelopeFit(
+            fits=fits, a1=2 if fits else None, d=d if fits else None,
+            b1=b1, q=q, degenerate_geometric=(q == 1),
+        )
+        subgeometric = SubgeometricFit(holds=True, witness_q=witness)
         notes = []
         if envelope.degenerate_geometric:
             notes.append(

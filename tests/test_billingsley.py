@@ -205,3 +205,11 @@ def test_example1_report_equals_its_unfused_composition(tower, samples, dps):
     for series in ratios:
         for k in (9, 10, 11, 99, 100, 120):
             assert series.points[k - 1] == billingsley_ratio(model, series.digits, k, dps)
+
+
+def test_report_text_does_not_depend_on_the_callers_precision():
+    rep = example1_report(200, samples=1, dps=30)
+    outside = rep.to_jsonable()
+    for dps in (15, 30, 100):
+        with working_dps(dps):
+            assert rep.to_jsonable() == outside

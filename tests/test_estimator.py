@@ -64,9 +64,9 @@ def test_counts_monotone_under_containment():
 
 def test_admissible_validation():
     with pytest.raises(EstimatorError):
-        DigitSetSpec.constant_digits(CONSTANT3, ()).admissible_count(1)
+        DigitSetSpec.constant_digits(CONSTANT3, ()).admissible_count(1, 3)
     with pytest.raises(EstimatorError):
-        DigitSetSpec.constant_digits(CONSTANT3, (0, 3)).admissible_count(1)
+        DigitSetSpec.constant_digits(CONSTANT3, (0, 3)).admissible_count(1, 3)
     table = DigitSetSpec.from_table(CONSTANT3, [(0,), (0, 1)])
     assert count_cylinders(table, 2) == 2
     with pytest.raises(EstimatorError):
@@ -100,21 +100,21 @@ def test_admissible_count_is_the_size_of_admissible_digits(mode):
             digits = spec.admissible_digits(k)
         except EstimatorError as exc:
             with pytest.raises(EstimatorError, match=f"^{re.escape(str(exc))}$"):
-                spec.admissible_count(k)
+                spec.admissible_count(k, spec.seq.term(k))
             assert spec.max_rank() is not None and k > spec.max_rank()
             continue
-        assert spec.admissible_count(k) == len(digits)
+        assert spec.admissible_count(k, spec.seq.term(k)) == len(digits)
         assert list(digits) == sorted(set(digits))
         assert all(0 <= a < spec.seq.term(k) for a in digits)
 
 
-@pytest.mark.parametrize("query", ["admissible_count", "admissible_digits"])
+@pytest.mark.parametrize("query", [DigitSetSpec.admissible_digits, count_cylinders], ids=lambda f: f.__name__)
 def test_term_is_read_before_the_table_cap(query):
     short = make_sequence({"kind": "custom", "table": [2, 3]})
     spec = DigitSetSpec.from_table(short, [(0,), (1,)])
-    assert getattr(spec, query)(2) in (1, (1,))
+    assert query(spec, 2) in (1, (1,))
     with pytest.raises(SequenceError, match=r"^rank 3 exceeds the 2-term custom table"):
-        getattr(spec, query)(3)  # both rank 3 and the table cap fail; the term is read first
+        query(spec, 3)  # both rank 3 and the table cap fail; the term is read first
 
 
 def test_descriptor_round_trip():
@@ -168,7 +168,7 @@ def test_explicit_exception_ranks():
     spec = DigitSetSpec.from_descriptor(
         CONSTANT3, {"except_ranks": [2, 5], "digits_at_exception": [0, 1]}
     )
-    assert [spec.admissible_count(k) for k in range(1, 6)] == [3, 2, 3, 3, 2]
+    assert [spec.admissible_count(k, 3) for k in range(1, 6)] == [3, 2, 3, 3, 2]
     assert count_cylinders(spec, 5) == 3 * 2 * 3 * 3 * 2
 
 

@@ -15,8 +15,6 @@ from cantordim import (
     eps_for,
     faithfulness_diagnostic,
     faithfulness_ratio,
-    fit_envelope,
-    fit_subgeometric,
     log_prefix_product,
     make_sequence,
     stirling_log_factorial,
@@ -65,7 +63,7 @@ def test_geometric_terms_and_log_terms():
     seq = make_sequence(GEO)
     assert seq.term(5) == 2**5
     with working_dps(50):
-        assert abs(seq.log_term(20) - mp.ln(mpf(2**20))) <= eps_for(50)
+        assert abs(seq.log_term(20, seq.term(20)) - mp.ln(mpf(2**20))) <= eps_for(50)
 
 
 @pytest.mark.parametrize(
@@ -166,7 +164,7 @@ def test_prefix_product_is_incremental(spec, k):
     seq = make_sequence(spec)
     with working_dps(50):
         whole = log_prefix_product(seq, k).log()
-        stepwise = log_prefix_product(seq, k - 1).log() + seq.log_term(k)
+        stepwise = log_prefix_product(seq, k - 1).log() + seq.log_term(k, seq.term(k))
         assert abs(whole - stepwise) <= eps_for(50)
 
 
@@ -271,7 +269,7 @@ def test_fitted_envelope_bound_dominates_any_conforming_sequence(spec):
     # whenever the progression envelope fits, the closed-form bound with
     # the fitted parameters sits above the observed ratios
     seq = make_sequence(spec)
-    fit = fit_envelope(seq, 300)
+    fit = faithfulness_diagnostic(seq, 300).envelope
     assert fit.fits
     with working_dps(50):
         k0 = envelope_bound_monotone_from(fit.b1, fit.q, 300)
@@ -369,7 +367,7 @@ def test_diagnostic_short_range_is_not_violated_by_one_spike():
 
 
 def test_subgeometric_witness_constant():
-    assert fit_subgeometric(make_sequence({"kind": "constant", "s": 7}), 50).witness_q == 7
+    assert faithfulness_diagnostic(make_sequence({"kind": "constant", "s": 7}), 50).subgeometric.witness_q == 7
 
 
 def test_fits_are_exact_past_the_working_precision():
@@ -380,15 +378,19 @@ def test_fits_are_exact_past_the_working_precision():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(min_value=2, max_value=5000), min_size=2, max_size=8))
+@given(st.lists(st.integers(min_value=2, max_value=5000), min_size=3, max_size=8))
 def test_witness_fits_match_a_linear_scan(table):
-    seq = make_sequence({"kind": "custom", "table": table})
+    # the diagnostic needs k_max >= 3, so tables start at three terms
+    rep = faithfulness_diagnostic(make_sequence({"kind": "custom", "table": table}), len(table))
     ranked = list(enumerate(table, 1))
     witness = next(q for q in itertools.count(2) if all(n <= q**k for k, n in ranked))
-    assert fit_subgeometric(seq, len(table)).witness_q == witness
+    assert rep.subgeometric.witness_q == witness
     b1 = table[0]
     q = next(q for q in itertools.count(1) if all(n <= b1 * q ** (k - 1) for k, n in ranked))
-    assert fit_envelope(seq, len(table)).q == q
+    d = max(d for d in range(max(table)) if all(2 + (k - 1) * d <= n for k, n in ranked[1:]))
+    env = rep.envelope
+    assert (env.b1, env.q, env.degenerate_geometric) == (max(2, b1), q, q == 1)
+    assert (env.fits, env.a1, env.d) == ((True, 2, d) if d >= 1 else (False, None, None))
 
 
 def test_report_serializes_to_json_and_csv():

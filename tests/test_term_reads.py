@@ -1,0 +1,59 @@
+"""Every rank walk reads each term n_k once and passes it on."""
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+import pytest
+
+from cantordim import (
+    ArithmeticSequence,
+    DigitSetSpec,
+    SequenceError,
+    SymbolModel,
+    box_dimension_estimate,
+    cdf,
+    dim_measure_series,
+    faithfulness_diagnostic,
+    make_row_rule,
+    make_sequence,
+)
+
+
+@dataclass(frozen=True)
+class CountingArithmetic(ArithmeticSequence):
+    """n_k = a1 + (k-1) d, recording the rank of every ``term`` call."""
+
+    reads: list = field(default_factory=list, compare=False)
+
+    def term(self, k: int) -> int:
+        self.reads.append(k)
+        return super().term(k)
+
+
+K = 300
+
+
+@pytest.mark.parametrize("pipeline", [
+    lambda seq: faithfulness_diagnostic(seq, K, dps=15),
+    lambda seq: dim_measure_series(SymbolModel(seq, make_row_rule("example1"), K), K, dps=15),
+    lambda seq: box_dimension_estimate(DigitSetSpec.with_exceptions(seq, (0, 1)), K, dps=15),
+    # the greedy digits stop near rank 20 at 15 digits; the rest are still read
+    lambda seq: cdf(SymbolModel(seq, make_row_rule("uniform"), K), Fraction(1, 3), K, dps=15),
+], ids=["faithfulness", "dim-measure", "boxcount", "cdf"])
+def test_each_pipeline_reads_each_term_once_in_rank_order(pipeline):
+    seq = CountingArithmetic(2, Fraction(1))
+    pipeline(seq)
+    assert seq.reads == list(range(1, K + 1))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "custom", "table": [10**9] * 5}, r"^rank 6 exceeds the 5-term custom table \(no tail rule\)$"),
+    ({"kind": "geometric", "b1": 2**30, "q": "3/2"}, r"^term\(32\) = \d+/2 is not an integer$"),
+], ids=["tail-less-table", "non-integer-term"])
+def test_cdf_reads_the_terms_past_its_early_stop(spec, message):
+    # uniform rows over at least 10**9 digits take the prefix measure below
+    # the skip floor (10**-27 at 15 digits plus guard digits) by rank 4, so
+    # the walk stops there and only the terms read after the stop can raise
+    model = SymbolModel(make_sequence(spec), make_row_rule("uniform"), 40)
+    with pytest.raises(SequenceError, match=message):
+        cdf(model, Fraction(1, 3), 40, dps=15)
