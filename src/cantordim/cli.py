@@ -145,6 +145,12 @@ _CONFIG_FLAG = _Parser(add_help=False, allow_abbrev=False)
 _CONFIG_FLAG.add_argument("--config")
 
 
+def _one_line(text: str) -> str:
+    """text with each unprintable character backslash-escaped, so a config
+    key or value holding a line break cannot split a message in two."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii") for c in text)
+
+
 def _with_config(argv: list[str]) -> list[str]:
     """argv followed by one ``--key=value`` flag per entry of the --config file."""
     path = _CONFIG_FLAG.parse_known_args(argv)[0].config
@@ -164,7 +170,7 @@ def _with_config(argv: list[str]) -> list[str]:
             raise ConfigError(f"config key {key!r} is null; leave it out to keep the default")
         flag = f"--{key}"
         if any(arg == flag or arg.startswith(flag + "=") for arg in argv):
-            print(f"warning: config file overrides {flag}", file=sys.stderr)
+            print(f"warning: config file overrides {_one_line(flag)}", file=sys.stderr)
         flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
     return [*argv, *flags]
 
@@ -398,7 +404,7 @@ COMMANDS = {
 
 
 def _fail(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+    print(f"error: {_one_line(str(exc))}", file=sys.stderr)
     return code
 
 

@@ -222,6 +222,14 @@ def test_config_file_cannot_set_command_or_config(tmp_path, capsys, key):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["\x1e", "a\nb", "\u2028"])
+def test_line_breaks_in_config_values_stay_on_the_error_line(tmp_path, capsys, value):
+    code, captured = run_with_config(tmp_path, capsys, FAITH5, {"command": value})
+    assert code == 2
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert_one_error_line(captured.err)
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
