@@ -12,8 +12,10 @@ distribution function has dimension delta times the original.  The report
 states that conclusion as a prediction: no finite computation evaluates
 the image set's dimension independently.
 
-``ratio_series`` reads b_k off one ``SymbolModel.walk``, multiplying the
-cylinder measure by one digit's mass per rank.  ``example1_report`` feeds
+``ratio_series`` reads b_k off one ``SymbolModel.walk``, adding one digit's
+log mass per rank to the raw log of the cylinder measure (see
+``precision`` for the kernel); ``billingsley_ratio`` computes one value
+with mpf and LogReal operators as its oracle.  ``example1_report`` feeds
 the same walk to every series it reports: both dimension series, the DP
 positivity scan and the ratio series of each digit string.
 """
@@ -26,7 +28,7 @@ from typing import Optional
 
 from mpmath import mpf
 
-from .codec import DigitString
+from .codec import DigitString, check_max_rank
 from .logreal import LogReal
 from .measure import (
     MEASURE_ENTROPY,
@@ -44,13 +46,19 @@ from .measure import (
     example1_psi_model,
     liminf_estimate,
 )
-from .precision import resolve_dps, working_dps
+from .precision import (
+    as_mpf, fninf, fzero, mpf_add, mpf_cmp, mpf_div, mpf_neg, mpf_text, resolve_dps,
+    walk_precision, working_dps,
+)
 from .sequences import (
     BasicSequence,
     is_power_of_ten,
     log_prefix_product,
     trailing_decade_start,
 )
+
+# The first power-of-ten rank, where the example1 models first spike.
+FIRST_SPIKE = 10
 
 FLAG_ZERO_MEASURE = "zero_measure"
 FLAG_UNIT_MEASURE = "unit_measure"
@@ -99,29 +107,25 @@ class RatioSeries:
     segments: list[tuple[str, int, int]] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        from mpmath import nstr
-
         n = self.dps
         return {
             "digits": self.digits.to_jsonable(),
             "precision_dps": self.dps,
             "segments": [[kind, a, b] for kind, a, b in self.segments],
             "points": [
-                [p.k, nstr(p.value, n)] + ([p.flag] if p.flag else [])
+                [p.k, mpf_text(p.value, n)] + ([p.flag] if p.flag else [])
                 for p in self.points
             ],
         }
 
 
+_SEGMENT_KIND = {1: "rise", -1: "fall", 0: "flat"}
+
+
 def _monotone_segments(points: list[RatioPoint]) -> list[tuple[str, int, int]]:
     segments: list[tuple[str, int, int]] = []
     for prev, cur in zip(points, points[1:]):
-        if cur.value > prev.value:
-            kind = "rise"
-        elif cur.value < prev.value:
-            kind = "fall"
-        else:
-            kind = "flat"
+        kind = _SEGMENT_KIND[mpf_cmp(cur.value._mpf_, prev.value._mpf_)]  # values are never NaN
         if segments and segments[-1][0] == kind and segments[-1][2] == prev.k:
             segments[-1] = (kind, segments[-1][1], cur.k)
         else:
@@ -130,21 +134,45 @@ def _monotone_segments(points: list[RatioPoint]) -> list[tuple[str, int, int]]:
 
 
 class _RatioWalk:
-    """b_k along one digit string, fed one rank of a model walk at a time."""
+    """b_k along one digit string, fed one rank of a model walk at a time
+    by ``_step_walks``.  The cylinder measure is kept as its raw log: ln 1 = 0
+    to start, -inf once a digit has zero mass (the sum stays -inf)."""
 
     def __init__(self, d: DigitString):
         self.d = d
-        self.mu = LogReal.one()
+        self.log_mu = fzero
         self.points: list[RatioPoint] = []
-
-    def step(self, k: int, log_prefix: mpf, row: Row) -> None:
-        self.mu = self.mu * row.logp(self.d.digits[k - 1])
-        self.points.append(_ratio_point(k, log_prefix, self.mu))
 
     def series(self, dps: int) -> RatioSeries:
         return RatioSeries(
             digits=self.d, dps=dps, points=self.points, segments=_monotone_segments(self.points)
         )
+
+
+def _step_walks(
+    walks: list[_RatioWalk], k: int, log_prefix: tuple, row: Row, prec: int, rnd: str
+) -> None:
+    """Advance each walk by rank k at the kernel's (prec, rnd), with the
+    flags and values of ``_ratio_point``.  Walks whose cylinders have the
+    same log measure so far and whose digits have the same mass share one
+    computation and one (frozen) point: the V-strings under the example1
+    rows, where a digit's mass depends on its rank only, all do."""
+    done = {}
+    for walk in walks:
+        key = (walk.log_mu, row.logp(walk.d.digits[k - 1]).log_mag._mpf_)
+        step = done.get(key)
+        if step is None:
+            log_mu = mpf_add(*key, prec, rnd)
+            if log_mu == fninf:
+                point = RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE)
+            elif log_mu == fzero:
+                point = RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE)
+            else:
+                value = mpf_div(log_prefix, mpf_neg(log_mu, prec, rnd), prec, rnd)
+                point = RatioPoint(k=k, value=as_mpf(value))
+            step = done[key] = (log_mu, point)
+        walk.log_mu, point = step
+        walk.points.append(point)
 
 
 def ratio_series(
@@ -158,9 +186,10 @@ def ratio_series(
         raise ValueError(f"digit string has rank {d.rank} < k_max = {k_max}")
     used = resolve_dps(dps)
     with working_dps(dps):
+        prec, rnd = walk_precision()
         walk = _RatioWalk(d)
         for k, _, _, log_prefix, row in model.walk(k_max):
-            walk.step(k, log_prefix, row)
+            _step_walks([walk], k, log_prefix, row, prec, rnd)
         return walk.series(used)
 
 
@@ -170,21 +199,24 @@ def ratio_series(
 
 
 def v_extreme_element(seq: BasicSequence, k_max: int) -> DigitString:
-    """The all-max-digit element of V to rank k_max."""
+    """The all-max-digit element of V to rank k_max, from one pass over
+    the terms; each digit is in 0..n_k-1 by construction."""
+    check_max_rank(k_max)
     digits = tuple(
-        0 if is_power_of_ten(k) else seq.term(k) - 1 for k in range(1, k_max + 1)
+        0 if is_power_of_ten(k) else n - 1 for k, n in enumerate(seq.iter_terms(k_max), 1)
     )
-    return DigitString(seq, digits)
+    return DigitString.unchecked(seq, digits)
 
 
 def sample_v_element(seq: BasicSequence, k_max: int, rng: random.Random) -> DigitString:
     """A random element of V: digits uniform over the full range at free
-    ranks, 0 at power-of-ten ranks."""
+    ranks, 0 at power-of-ten ranks, drawn in rank order from one pass over
+    the terms."""
+    check_max_rank(k_max)
     digits = tuple(
-        0 if is_power_of_ten(k) else rng.randrange(seq.term(k))
-        for k in range(1, k_max + 1)
+        0 if is_power_of_ten(k) else rng.randrange(n) for k, n in enumerate(seq.iter_terms(k_max), 1)
     )
-    return DigitString(seq, digits)
+    return DigitString.unchecked(seq, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +257,26 @@ class Example1Report:
     delta_estimate: mpf
 
     def headline(self) -> dict:
-        from mpmath import nstr
-
         with working_dps(self.dps):  # the report's precision, not the caller's
             predicted = self.delta_estimate * self.spectrum_liminf.estimate
-        return {
-            "set_dimension_estimate": nstr(self.spectrum_liminf.estimate, 17),
-            "ratio_limit_estimate_at_last_spike": nstr(self.delta_estimate, 17),
-            "predicted_image_dimension": nstr(predicted, 17),
-            "conclusion": (
+        if self.k_max < FIRST_SPIKE:
+            conclusion = (
+                f"no spike rank was reached (the first is rank {FIRST_SPIKE}, k_max is "
+                f"{self.k_max}), so the ratio series has not collapsed yet: the ratio "
+                "limit estimate 1 is a placeholder and the predicted image dimension "
+                "says nothing about dimension preservation"
+            )
+        else:
+            conclusion = (
                 "set dimension stays near 1 while the ratio limit collapses to 0, "
                 "so the predicted image dimension is 0: the distribution function "
                 "does not preserve dimension"
-            ),
+            )
+        return {
+            "set_dimension_estimate": mpf_text(self.spectrum_liminf.estimate, 17),
+            "ratio_limit_estimate_at_last_spike": mpf_text(self.delta_estimate, 17),
+            "predicted_image_dimension": mpf_text(predicted, 17),
+            "conclusion": conclusion,
         }
 
     def to_jsonable(self) -> dict:
@@ -301,11 +340,11 @@ def example1_report(
         strings += [sample_v_element(seq, k_max, rng) for _ in range(samples)]
         walks = [_RatioWalk(d) for d in strings]
         scan = PositivityScan()
+        prec, rnd = walk_precision()
 
-        def on_rank(k: int, log_prefix: mpf, row: Row) -> None:
+        def on_rank(k: int, log_prefix: tuple, row: Row) -> None:
             scan.observe(k, log_prefix, row)
-            for walk in walks:
-                walk.step(k, log_prefix, row)
+            _step_walks(walks, k, log_prefix, row, prec, rnd)
 
         mseries, sseries = dimension_series(
             [(model, MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], k_max, dps, on_rank
@@ -316,7 +355,9 @@ def example1_report(
         m_est = liminf_estimate(mseries, window)
         s_est = liminf_estimate(sseries, window)
         extreme_series, *sample_series = [walk.series(used) for walk in walks]
-        delta_estimate = extreme_series.points[last_spike - 1].value if last_spike >= 10 else mpf(1)
+        delta_estimate = (
+            extreme_series.points[last_spike - 1].value if last_spike >= FIRST_SPIKE else mpf(1)
+        )
         return Example1Report(
             k_max=k_max,
             dps=used,

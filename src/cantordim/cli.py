@@ -31,11 +31,9 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from mpmath import nstr
-
 from . import billingsley as bl
 from . import codec, estimator, measure, sequences
-from .precision import resolve_dps, working_dps
+from .precision import mpf_text, resolve_dps, working_dps
 
 
 class ConfigError(Exception):
@@ -253,7 +251,7 @@ def _json_pieces(value, indent: str = ""):
 def _series_pieces(points, head: str, sep: str, dps: int):
     yield head
     for k, v in points:
-        yield f"{k}{sep}{nstr(v, dps)}\n"
+        yield f"{k}{sep}{mpf_text(v, dps)}\n"
 
 
 def _write(pieces, path: str | None) -> None:
@@ -358,7 +356,7 @@ def _cmd_cdf(ns, dps):
         "model": model.descriptor(),
         "x": _fraction_text(ns.x),
         "rank": ns.rank,
-        "cdf": nstr(value, dps),
+        "cdf": mpf_text(value, dps),
     }
     _emit(ns, payload, dps)
 
@@ -375,7 +373,7 @@ def _cmd_billingsley(ns, dps):
 def _cmd_boxcount(ns, dps):
     spec = estimator.DigitSetSpec.from_descriptor(sequences.make_sequence(ns.seq), ns.set)
     estimate = estimator.box_dimension_estimate(spec, ns.k_max, dps=dps)
-    _emit(ns, estimate.to_jsonable(), dps, {"ratios": estimate.ratios()}, "ratio")
+    _emit(ns, estimate.to_jsonable(), dps, {"ratios": estimate.series}, "ratio")
 
 
 def _cmd_example1(ns, dps):

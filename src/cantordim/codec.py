@@ -58,12 +58,15 @@ class DigitString:
     def truncate(self, k: int) -> "DigitString":
         if not 0 <= k <= self.rank:
             raise CodecError(f"cannot truncate rank-{self.rank} string to {k}")
-        return self._validated(self.digits[:k])  # a prefix of a valid string is valid
+        return DigitString.unchecked(self.seq, self.digits[:k])  # a prefix of a valid string is valid
 
-    def _validated(self, digits: tuple[int, ...]) -> "DigitString":
-        """A string over the same sequence whose digits are already known valid."""
-        out = object.__new__(DigitString)
-        object.__setattr__(out, "seq", self.seq)
+    @classmethod
+    def unchecked(cls, seq: BasicSequence, digits: tuple[int, ...]) -> "DigitString":
+        """A string whose digits are already known valid: a tuple of ints,
+        at most MAX_RANK of them, each in 0..n_i-1.  Skips the validation
+        walk, which would read every term again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "seq", seq)
         object.__setattr__(out, "digits", digits)
         return out
 
@@ -111,7 +114,9 @@ def encode(x, seq: BasicSequence, k: int) -> DigitString:
     """Greedy digit extraction of x in [0,1) to rank k.
 
     The result is the rank-k cylinder whose half-open interval
-    [left, left + length) contains x.
+    [left, left + length) contains x.  Each term is read once: a greedy
+    digit a_i = floor(x_i * n_i) with 0 <= x_i < 1 is in 0..n_i-1, so the
+    string needs no second validation walk.
     """
     x = Fraction(x)
     if not 0 <= x < 1:
@@ -119,7 +124,7 @@ def encode(x, seq: BasicSequence, k: int) -> DigitString:
     if k < 0:
         raise CodecError(f"rank must be >= 0, got {k}")
     check_max_rank(k)
-    return DigitString(seq, tuple(a for _, a in greedy_digits(x, seq.iter_terms(k))))
+    return DigitString.unchecked(seq, tuple(a for _, a in greedy_digits(x, seq.iter_terms(k))))
 
 
 def _mixed_radix(d: DigitString) -> tuple[int, int]:

@@ -13,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .precision import ln_int, resolve_dps, working_dps
+from .precision import (
+    as_mpf, from_int, fzero, ln_int_raw, mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_sqrt,
+    mpf_sub, mpf_text, resolve_dps, walk_precision, working_dps,
+)
 from .sequences import BasicSequence, as_integer, is_power_of_ten, rank_logs
 
 FAMILY_NOTE = (
@@ -192,45 +195,35 @@ def count_cylinders(E: DigitSetSpec, k: int) -> int:
     return out
 
 
-def _log_counts(E: DigitSetSpec, k_max: int):
-    """Yield (k, ln(n_1...n_k), ln N_k) for k = 1..k_max."""
-    log_count = mpf(0)
+def _log_counts(E: DigitSetSpec, k_max: int, prec: int, rnd: str):
+    """Yield (k, ln(n_1...n_k), ln N_k) for k = 1..k_max as raw kernel values."""
+    log_count = fzero
     for k, n, _, _, log_prefix in rank_logs(E.seq, k_max):
-        log_count += ln_int(E.admissible_count(k, n))
+        log_count = mpf_add(log_count, ln_int_raw(E.admissible_count(k, n), prec, rnd), prec, rnd)
         yield k, log_prefix, log_count
 
 
 @dataclass
 class BoxCountEstimate:
     """Least-squares slope of ln N_k against ln(n_1...n_k), with the RMS
-    regression residual and the raw per-rank ratios (whose liminf structure
-    a single slope can hide)."""
+    regression residual and the per-rank ratios ln N_k / ln(n_1...n_k)
+    (whose liminf structure a single slope can hide)."""
 
     slope: mpf
     residual: mpf
-    points: list[tuple[int, mpf, mpf]]  # (k, x=ln prefix, y=ln count)
+    series: list[tuple[int, mpf]]  # (k, ln N_k / ln(n_1...n_k))
     dps: int
     set_descriptor: dict
 
-    def __post_init__(self):
-        # One division per rank, at the precision the estimate is built at;
-        # the JSON series and the CSV/plot-data series both read this list.
-        self._ratios = [(k, y / x) for k, x, y in self.points]
-
-    def ratios(self) -> list[tuple[int, mpf]]:
-        return self._ratios
-
     def to_jsonable(self) -> dict:
-        from mpmath import nstr
-
         n = self.dps
         return {
             "set": self.set_descriptor,
             "precision_dps": self.dps,
-            "slope": nstr(self.slope, n),
-            "residual": nstr(self.residual, n),
+            "slope": mpf_text(self.slope, n),
+            "residual": mpf_text(self.residual, n),
             "note": FAMILY_NOTE,
-            "series": [[k, nstr(r, n)] for k, r in self._ratios],
+            "series": [[k, mpf_text(r, n)] for k, r in self.series],
         }
 
 
@@ -243,22 +236,34 @@ def box_dimension_estimate(E: DigitSetSpec, k_max: int, dps: int | None = None) 
         raise EstimatorError(f"k_max {k_max} exceeds the {cap}-rank digit table")
     used = resolve_dps(dps)
     with working_dps(dps):
-        points = [p for p in _log_counts(E, k_max) if p[0] >= 2]
-        m = len(points)
-        mean_x = sum(x for _, x, _ in points) / m
-        mean_y = sum(y for _, _, y in points) / m
-        sxx = sum((x - mean_x) ** 2 for _, x, _ in points)
-        if sxx == 0:
+        # Least squares in the kernel; each sum runs from zero in rank order,
+        # so its bits equal those of sum() over the same mpf values.
+        prec, rnd = walk_precision()
+        points = [p for p in _log_counts(E, k_max, prec, rnd) if p[0] >= 2]
+        m = from_int(len(points))
+        sum_x = sum_y = fzero
+        for _, x, y in points:
+            sum_x = mpf_add(sum_x, x, prec, rnd)
+            sum_y = mpf_add(sum_y, y, prec, rnd)
+        mean_x, mean_y = mpf_div(sum_x, m, prec, rnd), mpf_div(sum_y, m, prec, rnd)
+        sxx = sxy = fzero
+        for _, x, y in points:
+            dx = mpf_sub(x, mean_x, prec, rnd)
+            sxx = mpf_add(sxx, mpf_pow_int(dx, 2, prec, rnd), prec, rnd)
+            sxy = mpf_add(sxy, mpf_mul(dx, mpf_sub(y, mean_y, prec, rnd), prec, rnd), prec, rnd)
+        if sxx == fzero:
             raise EstimatorError("degenerate regression: all abscissae equal")
-        sxy = sum((x - mean_x) * (y - mean_y) for _, x, y in points)
-        slope = sxy / sxx
-        intercept = mean_y - slope * mean_x
-        ss_res = sum((y - (intercept + slope * x)) ** 2 for _, x, y in points)
-        residual = mp.sqrt(ss_res / m)
+        slope = mpf_div(sxy, sxx, prec, rnd)
+        intercept = mpf_sub(mean_y, mpf_mul(slope, mean_x, prec, rnd), prec, rnd)
+        ss_res = fzero
+        for _, x, y in points:
+            fit = mpf_add(intercept, mpf_mul(slope, x, prec, rnd), prec, rnd)
+            ss_res = mpf_add(ss_res, mpf_pow_int(mpf_sub(y, fit, prec, rnd), 2, prec, rnd), prec, rnd)
+        residual = mpf_sqrt(mpf_div(ss_res, m, prec, rnd), prec, rnd)
         return BoxCountEstimate(
-            slope=slope,
-            residual=residual,
-            points=points,
+            slope=as_mpf(slope),
+            residual=as_mpf(residual),
+            series=[(k, as_mpf(mpf_div(y, x, prec, rnd))) for k, x, y in points],
             dps=used,
             set_descriptor=E.descriptor(),
         )

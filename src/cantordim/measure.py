@@ -9,11 +9,11 @@ digit masses as small as 10**-(10**100).
 
 Rows are built on demand and never kept.  The series pipelines read ranks
 through ``SymbolModel.walk``: one pass that reads each term n_k once and
-yields ln n_k, the prefix logs and the rank's row, built from that n_k.
-``dimension_series`` computes several dimension series over models that
-share a sequence from one walk, with per-rank consumers (the DP positivity
-scan, ratio series) riding along.  ``cdf`` builds its rows from the terms
-of its own greedy digit walk.
+yields ln n_k, the prefix logs (raw kernel values, see ``precision``) and
+the rank's row, built from that n_k.  ``dimension_series`` computes several
+dimension series over models that share a sequence from one walk, with
+per-rank consumers (the DP positivity scan, ratio series) riding along.
+``cdf`` builds its rows from the terms of its own greedy digit walk.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from mpmath import mp, mpf
 
 from .codec import DigitString, check_max_rank, greedy_digits
 from .logreal import LogReal, log_sum
-from .precision import GUARD_DPS, MIN_DPS, eps_for, ln_int, resolve_dps, working_dps
+from .precision import (
+    GUARD_DPS, MIN_DPS, as_mpf, eps_for, fzero, ln_int, ln_int_raw, mpf_add, mpf_div,
+    mpf_lt, mpf_mul, mpf_text, resolve_dps, walk_precision, working_dps,
+)
 from .sequences import (
     ArithmeticSequence,
     BasicSequence,
@@ -407,7 +410,8 @@ class SymbolModel:
 
     def walk(self, k_max: int):
         """The measure pipelines' shared rank walk: yield (k, ln n_k,
-        ln(n_1...n_{k-1}), ln(n_1...n_k), row k) for k = 1..k_max.
+        ln(n_1...n_{k-1}), ln(n_1...n_k), row k) for k = 1..k_max, the logs
+        as raw kernel values at the precision of the caller's block.
 
         The terms and logs come from ``rank_logs`` and each row is built
         from its n_k, so a walk reads each term once and holds one row at a
@@ -520,38 +524,35 @@ class DimensionSeries:
     points: list[tuple[int, mpf]]
     precondition_partial: mpf
 
-    def values(self) -> list[mpf]:
-        return [v for _, v in self.points]
-
     def to_jsonable(self) -> dict:
-        from mpmath import nstr
-
         n = self.dps
         return {
             "formula": self.formula,
             "model": self.model_descriptor,
             "precision_dps": self.dps,
-            "precondition_partial_sum": nstr(self.precondition_partial, n),
-            "points": [[k, nstr(v, n)] for k, v in self.points],
+            "precondition_partial_sum": mpf_text(self.precondition_partial, n),
+            "points": [[k, mpf_text(v, n)] for k, v in self.points],
         }
 
 
-# A dimension series' formula tag and the per-row term its numerator sums.
-MEASURE_ENTROPY = ("measure_entropy", lambda row: row.entropy())
-SPECTRUM_COUNT = ("spectrum_count", lambda row: ln_int(row.support_count()))
+# A dimension series' formula tag and the per-row term its numerator sums,
+# as a raw kernel value at (prec, rnd).
+MEASURE_ENTROPY = ("measure_entropy", lambda row, prec, rnd: row.entropy()._mpf_)
+SPECTRUM_COUNT = ("spectrum_count", lambda row, prec, rnd: ln_int_raw(row.support_count(), prec, rnd))
 
 
 def dimension_series(
-    specs: Sequence[tuple[SymbolModel, tuple[str, Callable[[Row], mpf]]]],
+    specs: Sequence[tuple[SymbolModel, tuple[str, Callable[[Row, int, str], tuple]]]],
     k_max: int,
     dps: int | None = None,
-    on_rank: Callable[[int, mpf, Row], None] | None = None,
+    on_rank: Callable[[int, tuple, Row], None] | None = None,
 ) -> list[DimensionSeries]:
     """d_k = (term(row 1) + ... + term(row k)) / ln(n_1 ... n_k) for each
     (model, (formula, term)) in specs, all from one ``walk`` of the first
     model.  The models share its sequence, so the others' rows are built
     at the walk's n_k, and the partial sum of r_k**2 is summed once for
-    all.  ``on_rank(k, ln(n_1...n_k), row)`` sees each row of the walk.
+    all.  ``on_rank(k, ln(n_1...n_k), row)`` sees each row of the walk,
+    with the prefix log as a raw kernel value.
     """
     for model, _ in specs:
         if not 1 <= k_max <= model.depth_cap:
@@ -560,16 +561,18 @@ def dimension_series(
             raise ModelError("dimension series sharing a walk need one sequence")
     used = resolve_dps(dps)
     with working_dps(dps):
-        numerators = [mpf(0)] * len(specs)
+        prec, rnd = walk_precision()
+        numerators = [fzero] * len(specs)
         points: list[list[tuple[int, mpf]]] = [[] for _ in specs]
-        square_partial = mpf(0)
+        square_partial = fzero
         for k, log_n, before, log_prefix, row in specs[0][0].walk(k_max):
             for i, (model, (_, row_term)) in enumerate(specs):
-                numerators[i] += row_term(row if i == 0 else model.rule.row(k, row.n))
-                points[i].append((k, numerators[i] / log_prefix))
+                term = row_term(row if i == 0 else model.rule.row(k, row.n), prec, rnd)
+                numerators[i] = mpf_add(numerators[i], term, prec, rnd)
+                points[i].append((k, as_mpf(mpf_div(numerators[i], log_prefix, prec, rnd))))
             if k > 1:
-                r = log_n / before
-                square_partial += r * r
+                r = mpf_div(log_n, before, prec, rnd)
+                square_partial = mpf_add(square_partial, mpf_mul(r, r, prec, rnd), prec, rnd)
             if on_rank is not None:
                 on_rank(k, log_prefix, row)
         return [
@@ -578,7 +581,7 @@ def dimension_series(
                 model_descriptor=model.descriptor(),
                 dps=used,
                 points=series_points,
-                precondition_partial=square_partial,
+                precondition_partial=as_mpf(square_partial),
             )
             for (model, (formula, _)), series_points in zip(specs, points)
         ]
@@ -606,13 +609,11 @@ class LiminfEstimate:
     lower_envelope: list[tuple[int, mpf]]
 
     def to_jsonable(self) -> dict:
-        from mpmath import nstr
-
         return {
-            "estimate": nstr(self.estimate, 17),
+            "estimate": mpf_text(self.estimate, 17),
             "window": self.window,
             "heuristic": "minimum over trailing window; no finite computation decides a liminf",
-            "lower_envelope": [[k, nstr(v, 17)] for k, v in self.lower_envelope],
+            "lower_envelope": [[k, mpf_text(v, 17)] for k, v in self.lower_envelope],
         }
 
 
@@ -624,15 +625,16 @@ def liminf_estimate(series: DimensionSeries, window: int) -> LiminfEstimate:
         raise ModelError(
             f"window {window} larger than series of length {len(series.points)}"
         )
-    values = series.values()
-    estimate = min(values[-window:])
     envelope = []
     running = None
     for k, v in reversed(series.points):
-        running = v if running is None else min(running, v)
+        if running is None or mpf_lt(v._mpf_, running._mpf_):  # min(running, v)
+            running = v
         envelope.append((k, running))
     envelope.reverse()
-    return LiminfEstimate(estimate=estimate, window=window, lower_envelope=envelope)
+    # The window's minimum is the envelope at the window's first rank; equal
+    # mpf values have equal bits, so which of them min() would keep is moot.
+    return LiminfEstimate(estimate=envelope[-window][1], window=window, lower_envelope=envelope)
 
 
 # ---------------------------------------------------------------------------
@@ -665,20 +667,18 @@ class DpReport:
     measure_series: DimensionSeries
 
     def to_jsonable(self) -> dict:
-        from mpmath import nstr
-
         with working_dps(self.dps):  # the report's precision, not the caller's
             return {
                 "verdict": self.verdict,
                 "all_probabilities_positive": self.all_positive,
                 "first_zero": list(self.first_zero) if self.first_zero else None,
-                "dim_measure_estimate": nstr(self.dim_estimate, 17),
+                "dim_measure_estimate": mpf_text(self.dim_estimate, 17),
                 "dim_estimate_at_least_1_minus_tol": self.dim_ok,
                 "tol": self.tol,
                 "sequence_bounded": self.sequence_bounded,
                 "probabilities_separated_from_zero": self.probabilities_separated,
                 "min_log10_probability": (
-                    nstr(self.min_log_probability / mp.ln(10), 17)
+                    mpf_text(self.min_log_probability / mp.ln(10), 17)
                     if self.min_log_probability is not None
                     else None
                 ),
@@ -689,20 +689,26 @@ class DpReport:
 
 class PositivityScan:
     """Condition (a), fed each rank of a walk: the first rank whose row has
-    a zero entry (and that digit), and the least log probability before it."""
+    a zero entry (and that digit), and the least log probability before it
+    (kept as a raw kernel value; ``min_log`` wraps it)."""
 
     def __init__(self) -> None:
         self.first_zero: Optional[tuple[int, int]] = None
-        self.min_log: Optional[mpf] = None
+        self._min_log: Optional[tuple] = None
 
-    def observe(self, k: int, log_prefix: mpf, row: Row) -> None:
+    @property
+    def min_log(self) -> Optional[mpf]:
+        return None if self._min_log is None else as_mpf(self._min_log)
+
+    def observe(self, k: int, log_prefix: tuple, row: Row) -> None:
         if self.first_zero is not None:
             return
         if row.support_count() < row.n:
             self.first_zero = (k, row.first_zero_digit())
             return
-        m = row.min_positive_log()
-        self.min_log = m if self.min_log is None else min(self.min_log, m)
+        m = row.min_positive_log()._mpf_
+        if self._min_log is None or mpf_lt(m, self._min_log):  # as min() keeps the first
+            self._min_log = m
 
 
 def dp_necessary_conditions(

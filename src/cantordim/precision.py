@@ -4,6 +4,31 @@ The dimension formulas here meet probabilities as small as 10**-(10**100),
 so all numeric paths run on mpmath reals at a configurable number of
 significant decimal digits (default 50, overridable via the
 CANTORDIM_PRECISION environment variable).
+
+The per-rank loops (the rank walk, the ratio, dimension and Billingsley
+series, the box-count regression) run on a fixed-precision kernel of raw
+libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
+
+- a walk reads ``prec, rnd = walk_precision()`` once, inside its
+  ``working_dps`` block, and passes them to every operation;
+- each add, sub, mul, div, negation, square and square root is the libmp
+  function the mpf operator (or ``mp.sqrt``) itself calls, on the same
+  operands in the same order:
+  ``a + b`` is ``mpf_add(a, b, prec, rnd)``, ``a * i`` for an int ``i`` is
+  ``mpf_mul_int``, ``a ** 2`` is ``mpf_pow_int(a, 2, ...)``, ``-a`` is
+  ``mpf_neg``, and ``sum`` from 0 is a chain of ``mpf_add`` from ``fzero``;
+- comparisons are the exact ``mpf_cmp``/``mpf_lt`` on the raw values;
+- a value is wrapped in an mpf (``as_mpf``) only when a report keeps it,
+  and a report formats each mpf with ``mpf_text``, the libmp call under
+  ``nstr`` without its type dispatch.
+
+Every operation is therefore the same correctly rounded libmp call at the
+same precision as in the operator form, and every output bit is the same;
+the loops skip only the operator's context lookup, type dispatch and
+allocation.  The operator-form single-value functions
+(``log_prefix_product``, ``faithfulness_ratio``, ``billingsley_ratio``,
+``cylinder_measure_log``) are the bit-for-bit oracles of the kernel loops.
+This module is the only one that imports from ``mpmath.libmp``.
 """
 
 from __future__ import annotations
@@ -13,7 +38,11 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, mpf_log
+# The kernel's operations, re-exported to the modules that run the loops.
+from mpmath.libmp import (  # noqa: F401
+    fninf, from_int, fzero, mpf_add, mpf_cmp, mpf_div, mpf_log, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt, mpf_sub, to_str,
+)
 
 ENV_PRECISION = "CANTORDIM_PRECISION"
 DEFAULT_DPS = 50
@@ -52,6 +81,21 @@ def working_dps(dps: int | None = None):
         yield
 
 
+def walk_precision() -> tuple[int, str]:
+    """(prec bits, rounding) of the ambient context, read once per walk."""
+    prec, rnd = mp._prec_rounding
+    return prec, rnd
+
+
+as_mpf = mp.make_mpf  # a raw value wrapped as an mpf, unrounded
+
+
+def mpf_text(x: mpf, n: int) -> str:
+    """``nstr(x, n)`` for an mpf x: libmp's ``to_str`` on its raw value,
+    which is what ``nstr`` calls for an mpf after its type checks."""
+    return to_str(x._mpf_, n)
+
+
 def eps_for(dps: int | None = None) -> mpf:
     """Comparison tolerance at a given precision: 10**(5 - dps)."""
     return mpf(10) ** (5 - resolve_dps(dps))
@@ -63,22 +107,26 @@ def eps_for(dps: int | None = None) -> mpf:
 # walk. 4,096 entries keep every in-rank repeat and all 2,647 keys the 300
 # short exact-codec requests of the benchmark use between them.
 @lru_cache(maxsize=4096)
-def _ln_int_cached(n: int, prec_bits: int) -> mpf:
+def _ln_int_cached(n: int, prec: int, rnd: str) -> tuple:
     # The libmp kernel under mp.ln(mpf(n)), without its wrappers: mpf(n)
     # is from_int(n) rounded to the ambient precision, so the bits agree.
-    rnd = mp._prec_rounding[1]
-    return mp.make_mpf(mpf_log(from_int(n, prec_bits, rnd), prec_bits, rnd))
+    return mpf_log(from_int(n, prec, rnd), prec, rnd)
 
 
-def ln_int(n: int) -> mpf:
-    """Natural log of a positive integer at the ambient precision.
+def ln_int_raw(n: int, prec: int, rnd: str) -> tuple:
+    """ln n for a positive integer n as a raw value at (prec, rnd).
 
-    Cached per (n, mp.prec), and recomputed bit for bit after an eviction,
-    so every call for the same (n, mp.prec) returns an mpf with the same
-    ``_mpf_`` (equal bits, not always the same object); sums assembled
-    from shared terms then cancel exactly, which several exactness
-    guarantees downstream rely on.
+    Cached per (n, prec, rnd), and recomputed bit for bit after an
+    eviction, so every call for the same key returns the same bits; sums
+    assembled from shared terms then cancel exactly, which several
+    exactness guarantees downstream rely on.
     """
     if n <= 0:
         raise ValueError(f"ln_int needs a positive integer, got {n}")
-    return _ln_int_cached(n, mp.prec)
+    return _ln_int_cached(n, prec, rnd)
+
+
+def ln_int(n: int) -> mpf:
+    """Natural log of a positive integer at the ambient precision, as an mpf
+    with the bits of ``ln_int_raw``."""
+    return as_mpf(ln_int_raw(n, *mp._prec_rounding))

@@ -12,10 +12,12 @@ the raw ratio series is always part of the report.
 
 ``rank_logs`` is the single rank walk: it reads each term n_k once, from
 one ``iter_terms`` pass, and yields it with ln(n_k) and the prefix logs
-ln(n_1 * ... * n_k).  Every pipeline series and per-rank consumer (rows,
+ln(n_1 * ... * n_k) as raw values of the fixed-precision kernel (see
+``precision``).  Every pipeline series and per-rank consumer (rows,
 admissible counts, the witness fits) takes n_k from it, and the summation
 order of the prefix logs is fixed in one place.  ``log_prefix_product`` and
-``faithfulness_ratio`` recompute single values as independent oracles.
+``faithfulness_ratio`` recompute single values with mpf operators, as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from typing import ClassVar, Mapping, Optional
 from mpmath import mp, mpf
 
 from .logreal import LogReal
-from .precision import ln_int, resolve_dps, working_dps
+from .precision import (
+    as_mpf, fzero, ln_int, ln_int_raw, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_mul_int,
+    mpf_sub, mpf_text, resolve_dps, walk_precision, working_dps,
+)
 
 
 class SequenceError(ValueError):
@@ -85,13 +90,17 @@ class BasicSequence(ABC):
         """JSON-serializable round-trip form."""
 
     def log_term(self, k: int, n: int) -> mpf:
-        """ln(n_k) at the ambient precision, given the term n = n_k already read.
+        """ln(n_k) at the ambient precision, given the term n = n_k already read."""
+        return as_mpf(self.raw_log_term(k, n, *walk_precision()))
+
+    def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
+        """``log_term`` as a raw value at (prec, rnd), for the kernel loops.
 
         Subclasses override with a closed form where the log of a huge
         term is cheaper from its parameters (geometric tails, power-of-ten
         spikes).
         """
-        return ln_int(n)
+        return ln_int_raw(n, prec, rnd)
 
     def max_rank(self) -> Optional[int]:
         """Largest usable rank, or None when unbounded."""
@@ -192,10 +201,12 @@ class GeometricSequence(BasicSequence):
             raise SequenceError(f"term({k}) = {value} is not an integer")
         return int(value)
 
-    def log_term(self, k: int, n: int) -> mpf:
+    def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
+        # ln b1 + (k - 1) * (ln num(q) - ln den(q))
         q = self.q
-        log_q = ln_int(q.numerator) - ln_int(q.denominator)
-        return ln_int(self.b1) + (k - 1) * log_q
+        ln_num, ln_den = ln_int_raw(q.numerator, prec, rnd), ln_int_raw(q.denominator, prec, rnd)
+        log_q = mpf_sub(ln_num, ln_den, prec, rnd)
+        return mpf_add(ln_int_raw(self.b1, prec, rnd), mpf_mul_int(log_q, k - 1, prec, rnd), prec, rnd)
 
     def iter_terms(self, k_max: int):
         value = Fraction(self.b1)
@@ -227,8 +238,10 @@ class CounterexampleSequence(BasicSequence):
         self._check_rank(k)
         return 10**k if is_power_of_ten(k) else 2
 
-    def log_term(self, k: int, n: int) -> mpf:
-        return k * ln_int(10) if is_power_of_ten(k) else ln_int(2)
+    def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
+        if is_power_of_ten(k):
+            return mpf_mul_int(ln_int_raw(10, prec, rnd), k, prec, rnd)
+        return ln_int_raw(2, prec, rnd)
 
     def eventually_bounded(self) -> bool:
         return False
@@ -265,8 +278,10 @@ class CustomSequence(BasicSequence):
             return self.table[k - 1]
         return self.tail.term(k)
 
-    def log_term(self, k: int, n: int) -> mpf:
-        return ln_int(n) if k <= len(self.table) else self.tail.log_term(k, n)
+    def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
+        if k <= len(self.table):
+            return ln_int_raw(n, prec, rnd)
+        return self.tail.raw_log_term(k, n, prec, rnd)
 
     def max_rank(self) -> Optional[int]:
         return len(self.table) if self.tail is None else None
@@ -322,18 +337,22 @@ def make_sequence(spec: Mapping) -> BasicSequence:
 
 
 def rank_logs(seq: BasicSequence, k_max: int):
-    """Yield (k, n_k, ln n_k, ln(n_1...n_{k-1}), ln(n_1...n_k)) for k = 1..k_max.
+    """Yield (k, n_k, ln n_k, ln(n_1...n_{k-1}), ln(n_1...n_k)) for k = 1..k_max,
+    the logs as raw kernel values.
 
     Each term is read once, from one ``iter_terms`` pass, before its log.
-    Prefix logs are summed from mpf(0) in rank order at the ambient
-    precision, so every series built on them is reproducible bit for bit.
-    Nothing is stored, so memory stays flat at any k_max.
+    The precision is read once, when the walk starts (inside the caller's
+    ``working_dps`` block).  Prefix logs are summed from zero in rank order,
+    so every series built on them is reproducible bit for bit.  Nothing is
+    stored, so memory stays flat at any k_max.
     """
-    prefix = mpf(0)
+    prec, rnd = walk_precision()
+    log_term = seq.raw_log_term
+    prefix = fzero
     for k, n in enumerate(seq.iter_terms(k_max), 1):
-        log_n = seq.log_term(k, n)
+        log_n = log_term(k, n, prec, rnd)
         before = prefix
-        prefix += log_n
+        prefix = mpf_add(prefix, log_n, prec, rnd)
         yield k, n, log_n, before, prefix
 
 
@@ -527,8 +546,6 @@ class FaithfulnessReport:
     notes: list[str] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        from mpmath import nstr
-
         n = self.dps
         return {
             "sequence": self.seq_descriptor,
@@ -538,12 +555,12 @@ class FaithfulnessReport:
             "violation_threshold": self.violation_threshold,
             "verdict": self.verdict,
             "violation_ranks": list(self.violation_ranks),
-            "decade_maxima": [[k, nstr(v, n)] for k, v in self.decade_maxima],
+            "decade_maxima": [[k, mpf_text(v, n)] for k, v in self.decade_maxima],
             "envelope": self.envelope.to_jsonable(),
             "subgeometric": self.subgeometric.to_jsonable(),
-            "square_summable_partial": nstr(self.square_summable_partial, n),
+            "square_summable_partial": mpf_text(self.square_summable_partial, n),
             "notes": list(self.notes),
-            "ratios": [[k, nstr(v, n)] for k, v in self.ratios],
+            "ratios": [[k, mpf_text(v, n)] for k, v in self.ratios],
         }
 
 
@@ -572,8 +589,9 @@ def faithfulness_diagnostic(
         raise SequenceError(f"k_max {k_max} exceeds the custom table length {cap}")
     used_dps = resolve_dps(dps)
     with working_dps(dps):
+        prec, rnd = walk_precision()
         ratios: list[tuple[int, mpf]] = []
-        square_partial = mpf(0)
+        square_partial = fzero
         witness, d, q = 2, math.inf, 1
         for k, n, log_n, prefix_log, _ in rank_logs(seq, k_max):
             witness = _min_q_for_power(n, k, witness)
@@ -582,21 +600,28 @@ def faithfulness_diagnostic(
                 continue
             d = min(d, (n - 2) // (k - 1))
             q = _min_q_for_power(-(-n // b1), k - 1, q)  # ceil(n_k / b1)
-            r = log_n / prefix_log
-            ratios.append((k, r))
-            square_partial += r * r
-        # max keeps the first of equal values, as a running maximum would
-        decade_maxima = [
-            (decade, max(r for _, r in group))
-            for decade, group in groupby(ratios, key=lambda p: trailing_decade_start(p[0]))
-        ]
+            r = mpf_div(log_n, prefix_log, prec, rnd)
+            ratios.append((k, as_mpf(r)))
+            square_partial = mpf_add(square_partial, mpf_mul(r, r, prec, rnd), prec, rnd)
+        # The comparisons below are mpf_cmp on the raw values, exact as the
+        # mpf operators' (a ratio is never NaN).  Each decade keeps its first
+        # maximal ratio, as max() and a running maximum would.
+        decade_maxima = []
+        for decade, group in groupby(ratios, key=lambda p: trailing_decade_start(p[0])):
+            best = next(group)[1]
+            for _, r in group:
+                if mpf_cmp(r._mpf_, best._mpf_) > 0:
+                    best = r
+            decade_maxima.append((decade, best))
 
         # Converted once, not on every comparison; a double is exact in mpf
         # at any working precision (>= 53 bits), so no verdict moves.
-        threshold, tol = mpf(violation_threshold), mpf(met_tol)
-        violation_ranks = [k for k, r in ratios if k >= VIOLATION_BURN_IN and r >= threshold]
+        threshold, tol = mpf(violation_threshold)._mpf_, mpf(met_tol)._mpf_
+        violation_ranks = [
+            k for k, r in ratios if k >= VIOLATION_BURN_IN and mpf_cmp(r._mpf_, threshold) >= 0
+        ]
         final_start = trailing_decade_start(k_max)
-        final_ok = all(r < tol for k, r in ratios if k >= final_start)
+        final_ok = all(mpf_cmp(r._mpf_, tol) < 0 for k, r in ratios if k >= final_start)
         maxima_decreasing = all(b < a for (_, a), (_, b) in zip(decade_maxima, decade_maxima[1:]))
 
         if len(violation_ranks) >= 2:
@@ -630,6 +655,6 @@ def faithfulness_diagnostic(
             decade_maxima=decade_maxima,
             envelope=envelope,
             subgeometric=subgeometric,
-            square_summable_partial=square_partial,
+            square_summable_partial=as_mpf(square_partial),
             notes=notes,
         )

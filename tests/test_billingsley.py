@@ -26,7 +26,8 @@ from cantordim import (
     v_extreme_element,
     working_dps,
 )
-from cantordim.billingsley import FLAG_UNIT_MEASURE, FLAG_ZERO_MEASURE
+from cantordim.billingsley import FLAG_UNIT_MEASURE, FLAG_ZERO_MEASURE, _RatioWalk, _step_walks
+from cantordim.precision import walk_precision
 
 ARITH = make_sequence({"kind": "arithmetic", "a1": 2, "d": 1})
 CONSTANT3 = make_sequence({"kind": "constant", "s": 3})
@@ -151,6 +152,22 @@ def test_delta_estimate_is_the_ratio_at_the_last_spike(k_max):
         assert report.delta_estimate == 1
 
 
+@pytest.mark.parametrize("k_max", [5, 9])
+def test_headline_below_the_first_spike_says_no_spike_was_reached(k_max):
+    headline = example1_report(k_max, samples=0).headline()
+    assert headline["predicted_image_dimension"] == "1.0"
+    assert headline["conclusion"].startswith(
+        f"no spike rank was reached (the first is rank 10, k_max is {k_max})"
+    )
+    assert "collapses to 0" not in headline["conclusion"]
+
+
+@pytest.mark.parametrize("k_max", [10, 11])
+def test_headline_from_the_first_spike_on_states_the_collapse(k_max):
+    headline = example1_report(k_max, samples=0).headline()
+    assert headline["conclusion"].startswith("set dimension stays near 1 while the ratio limit collapses to 0")
+
+
 def test_report_headline_and_json():
     report = example1_report(20, seed=7)
     payload = report.to_jsonable()
@@ -205,6 +222,23 @@ def test_example1_report_equals_its_unfused_composition(tower, samples, dps):
     for series in ratios:
         for k in (9, 10, 11, 99, 100, 120):
             assert series.points[k - 1] == billingsley_ratio(model, series.digits, k, dps)
+
+
+def test_walks_stepped_together_keep_their_own_series():
+    # digits 0 and 2 share a mass and digit 1 has another, so the strings'
+    # cylinder measures part and meet again; each walk must still get the
+    # series a walk of its own gives
+    seq = make_sequence({"kind": "constant", "s": 3})
+    model = SymbolModel(seq, make_row_rule({"custom": [["1/4", "1/2", "1/4"]]}), 40)
+    rng = random.Random(5)
+    strings = [DigitString(seq, tuple(rng.randrange(3) for _ in range(40))) for _ in range(4)]
+    strings.append(strings[0])
+    walks = [_RatioWalk(d) for d in strings]
+    with working_dps(30):
+        prec, rnd = walk_precision()
+        for k, _, _, log_prefix, row in model.walk(40):
+            _step_walks(walks, k, log_prefix, row, prec, rnd)
+    assert [walk.series(30) for walk in walks] == [ratio_series(model, d, 40, 30) for d in strings]
 
 
 def test_report_text_does_not_depend_on_the_callers_precision():

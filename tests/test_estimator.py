@@ -194,7 +194,7 @@ def test_box_dimension_constrained_set_near_one():
     with working_dps(50):
         est = box_dimension_estimate(V, 150)
         assert abs(est.slope - 1) < mpf("0.05")
-        ratios = dict(est.ratios())
+        ratios = dict(est.series)
         assert ratios[9] == 1  # unconstrained through rank 9
         assert ratios[10] < 1  # forced digit bites at the spike
 

@@ -1,0 +1,211 @@
+"""The fixed-precision kernel loops against plain mpf-operator reference loops.
+
+Each pipeline below runs its per-rank loop on raw libmp values (see the
+``precision`` module).  The reference loops here are the same formulas
+written with mpf and LogReal operators, at the same precision and in the
+same order, so every emitted value must agree bit for bit (``_mpf_``
+equality), on all five sequence kinds and at 15, 30 and 50 digits.
+"""
+
+import random
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from cantordim import (
+    DigitSetSpec,
+    DigitString,
+    LogReal,
+    SymbolModel,
+    box_dimension_estimate,
+    faithfulness_diagnostic,
+    is_power_of_ten,
+    make_row_rule,
+    make_sequence,
+    ratio_series,
+    working_dps,
+)
+from cantordim.billingsley import FLAG_UNIT_MEASURE, FLAG_ZERO_MEASURE
+from cantordim.measure import MEASURE_ENTROPY, SPECTRUM_COUNT, dimension_series
+from cantordim.precision import ln_int
+
+DPS = st.sampled_from([15, 30, 50])
+K_MAX = st.integers(min_value=4, max_value=120)
+
+SEQUENCES = st.one_of(
+    st.builds(lambda s: {"kind": "constant", "s": s}, st.integers(2, 10**6)),
+    st.builds(
+        lambda a1, d: {"kind": "arithmetic", "a1": a1, "d": d},
+        st.integers(2, 10**4),
+        st.integers(1, 50),
+    ),
+    st.builds(
+        lambda b1, q: {"kind": "geometric", "b1": b1, "q": q},
+        st.sampled_from([2, 5, 2**120]),
+        st.sampled_from([1, 2, 3]),
+    ),
+    st.just({"kind": "geometric", "b1": 2**120, "q": "3/2"}),  # integer terms to rank 121
+    st.just({"kind": "counterexample"}),
+    st.builds(
+        lambda table, tail: {"kind": "custom", "table": table, "tail": tail},
+        st.lists(st.integers(2, 10**9), min_size=1, max_size=8),
+        st.sampled_from([{"kind": "arithmetic", "a1": 3, "d": 2}, {"kind": "counterexample"}]),
+    ),
+)
+
+
+def ref_log_term(spec: dict, k: int, n: int) -> mpf:
+    """ln n_k in mpf operators: the closed forms for geometric and
+    counterexample terms, ln n otherwise."""
+    kind = spec["kind"]
+    if kind == "geometric":
+        q = make_sequence(spec).q
+        return ln_int(spec["b1"]) + (k - 1) * (ln_int(q.numerator) - ln_int(q.denominator))
+    if kind == "counterexample":
+        return k * ln_int(10) if is_power_of_ten(k) else ln_int(2)
+    if kind == "custom" and k > len(spec["table"]):
+        return ref_log_term(spec["tail"], k, n)
+    return ln_int(n)
+
+
+def ref_walk(spec: dict, k_max: int):
+    """(k, n_k, ln n_k, ln prefix before k, ln prefix through k) in mpf operators."""
+    seq = make_sequence(spec)
+    prefix = mpf(0)
+    for k in range(1, k_max + 1):
+        n = seq.term(k)
+        log_n = ref_log_term(spec, k, n)
+        before = prefix
+        prefix += log_n
+        yield k, n, log_n, before, prefix
+
+
+def bits(values):
+    return [v._mpf_ for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SEQUENCES, k_max=K_MAX, dps=DPS)
+@example(spec={"kind": "counterexample"}, k_max=120, dps=15)
+def test_faithfulness_ratios_and_square_sum(spec, k_max, dps):
+    report = faithfulness_diagnostic(make_sequence(spec), k_max, dps=dps)
+    with working_dps(dps):
+        ratios, square = [], mpf(0)
+        for k, _, log_n, before, _ in ref_walk(spec, k_max):
+            if k > 1:
+                r = log_n / before
+                ratios.append((k, r))
+                square += r * r
+    assert [k for k, _ in report.ratios] == [k for k, _ in ratios]
+    assert bits(r for _, r in report.ratios) == bits(r for _, r in ratios)
+    assert report.square_summable_partial._mpf_ == square._mpf_
+
+
+ROW_RULES = ["uniform", "example1", "example1_psi", "point_mass:0"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SEQUENCES, k_max=K_MAX, dps=DPS, rules=st.tuples(*[st.sampled_from(ROW_RULES)] * 2))
+@example(spec={"kind": "arithmetic", "a1": 2, "d": 1}, k_max=120, dps=50, rules=("example1", "example1_psi"))
+def test_dimension_series_both_formulas(spec, k_max, dps, rules):
+    seq = make_sequence(spec)
+    # the entropy of a spike row over two digits is below what an mpf can
+    # hold in linear form, and both sides raise OverflowError there
+    assume("example1" not in rules or all(seq.term(k) > 2 for k in (10, 100) if k <= k_max))
+    first, second = (SymbolModel(seq, make_row_rule(r), k_max) for r in rules)
+    measure, spectrum = dimension_series([(first, MEASURE_ENTROPY), (second, SPECTRUM_COUNT)], k_max, dps)
+    with working_dps(dps):
+        h = m = square = mpf(0)
+        want_measure, want_spectrum = [], []
+        for k, n, log_n, before, prefix in ref_walk(spec, k_max):
+            h += first.row(k, n).entropy()
+            m += ln_int(second.row(k, n).support_count())
+            want_measure.append(h / prefix)
+            want_spectrum.append(m / prefix)
+            if k > 1:
+                r = log_n / before
+                square += r * r
+    for series, want in [(measure, want_measure), (spectrum, want_spectrum)]:
+        assert [k for k, _ in series.points] == list(range(1, k_max + 1))
+        assert bits(v for _, v in series.points) == bits(want)
+        assert series.precondition_partial._mpf_ == square._mpf_
+
+
+# (sequence, row rule) pairs for the ratio series, with zero-mass digits:
+# point-mass rows and custom rows on a constant base
+RATIO_CASES = st.one_of(
+    st.tuples(SEQUENCES, st.sampled_from(ROW_RULES)),
+    st.tuples(
+        st.just({"kind": "constant", "s": 3}),
+        st.sampled_from([
+            {"custom": [[0, "1/2", "1/2"], ["1/3", "1/3", "1/3"]]},
+            {"custom": [["1/4", "3/4", 0]]},
+            {"custom": [[1, 0, 0], ["1/2", 0, "1/2"]]},
+        ]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=RATIO_CASES, k_max=K_MAX, dps=DPS, seed=st.integers(0, 2**32), zero_bias=st.floats(0, 1))
+@example(case=({"kind": "arithmetic", "a1": 2, "d": 1}, "example1"), k_max=120, dps=30, seed=0, zero_bias=0.0)
+def test_ratio_series_values_and_flags(case, k_max, dps, seed, zero_bias):
+    spec, rule = case
+    seq = make_sequence(spec)
+    model = SymbolModel(seq, make_row_rule(rule), k_max)
+    rng = random.Random(seed)
+    digits = DigitString(seq, tuple(
+        0 if rng.random() < zero_bias else rng.randrange(n) for n in seq.iter_terms(k_max)
+    ))
+    got = ratio_series(model, digits, k_max, dps)
+    with working_dps(dps):
+        want = []
+        mu = LogReal.one()
+        for k, n, _, _, prefix in ref_walk(spec, k_max):
+            mu = mu * model.row(k, n).logp(digits.digits[k - 1])
+            if mu.is_zero():
+                want.append((mpf(0), FLAG_ZERO_MEASURE))
+            elif mu.log() == 0:
+                want.append((mpf(0), FLAG_UNIT_MEASURE))
+            else:
+                want.append((prefix / (-mu.log()), None))
+    assert [p.k for p in got.points] == list(range(1, k_max + 1))
+    assert [p.flag for p in got.points] == [flag for _, flag in want]
+    assert bits(p.value for p in got.points) == bits(v for v, _ in want)
+
+
+DIGIT_SETS = [
+    lambda seq: DigitSetSpec.full(seq),
+    lambda seq: DigitSetSpec.with_exceptions(seq, (0,)),
+    lambda seq: DigitSetSpec.with_exceptions(seq, (0, 1), exception_ranks=(2, 3, 7)),
+    lambda seq: DigitSetSpec.constant_digits(seq, (0, 1)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SEQUENCES, k_max=K_MAX, dps=DPS, make_set=st.sampled_from(DIGIT_SETS))
+@example(spec={"kind": "counterexample"}, k_max=120, dps=50, make_set=DIGIT_SETS[1])
+def test_box_dimension_slope_residual_and_series(spec, k_max, dps, make_set):
+    E = make_set(make_sequence(spec))
+    got = box_dimension_estimate(E, k_max, dps)
+    with working_dps(dps):
+        points, log_count = [], mpf(0)
+        for k, n, _, _, prefix in ref_walk(spec, k_max):
+            log_count += ln_int(E.admissible_count(k, n))
+            if k >= 2:
+                points.append((k, prefix, log_count))
+        m = len(points)
+        mean_x = sum(x for _, x, _ in points) / m
+        mean_y = sum(y for _, _, y in points) / m
+        sxx = sum((x - mean_x) ** 2 for _, x, _ in points)
+        sxy = sum((x - mean_x) * (y - mean_y) for _, x, y in points)
+        slope = sxy / sxx
+        intercept = mean_y - slope * mean_x
+        ss_res = sum((y - (intercept + slope * x)) ** 2 for _, x, y in points)
+        residual = mp.sqrt(ss_res / m)
+        series = [y / x for _, x, y in points]
+    assert got.slope._mpf_ == slope._mpf_
+    assert got.residual._mpf_ == residual._mpf_
+    assert [k for k, _ in got.series] == [k for k, _, _ in points]
+    assert bits(r for _, r in got.series) == bits(series)

@@ -83,3 +83,30 @@ def test_keep_list_names_are_exported():
     # a stale entry would hide nothing, but it would misstate the kept surface
     assert KEEP <= _exports()
 
+
+
+def _imports_libmp(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("mpmath.libmp") or (
+                module == "mpmath" and any(alias.name == "libmp" for alias in node.names)
+            ):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("mpmath.libmp") for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "libmp":
+            return True
+    return False
+
+
+def test_only_the_precision_module_reaches_into_libmp():
+    # the raw-value kernel and its operations live in precision.py; every
+    # other module takes them from there
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if _imports_libmp(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert importers == ["precision.py"]

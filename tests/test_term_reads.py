@@ -1,5 +1,6 @@
 """Every rank walk reads each term n_k once and passes it on."""
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -8,14 +9,19 @@ import pytest
 from cantordim import (
     ArithmeticSequence,
     DigitSetSpec,
+    DigitString,
     SequenceError,
     SymbolModel,
     box_dimension_estimate,
     cdf,
     dim_measure_series,
+    encode,
     faithfulness_diagnostic,
+    is_power_of_ten,
     make_row_rule,
     make_sequence,
+    sample_v_element,
+    v_extreme_element,
 )
 
 
@@ -39,7 +45,10 @@ K = 300
     lambda seq: box_dimension_estimate(DigitSetSpec.with_exceptions(seq, (0, 1)), K, dps=15),
     # the greedy digits stop near rank 20 at 15 digits; the rest are still read
     lambda seq: cdf(SymbolModel(seq, make_row_rule("uniform"), K), Fraction(1, 3), K, dps=15),
-], ids=["faithfulness", "dim-measure", "boxcount", "cdf"])
+    lambda seq: encode(Fraction(2, 7), seq, K),
+    lambda seq: v_extreme_element(seq, K),
+    lambda seq: sample_v_element(seq, K, random.Random(0)),
+], ids=["faithfulness", "dim-measure", "boxcount", "cdf", "encode", "v-extreme", "v-sample"])
 def test_each_pipeline_reads_each_term_once_in_rank_order(pipeline):
     seq = CountingArithmetic(2, Fraction(1))
     pipeline(seq)
@@ -57,3 +66,24 @@ def test_cdf_reads_the_terms_past_its_early_stop(spec, message):
     model = SymbolModel(make_sequence(spec), make_row_rule("uniform"), 40)
     with pytest.raises(SequenceError, match=message):
         cdf(model, Fraction(1, 3), 40, dps=15)
+
+
+def test_strings_built_from_one_term_pass_match_the_validated_reference():
+    # encode and the V elements skip DigitString's validation walk; their
+    # digits must be what a validated construction, drawing the same random
+    # numbers in rank order, would hold
+    seq = make_sequence({"kind": "arithmetic", "a1": 2, "d": 1})
+    x = Fraction(2, 7)
+    greedy = []
+    for k in range(1, K + 1):
+        a, x = divmod(x * seq.term(k), 1)
+        greedy.append(int(a))
+    rng = random.Random(3)
+    sampled = [0 if is_power_of_ten(k) else rng.randrange(seq.term(k)) for k in range(1, K + 1)]
+    extreme = [0 if is_power_of_ten(k) else seq.term(k) - 1 for k in range(1, K + 1)]
+    for built, digits in [
+        (encode(Fraction(2, 7), seq, K), greedy),
+        (sample_v_element(seq, K, random.Random(3)), sampled),
+        (v_extreme_element(seq, K), extreme),
+    ]:
+        assert built == DigitString(seq, digits)
