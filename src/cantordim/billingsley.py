@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from mpmath import mpf
 
@@ -106,16 +106,23 @@ class RatioSeries:
     points: list[RatioPoint]
     segments: list[tuple[str, int, int]] = field(default_factory=list)
 
-    def to_jsonable(self) -> dict:
+    def to_jsonable(self, texts: dict[int, str] | None = None) -> dict:
+        """The series as JSON.  ``texts`` maps ``id(point)`` to the point's
+        text at this series' precision; series that hold the same point
+        objects pass one dict, so each point is formatted once."""
         n = self.dps
+        texts = {} if texts is None else texts
+        points = []
+        for p in self.points:
+            text = texts.get(id(p))
+            if text is None:
+                text = texts[id(p)] = mpf_text(p.value, n)
+            points.append([p.k, text, p.flag] if p.flag else [p.k, text])
         return {
             "digits": self.digits.to_jsonable(),
             "precision_dps": self.dps,
             "segments": [[kind, a, b] for kind, a, b in self.segments],
-            "points": [
-                [p.k, mpf_text(p.value, n)] + ([p.flag] if p.flag else [])
-                for p in self.points
-            ],
+            "points": points,
         }
 
 
@@ -143,10 +150,15 @@ class _RatioWalk:
         self.log_mu = fzero
         self.points: list[RatioPoint] = []
 
-    def series(self, dps: int) -> RatioSeries:
-        return RatioSeries(
-            digits=self.d, dps=dps, points=self.points, segments=_monotone_segments(self.points)
-        )
+    def series(self, dps: int, earlier: Sequence[RatioSeries] = ()) -> RatioSeries:
+        """The walk's series.  Its segments are those of an ``earlier``
+        series with equal points when there is one (a list compares its
+        elements by identity first, so shared points cost no mpf compare),
+        and computed otherwise."""
+        segments = next((s.segments for s in earlier if s.points == self.points), None)
+        if segments is None:
+            segments = _monotone_segments(self.points)
+        return RatioSeries(digits=self.d, dps=dps, points=self.points, segments=segments)
 
 
 def _step_walks(
@@ -284,6 +296,7 @@ class Example1Report:
         measure_dim["liminf"] = self.measure_liminf.to_jsonable()
         spectrum_dim = self.spectrum_series.to_jsonable()
         spectrum_dim["liminf"] = self.spectrum_liminf.to_jsonable()
+        texts: dict[int, str] = {}  # the ratio series share their points
         return {
             "k_max": self.k_max,
             "precision_dps": self.dps,
@@ -291,8 +304,8 @@ class Example1Report:
             "spike_exponent_form": self.spike_form,
             "measure_dimension": measure_dim,
             "spectrum_dimension": spectrum_dim,
-            "ratio_series_extreme": self.ratio_extreme.to_jsonable(),
-            "ratio_series_samples": [s.to_jsonable() for s in self.ratio_samples],
+            "ratio_series_extreme": self.ratio_extreme.to_jsonable(texts),
+            "ratio_series_samples": [s.to_jsonable(texts) for s in self.ratio_samples],
             "dp_necessary_conditions": self.dp_report.to_jsonable(),
             "headline": self.headline(),
             "notes": REPORT_NOTES,
@@ -354,7 +367,12 @@ def example1_report(
         window = k_max - last_spike + 1
         m_est = liminf_estimate(mseries, window)
         s_est = liminf_estimate(sseries, window)
-        extreme_series, *sample_series = [walk.series(used) for walk in walks]
+        # Under the example1 rows the walks share their points (see
+        # ``_step_walks``), and then their segments too.
+        series: list[RatioSeries] = []
+        for walk in walks:
+            series.append(walk.series(used, series))
+        extreme_series, *sample_series = series
         delta_estimate = (
             extreme_series.points[last_spike - 1].value if last_spike >= FIRST_SPIKE else mpf(1)
         )

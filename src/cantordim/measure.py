@@ -166,7 +166,16 @@ class VanishingZeroRow(Row):
         # fixed-width float but is kept honestly via LogReal addition.
         t0 = self._p0 * LogReal.from_mpf(self._p0.log())
         t1 = self._one_minus * LogReal.from_mpf(self._share.log())
-        return -(t0 + t1).to_mpf()
+        total = t0 + t1
+        # Over two digits 1 - p0 rounds to 1, so ln share = 0 and the sum is
+        # the first term alone, near 10**-(10**10) at the first spike rank:
+        # no linear mpf holds it.  A spike row comes after the uniform rows
+        # of ranks 1..9, whose entropies sum to at least 9 ln 2 > 1, so an
+        # entropy below 2**-(prec + 4) changes no rounded bit of the
+        # numerator it joins, and it is returned as 0.
+        if total.log() < -(mp.prec + 4) * mp.ln(2):
+            return mpf(0)
+        return -total.to_mpf()
 
     def support_count(self) -> int:
         return self.n
@@ -609,11 +618,18 @@ class LiminfEstimate:
     lower_envelope: list[tuple[int, mpf]]
 
     def to_jsonable(self) -> dict:
+        # A suffix minimum holds one mpf object over each run of ranks, so
+        # each run is formatted once.
+        envelope, last, text = [], None, ""
+        for k, v in self.lower_envelope:
+            if v is not last:
+                last, text = v, mpf_text(v, 17)
+            envelope.append([k, text])
         return {
             "estimate": mpf_text(self.estimate, 17),
             "window": self.window,
             "heuristic": "minimum over trailing window; no finite computation decides a liminf",
-            "lower_envelope": [[k, mpf_text(v, 17)] for k, v in self.lower_envelope],
+            "lower_envelope": envelope,
         }
 
 

@@ -19,8 +19,7 @@ libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
   ``mpf_neg``, and ``sum`` from 0 is a chain of ``mpf_add`` from ``fzero``;
 - comparisons are the exact ``mpf_cmp``/``mpf_lt`` on the raw values;
 - a value is wrapped in an mpf (``as_mpf``) only when a report keeps it,
-  and a report formats each mpf with ``mpf_text``, the libmp call under
-  ``nstr`` without its type dispatch.
+  and a report formats each mpf with ``mpf_text``.
 
 Every operation is therefore the same correctly rounded libmp call at the
 same precision as in the operator form, and every output bit is the same;
@@ -28,11 +27,20 @@ the loops skip only the operator's context lookup, type dispatch and
 allocation.  The operator-form single-value functions
 (``log_prefix_product``, ``faithfulness_ratio``, ``billingsley_ratio``,
 ``cylinder_measure_log``) are the bit-for-bit oracles of the kernel loops.
+
+``mpf_text(x, n)`` is byte for byte libmp's ``to_str(x._mpf_, n)``, which
+is what ``nstr(x, n)`` prints for an mpf.  For a finite nonzero value
+whose binary exponent lies within libmp's +-3500 fixed-point range it runs
+``to_str``'s own steps inline, with the power of ten and the per-precision
+constants cached on first use.  Zero, +-inf, nan, exponents beyond that
+range and ``n < 1`` go to ``to_str`` itself.
+
 This module is the only one that imports from ``mpmath.libmp``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from functools import lru_cache
@@ -90,10 +98,64 @@ def walk_precision() -> tuple[int, str]:
 as_mpf = mp.make_mpf  # a raw value wrapped as an mpf, unrounded
 
 
+# libmp's to_digits_exp works in float with this constant; the digit counts
+# below must round as its do.
+_LOG2_10 = math.log(10, 2)
+_plans: dict[int, tuple[int, int]] = {}  # n -> (bits for n + 3 digits, min_fixed)
+_tens: dict[int, int] = {}  # m -> 10**m
+
+
 def mpf_text(x: mpf, n: int) -> str:
-    """``nstr(x, n)`` for an mpf x: libmp's ``to_str`` on its raw value,
-    which is what ``nstr`` calls for an mpf after its type checks."""
-    return to_str(x._mpf_, n)
+    """``nstr(x, n)`` for an mpf x, byte for byte libmp's ``to_str(x._mpf_, n)``.
+
+    The common case follows ``to_str``: the first n + 3 or more digits,
+    truncated, from one fixed-point product; n digits rounded half up on
+    the digit string; fixed notation for a leading-digit exponent strictly
+    between ``min(-(n // 3), -5)`` and n, scientific otherwise; trailing
+    zeros stripped.  The values it does not cover go to ``to_str``.
+    """
+    s = x._mpf_
+    sign, man, exp, bc = s
+    if not man or n < 1 or not -3500 <= exp + bc <= 3500:
+        return to_str(s, n)
+    plan = _plans.get(n)
+    if plan is None:
+        plan = _plans[n] = (int((n + 3) * _LOG2_10) + 10, min(-(n // 3), -5))
+    bitprec, min_fixed = plan
+    fixprec = bitprec - exp - bc
+    if fixprec < 0:
+        fixprec = 0
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    ten = _tens.get(fixdps)
+    if ten is None:
+        ten = _tens[fixdps] = 10**fixdps
+    shift = exp + fixprec
+    digits = str((man << shift if shift >= 0 else man >> -shift) * ten >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    head = digits[:n]
+    if len(digits) > n and digits[n] in "56789":
+        kept = head.rstrip("9")  # a carry turns the trailing 9s into zeros
+        if kept:
+            head = kept[:-1] + str(int(kept[-1]) + 1) + "0" * (n - len(kept))
+        else:
+            head = "1" + "0" * (n - 1)
+            exponent += 1
+    if min_fixed < exponent < n:
+        if exponent < 0:
+            text = "0." + "0" * (-exponent - 1) + head
+        else:
+            text = head[: exponent + 1] + "." + head[exponent + 1 :]
+        exponent = 0
+    else:
+        text = head[0] + "." + head[1:]
+    text = text.rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if sign:
+        text = "-" + text
+    if exponent == 0:
+        return text
+    return f"{text}e+{exponent}" if exponent > 0 else f"{text}e{exponent}"
 
 
 def eps_for(dps: int | None = None) -> mpf:

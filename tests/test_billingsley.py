@@ -1,11 +1,13 @@
 """Length/measure ratio series and the bundled counterexample report."""
 
+import collections
 import json
 import math
 import random
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_str
 
 from cantordim import (
     DigitString,
@@ -26,8 +28,15 @@ from cantordim import (
     v_extreme_element,
     working_dps,
 )
-from cantordim.billingsley import FLAG_UNIT_MEASURE, FLAG_ZERO_MEASURE, _RatioWalk, _step_walks
-from cantordim.precision import walk_precision
+from cantordim import billingsley, measure
+from cantordim.billingsley import (
+    FLAG_UNIT_MEASURE,
+    FLAG_ZERO_MEASURE,
+    _monotone_segments,
+    _RatioWalk,
+    _step_walks,
+)
+from cantordim.precision import mpf_text, walk_precision
 
 ARITH = make_sequence({"kind": "arithmetic", "a1": 2, "d": 1})
 CONSTANT3 = make_sequence({"kind": "constant", "s": 3})
@@ -239,6 +248,74 @@ def test_walks_stepped_together_keep_their_own_series():
         for k, _, _, log_prefix, row in model.walk(40):
             _step_walks(walks, k, log_prefix, row, prec, rnd)
     assert [walk.series(30) for walk in walks] == [ratio_series(model, d, 40, 30) for d in strings]
+    # with the earlier series offered, only the repeated string reuses segments
+    series = []
+    for walk in walks:
+        series.append(walk.series(30, series))
+    assert series == [ratio_series(model, d, 40, 30) for d in strings]
+    assert series[4].segments is series[0].segments
+    assert len({id(s.segments) for s in series}) == 4
+
+
+@pytest.mark.parametrize("tower", [False, True])
+def test_example1_series_share_one_segments_pass(tower):
+    report = example1_report(300, samples=3, tower=tower)
+    extreme = report.ratio_extreme
+    for s in [extreme] + report.ratio_samples:
+        assert s.segments == _monotone_segments(s.points)
+    # the samples hold the extreme series' point objects, so its segments too
+    assert all(s.segments is extreme.segments for s in report.ratio_samples)
+
+
+def unshared_jsonable(report) -> dict:
+    """The report's JSON with every number formatted on its own by to_str."""
+    out = report.to_jsonable()
+
+    def points(series):
+        return [
+            [p.k, to_str(p.value._mpf_, series.dps)] + ([p.flag] if p.flag else [])
+            for p in series.points
+        ]
+
+    out["ratio_series_extreme"]["points"] = points(report.ratio_extreme)
+    for js, series in zip(out["ratio_series_samples"], report.ratio_samples):
+        js["points"] = points(series)
+    for key, est in (("measure_dimension", report.measure_liminf), ("spectrum_dimension", report.spectrum_liminf)):
+        out[key]["liminf"]["lower_envelope"] = [[k, to_str(v._mpf_, 17)] for k, v in est.lower_envelope]
+    return out
+
+
+def runs_of_one_object(values) -> int:
+    return sum(1 for i, v in enumerate(values) if i == 0 or v is not values[i - 1])
+
+
+@pytest.mark.parametrize("tower", [False, True])
+def test_example1_report_formats_each_shared_number_once(monkeypatch, tower):
+    k_max = 300
+    report = example1_report(k_max, samples=3, tower=tower)
+    calls = collections.Counter()
+
+    def counting(module):
+        def text(x, n):
+            calls[module] += 1
+            return mpf_text(x, n)
+
+        return text
+
+    monkeypatch.setattr(billingsley, "mpf_text", counting("billingsley"))
+    monkeypatch.setattr(measure, "mpf_text", counting("measure"))
+    shared = report.to_jsonable()
+    ratio_points = [p for s in [report.ratio_extreme] + report.ratio_samples for p in s.points]
+    distinct = len({id(p) for p in ratio_points})
+    assert len(ratio_points) == 4 * k_max and distinct == k_max
+    # one call per distinct ratio point, plus the headline's three numbers
+    assert calls["billingsley"] == distinct + 3
+    runs = [runs_of_one_object([v for _, v in est.lower_envelope]) for est in (report.measure_liminf, report.spectrum_liminf)]
+    assert sum(runs) < 2 * k_max  # the spike ranks hold each envelope flat for a while
+    # per dimension series: its points, its partial sum, its liminf estimate
+    # and one call per run of its envelope; then the DP report's two numbers
+    assert calls["measure"] == 2 * (k_max + 2) + sum(runs) + 2
+    assert json.dumps(shared, sort_keys=True) == json.dumps(unshared_jsonable(report), sort_keys=True)
 
 
 def test_report_text_does_not_depend_on_the_callers_precision():

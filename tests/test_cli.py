@@ -83,6 +83,18 @@ def test_custom_row_tolerance_follows_precision(capsys):
     assert "row does not sum to 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seq", ['{"kind":"constant","s":2}', '{"kind":"geometric","b1":2,"q":1}'])
+def test_dim_measure_through_a_two_digit_spike_row(capsys, seq):
+    # n_10 = 2: the spike row's entropy, about 10**-(10**10), vanishes next
+    # to the nine entropies ln 2 before it, so d_10 = 9 ln 2 / (10 ln 2)
+    argv = ["dim-measure", "--seq", seq, "--rows", "example1", "--k-max", "10"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    k, d10 = payload["points"][-1]
+    assert k == 10 and math.isfinite(float(d10))
+    assert d10 == "0.9"
+
+
 def test_faithfulness_verdict(capsys):
     code, payload = run_json(capsys, ["faithfulness", "--seq", COUNTER, "--k-max", "1000"])
     assert code == 0

@@ -9,7 +9,7 @@ equality), on all five sequence kinds and at 15, 30 and 50 digits.
 
 import random
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -108,11 +108,10 @@ ROW_RULES = ["uniform", "example1", "example1_psi", "point_mass:0"]
 @settings(max_examples=60, deadline=None)
 @given(spec=SEQUENCES, k_max=K_MAX, dps=DPS, rules=st.tuples(*[st.sampled_from(ROW_RULES)] * 2))
 @example(spec={"kind": "arithmetic", "a1": 2, "d": 1}, k_max=120, dps=50, rules=("example1", "example1_psi"))
+# spike rows over two digits, at ranks 10 and 100
+@example(spec={"kind": "constant", "s": 2}, k_max=100, dps=15, rules=("example1", "example1_psi"))
 def test_dimension_series_both_formulas(spec, k_max, dps, rules):
     seq = make_sequence(spec)
-    # the entropy of a spike row over two digits is below what an mpf can
-    # hold in linear form, and both sides raise OverflowError there
-    assume("example1" not in rules or all(seq.term(k) > 2 for k in (10, 100) if k <= k_max))
     first, second = (SymbolModel(seq, make_row_rule(r), k_max) for r in rules)
     measure, spectrum = dimension_series([(first, MEASURE_ENTROPY), (second, SPECTRUM_COUNT)], k_max, dps)
     with working_dps(dps):

@@ -1,13 +1,16 @@
-"""The cached integer logarithm behind every ln n_k and row entropy."""
+"""The cached integer logarithm behind every ln n_k and row entropy, and
+the formatter behind every reported number."""
 
 import tracemalloc
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
 from cantordim import SymbolModel, dim_measure_series, make_row_rule, make_sequence, working_dps
-from cantordim.precision import _ln_int_cached, ln_int
+from cantordim.precision import _ln_int_cached, ln_int, mpf_text
 from cantordim.sequences import rank_logs
 
 
@@ -65,3 +68,74 @@ def test_each_rank_reads_its_log_from_the_cache_once_more():
     finally:
         _ln_int_cached.cache_clear()
     assert (info.misses, info.hits) == (ranks, ranks)
+
+
+# Raw values with both signs, 1 to 400 mantissa bits and binary exponents
+# on both sides of libmp's +-3500 fixed-point range.
+RAW_VALUES = st.builds(
+    lambda sign, man, exp: from_man_exp(sign * man, exp),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=1, max_value=400).flatmap(
+        lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+    ),
+    st.integers(min_value=-4000, max_value=3700),
+)
+
+
+def assert_formats_as_libmp(raw, n):
+    x = mp.make_mpf(raw)
+    assert mpf_text(x, n) == to_str(raw, n) == mp.nstr(x, n)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(raw=RAW_VALUES, n=st.integers(min_value=15, max_value=120))
+@example(raw=from_man_exp(1, 3500 - 1), n=50)  # the last exponent formatted inline
+@example(raw=from_man_exp(1, 3500), n=50)  # the first one handed to to_str
+@example(raw=from_man_exp(-1, -3500 - 1), n=50)
+@example(raw=from_man_exp(1, -3500 - 2), n=50)
+def test_mpf_text_is_byte_identical_to_to_str(raw, n):
+    assert_formats_as_libmp(raw, n)
+
+
+def near_one_below(n_nines):
+    """(10**k - 1) / 10**k, rounded to 400 bits."""
+    with mp.workprec(400):
+        return (mpf(10**n_nines - 1) / 10**n_nines)._mpf_
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 50, 51, 120])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        from_man_exp(2**200 - 1, -200),  # 0.999... below 1
+        from_man_exp(2**200 - 1, -190),  # 1023.999...
+        from_man_exp(-(2**300 - 1), -300 - 40),  # -0.999... * 2**-40
+        from_man_exp(2**400 - 1, 3000),  # 9s near the top of the inline range
+        *(near_one_below(k) for k in (14, 15, 16, 17, 20, 49, 50, 51, 52, 60, 119, 120, 121)),
+    ],
+)
+def test_mpf_text_rounds_up_through_a_run_of_nines(raw, n):
+    assert_formats_as_libmp(raw, n)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18, 30, 50, 120])
+@pytest.mark.parametrize("lead", ["1", "1.5", "9.5", "9.99999999999999999999999999999", "-4"])
+def test_mpf_text_at_the_fixed_and_scientific_boundaries(n, lead):
+    # fixed notation only for a leading-digit exponent strictly between
+    # min(-(n // 3), -5) and n
+    low = min(-(n // 3), -5)
+    with mp.workdps(n + 20):
+        for e in (low - 1, low, low + 1, -1, 0, 1, n - 1, n, n + 1):
+            assert_formats_as_libmp(mpf(f"{lead}e{e}")._mpf_, n)
+
+
+@pytest.mark.parametrize("raw", [fzero, finf, fninf, fnan])
+@pytest.mark.parametrize("n", [0, 1, 15, 50])
+def test_mpf_text_of_zero_infinities_and_nan(raw, n):
+    assert_formats_as_libmp(raw, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_mpf_text_at_tiny_digit_counts(n):
+    for raw in (from_man_exp(3, -1), from_man_exp(-19, -1), near_one_below(5), from_man_exp(7, 50)):
+        assert_formats_as_libmp(raw, n)
