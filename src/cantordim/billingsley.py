@@ -44,6 +44,7 @@ from .measure import (
     dp_report,
     example1_model,
     example1_psi_model,
+    final_decade_liminf,
     liminf_estimate,
 )
 from .precision import (
@@ -362,11 +363,10 @@ def example1_report(
         mseries, sseries = dimension_series(
             [(model, MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], k_max, dps, on_rank
         )
-        dp = dp_report(model, mseries, scan)
+        m_est = final_decade_liminf(mseries)
+        dp = dp_report(model, mseries, scan, m_est)
+        s_est = liminf_estimate(sseries, m_est.window)
         last_spike = trailing_decade_start(k_max)  # a spike only from rank 10 on
-        window = k_max - last_spike + 1
-        m_est = liminf_estimate(mseries, window)
-        s_est = liminf_estimate(sseries, window)
         # Under the example1 rows the walks share their points (see
         # ``_step_walks``), and then their segments too.
         series: list[RatioSeries] = []

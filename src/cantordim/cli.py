@@ -213,7 +213,8 @@ def _json_pieces(value, indent: str = ""):
     """The text of ``json.dumps(value, sort_keys=True, indent=2)``, in pieces.
 
     A list of scalars (a digit string) or of non-empty scalar lists (a
-    ``[k, value]`` series) is formatted BATCH_ITEMS items to a piece."""
+    ``[k, value]`` series) is formatted BATCH_ITEMS items to a piece, and so
+    is a ``TextSeries``, written as the list of its ``[k, text]`` pairs."""
     if isinstance(value, dict):
         if not value:
             yield "{}"
@@ -225,33 +226,41 @@ def _json_pieces(value, indent: str = ""):
             yield from _json_pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, sequences.TextSeries)):
         if not value:
             yield "[]"
             return
         inner = indent + "  "
         sep = ",\n" + inner
-        text = _formatter(value)
-        if text is None and set(map(type, value)) <= {list, tuple} and all(value):
-            item_text = _formatter(itertools.chain.from_iterable(value))
-            if item_text:
-                text = partial(_scalar_list_text, text=item_text, indent=inner)
+        if isinstance(value, sequences.TextSeries):
+            text = partial(_scalar_list_text, text=_scalar, indent=inner)
+        else:
+            text = _formatter(value)
+            if text is None and set(map(type, value)) <= {list, tuple} and all(value):
+                item_text = _formatter(itertools.chain.from_iterable(value))
+                if item_text:
+                    text = partial(_scalar_list_text, text=item_text, indent=inner)
         if text is None:
             for i, item in enumerate(value):
                 yield "[\n" + inner if i == 0 else sep
                 yield from _json_pieces(item, inner)
         else:
+            items = iter(value)
             for i in range(0, len(value), BATCH_ITEMS):
-                yield ("[\n" + inner if i == 0 else sep) + sep.join(map(text, value[i : i + BATCH_ITEMS]))
+                batch = itertools.islice(items, BATCH_ITEMS)
+                yield ("[\n" + inner if i == 0 else sep) + sep.join(map(text, batch))
         yield "\n" + indent + "]"
     else:
         yield _scalar(value)
 
 
 def _series_pieces(points, head: str, sep: str, dps: int):
+    """The rows of a (k, mpf) series or of a ``TextSeries``, whose texts are used as they stand."""
     yield head
-    for k, v in points:
-        yield f"{k}{sep}{mpf_text(v, dps)}\n"
+    if not isinstance(points, sequences.TextSeries):
+        points = ((k, mpf_text(v, dps)) for k, v in points)
+    for k, text in points:
+        yield f"{k}{sep}{text}\n"
 
 
 def _write(pieces, path: str | None) -> None:
@@ -338,7 +347,8 @@ def _cmd_faithfulness(ns, dps):
         violation_threshold=ns.violation_threshold,
         dps=dps,
     )
-    _emit(ns, report.to_jsonable(), dps, {"ratios": report.ratios}, "r_k")
+    payload = report.to_jsonable()
+    _emit(ns, payload, dps, {"ratios": payload["ratios"]}, "r_k")
 
 
 def _cmd_dim(ns, dps, which):

@@ -35,6 +35,7 @@ from .precision import (
 from .sequences import (
     ArithmeticSequence,
     BasicSequence,
+    as_ratio,
     is_power_of_ten,
     rank_logs,
     trailing_decade_start,
@@ -385,7 +386,10 @@ def make_row_rule(spec) -> RowRule:
         raise ModelError(f"unknown row rule {spec!r}")
     if isinstance(spec, Mapping) and "custom" in spec:
         try:
-            return CustomRule([[Fraction(p) for p in row] for row in spec["custom"]])
+            return CustomRule([
+                [as_ratio(p, f"custom row {i} entry {j}", ModelError) for j, p in enumerate(row, 1)]
+                for i, row in enumerate(spec["custom"], 1)
+            ])
         except TypeError as exc:
             raise ModelError(f"malformed custom row descriptor: {exc}") from exc
     raise ModelError(f"unknown row rule descriptor {spec!r}")
@@ -653,6 +657,13 @@ def liminf_estimate(series: DimensionSeries, window: int) -> LiminfEstimate:
     return LiminfEstimate(estimate=envelope[-window][1], window=window, lower_envelope=envelope)
 
 
+def final_decade_liminf(series: DimensionSeries) -> LiminfEstimate:
+    """``liminf_estimate`` over the final decade: the ranks from the largest
+    power of ten <= k_max on."""
+    k_max = len(series.points)
+    return liminf_estimate(series, k_max - trailing_decade_start(k_max) + 1)
+
+
 # ---------------------------------------------------------------------------
 # dimension-preservation necessary conditions
 # ---------------------------------------------------------------------------
@@ -740,18 +751,22 @@ def dp_necessary_conditions(
     """
     scan = PositivityScan()
     (series,) = dimension_series([(model, MEASURE_ENTROPY)], k_max, dps, scan.observe)
-    return dp_report(model, series, scan, tol)
+    return dp_report(model, series, scan, final_decade_liminf(series), tol)
 
 
 def dp_report(
-    model: SymbolModel, series: DimensionSeries, scan: PositivityScan, tol: float = 0.05
+    model: SymbolModel,
+    series: DimensionSeries,
+    scan: PositivityScan,
+    liminf: LiminfEstimate,
+    tol: float = 0.05,
 ) -> DpReport:
-    """The DP verdict from a walk's measure dimension series and positivity scan."""
+    """The DP verdict from a walk's measure dimension series, its
+    ``final_decade_liminf`` and the positivity scan."""
     k_max = len(series.points)
     all_positive = scan.first_zero is None
+    estimate = liminf.estimate
     with working_dps(series.dps):
-        window = k_max - trailing_decade_start(k_max) + 1
-        estimate = liminf_estimate(series, window).estimate
         dim_ok = estimate >= 1 - mpf(tol)
     bounded = model.seq.eventually_bounded()
     separated = model.rule.separated_from_zero(model.seq) if all_positive else False

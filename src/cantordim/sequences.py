@@ -22,12 +22,12 @@ independent oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from typing import ClassVar, Mapping, Optional
 
 from mpmath import mp, mpf
@@ -67,13 +67,18 @@ def as_integer(value, what: str, error: type[ValueError] = SequenceError) -> int
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
-def _as_ratio(value, what: str) -> Fraction:
+def as_ratio(value, what: str, error: type[ValueError] = SequenceError) -> Fraction:
+    """A rational field read exactly (a number or a ``"p/q"``/decimal string); else ``error`` naming it.
+
+    Booleans are refused as in ``as_integer``, and so are values with no
+    rational form: infinities, NaN, a zero denominator.
+    """
     try:
         if isinstance(value, bool):
             raise TypeError
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise SequenceError(f"{what} is not a rational parameter: {value!r}") from exc
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise error(f"{what} must be a rational number, got {value!r}") from None
 
 
 class BasicSequence(ABC):
@@ -157,7 +162,7 @@ class ArithmeticSequence(BasicSequence):
     kind: ClassVar[str] = "arithmetic"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _as_ratio(self.d, "arithmetic d"))
+        object.__setattr__(self, "d", as_ratio(self.d, "arithmetic d"))
         if self.a1 < 2:
             raise SequenceError(f"arithmetic a1 must be >= 2, got {self.a1}")
         if self.d < 1:
@@ -188,7 +193,7 @@ class GeometricSequence(BasicSequence):
     kind: ClassVar[str] = "geometric"
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_ratio(self.q, "geometric q"))
+        object.__setattr__(self, "q", as_ratio(self.q, "geometric q"))
         if self.b1 < 2:
             raise SequenceError(f"geometric b1 must be >= 2, got {self.b1}")
         if self.q < 1:
@@ -521,6 +526,23 @@ VERDICT_VIOLATED = "criterion_violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
+@dataclass(frozen=True)
+class TextSeries:
+    """A ``[k, value]`` series held as its formatted values alone, for k =
+    first_k, first_k + 1, ...; the CLI writer renders it as the JSON list of
+    those pairs without building them."""
+
+    first_k: int
+    texts: list[str]
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __iter__(self):
+        """The (k, text) pairs."""
+        return zip(itertools.count(self.first_k), self.texts)
+
+
 @dataclass
 class FaithfulnessReport:
     """Outcome of a finite faithfulness-ratio sweep.
@@ -529,6 +551,9 @@ class FaithfulnessReport:
     "met" needs every final-decade ratio under met_tol and strictly
     decreasing decade maxima; "violated" needs ratios >= the violation
     threshold at two or more ranks past the burn-in.
+
+    ``ratios[k - 2]`` is the text of r_k at ``dps`` digits; the ratios
+    themselves are not kept.
     """
 
     seq_descriptor: dict
@@ -536,16 +561,18 @@ class FaithfulnessReport:
     dps: int
     met_tol: float
     violation_threshold: float
-    ratios: list[tuple[int, mpf]]
+    ratios: list[str]
     verdict: str
     violation_ranks: list[int]
     decade_maxima: list[tuple[int, mpf]]
+    final_decade_below_tol: bool
     envelope: EnvelopeFit
     subgeometric: SubgeometricFit
     square_summable_partial: mpf
     notes: list[str] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
+        """The JSON report, with ``ratios`` as a ``TextSeries`` node."""
         n = self.dps
         return {
             "sequence": self.seq_descriptor,
@@ -560,7 +587,7 @@ class FaithfulnessReport:
             "subgeometric": self.subgeometric.to_jsonable(),
             "square_summable_partial": mpf_text(self.square_summable_partial, n),
             "notes": list(self.notes),
-            "ratios": [[k, mpf_text(v, n)] for k, v in self.ratios],
+            "ratios": TextSeries(2, self.ratios),
         }
 
 
@@ -573,10 +600,12 @@ def faithfulness_diagnostic(
 ) -> FaithfulnessReport:
     """Sweep r_k for 2 <= k <= k_max and classify the sequence.
 
-    The same walk fits the progression envelope and the subgeometric
-    witness over the observed range from each n_k, in exact integers, and
-    accumulates the partial sum of r_k**2 (the validity precondition of the
-    measure-dimension formula).
+    One walk formats each r_k once, at the report precision, and keeps
+    only that text.  From the raw ratios the same pass takes the decade
+    maxima, the violation ranks, the final-decade check and the partial
+    sum of r_k**2 (the validity precondition of the measure-dimension
+    formula), and fits the progression envelope and the subgeometric
+    witness over the observed range from each n_k, in exact integers.
     """
     if k_max < 3:
         raise SequenceError(f"diagnostic needs k_max >= 3, got {k_max}")
@@ -590,7 +619,19 @@ def faithfulness_diagnostic(
     used_dps = resolve_dps(dps)
     with working_dps(dps):
         prec, rnd = walk_precision()
-        ratios: list[tuple[int, mpf]] = []
+        # Converted once, not on every comparison; a double is exact in mpf
+        # at any working precision (>= 53 bits), so no verdict moves.
+        threshold, tol = mpf(violation_threshold)._mpf_, mpf(met_tol)._mpf_
+        final_start = trailing_decade_start(k_max)
+        texts: list[str] = []
+        append = texts.append
+        violation_ranks: list[int] = []
+        final_ok = True
+        # The comparisons are mpf_cmp on the raw values, exact as the mpf
+        # operators' (a ratio is never NaN).  Each decade keeps its first
+        # maximal ratio, as max() and a running maximum would.
+        decade_maxima = []
+        decade, next_decade, best = 1, 10, None
         square_partial = fzero
         witness, d, q = 2, math.inf, 1
         for k, n, log_n, prefix_log, _ in rank_logs(seq, k_max):
@@ -601,27 +642,18 @@ def faithfulness_diagnostic(
             d = min(d, (n - 2) // (k - 1))
             q = _min_q_for_power(-(-n // b1), k - 1, q)  # ceil(n_k / b1)
             r = mpf_div(log_n, prefix_log, prec, rnd)
-            ratios.append((k, as_mpf(r)))
+            append(mpf_text(as_mpf(r), used_dps))
             square_partial = mpf_add(square_partial, mpf_mul(r, r, prec, rnd), prec, rnd)
-        # The comparisons below are mpf_cmp on the raw values, exact as the
-        # mpf operators' (a ratio is never NaN).  Each decade keeps its first
-        # maximal ratio, as max() and a running maximum would.
-        decade_maxima = []
-        for decade, group in groupby(ratios, key=lambda p: trailing_decade_start(p[0])):
-            best = next(group)[1]
-            for _, r in group:
-                if mpf_cmp(r._mpf_, best._mpf_) > 0:
-                    best = r
-            decade_maxima.append((decade, best))
-
-        # Converted once, not on every comparison; a double is exact in mpf
-        # at any working precision (>= 53 bits), so no verdict moves.
-        threshold, tol = mpf(violation_threshold)._mpf_, mpf(met_tol)._mpf_
-        violation_ranks = [
-            k for k, r in ratios if k >= VIOLATION_BURN_IN and mpf_cmp(r._mpf_, threshold) >= 0
-        ]
-        final_start = trailing_decade_start(k_max)
-        final_ok = all(mpf_cmp(r._mpf_, tol) < 0 for k, r in ratios if k >= final_start)
+            if k == next_decade:
+                decade_maxima.append((decade, as_mpf(best)))
+                decade, next_decade, best = k, 10 * k, r
+            elif best is None or mpf_cmp(r, best) > 0:
+                best = r
+            if k >= VIOLATION_BURN_IN and mpf_cmp(r, threshold) >= 0:
+                violation_ranks.append(k)
+            if k >= final_start and final_ok and mpf_cmp(r, tol) >= 0:
+                final_ok = False
+        decade_maxima.append((decade, as_mpf(best)))
         maxima_decreasing = all(b < a for (_, a), (_, b) in zip(decade_maxima, decade_maxima[1:]))
 
         if len(violation_ranks) >= 2:
@@ -649,10 +681,11 @@ def faithfulness_diagnostic(
             dps=used_dps,
             met_tol=met_tol,
             violation_threshold=violation_threshold,
-            ratios=ratios,
+            ratios=texts,
             verdict=verdict,
             violation_ranks=violation_ranks,
             decade_maxima=decade_maxima,
+            final_decade_below_tol=final_ok,
             envelope=envelope,
             subgeometric=subgeometric,
             square_summable_partial=as_mpf(square_partial),

@@ -35,6 +35,7 @@ from cantordim import (
     working_dps,
 )
 from cantordim.cli import run as cli_run
+from cantordim.precision import mpf_text
 
 DPS = 50
 
@@ -58,15 +59,20 @@ def test_criterion_01_bounded_ratio_closed_form():
     failures = []
     start = time.perf_counter()
     seq = make_sequence({"kind": "constant", "s": 2})
+    report = faithfulness_diagnostic(seq, 1000, dps=DPS)
+    elapsed = time.perf_counter() - start
+    # The report keeps each r_k as its text; the values come from the oracle,
+    # whose bits the sweep's ratios share.
     with working_dps(DPS):
         tol = eps_for(DPS)
-        report = faithfulness_diagnostic(seq, 1000, dps=DPS)
-        for k, r in report.ratios:
+        for k, text in enumerate(report.ratios, 2):
+            r = faithfulness_ratio(seq, k, dps=DPS)
+            check(text == mpf_text(r, DPS), f"r_{k} text {text} is not the oracle's", failures)
             check(abs(r - mpf(1) / (k - 1)) <= tol, f"r_{k} off closed form", failures)
+    check(len(report.ratios) == 999, f"{len(report.ratios)} ratios", failures)
     check(report.verdict == "criterion_met_numerically",
           f"verdict {report.verdict}", failures)
-    elapsed = time.perf_counter() - start
-    check(elapsed < 1.0, f"runtime {elapsed:.2f}s >= 1s", failures)
+    check(elapsed < 1.0, f"sweep runtime {elapsed:.2f}s >= 1s", failures)
     finish(1, "constant(2): r_k = 1/(k-1) exactly, verdict met", failures, elapsed)
 
 

@@ -355,6 +355,22 @@ def test_wrong_typed_descriptor_fields_are_one_line_errors(capsys, argv):
         (["dim-measure", "--seq", CONST3, "--rows", "point_mass:1.5", "--k-max", "5"], ["point_mass", "'1.5'"]),
         (["dim-measure", "--seq", CONST3, "--rows", "point_mass:x", "--k-max", "5"], ["point_mass", "'x'"]),
         (["cdf", "--seq", CONST3, "--rows", "point_mass:", "--x", "1/3", "--rank", "3"], ["point_mass", "''"]),
+        # rationals with no exact value, or booleans, name their field
+        (["faithfulness", "--seq", '{"kind":"arithmetic","a1":2,"d":1e400}', "--k-max", "5"],
+         ["arithmetic d", "inf"]),
+        (["faithfulness", "--seq", '{"kind":"geometric","b1":2,"q":NaN}', "--k-max", "5"], ["geometric q", "nan"]),
+        (["faithfulness", "--seq", '{"kind":"geometric","b1":2,"q":"1/0"}', "--k-max", "5"],
+         ["geometric q", "'1/0'"]),
+        (["dim-measure", "--seq", CONST3, "--rows", '{"custom":[[true,0,0]]}', "--k-max", "3"],
+         ["custom row 1 entry 1", "True"]),
+        (["dim-measure", "--seq", CONST3, "--rows", '{"custom":[[0.5,0.5,0],[0,1,false]]}', "--k-max", "3"],
+         ["custom row 2 entry 3", "False"]),
+        (["dim-measure", "--seq", CONST3, "--rows", '{"custom":[[1e400,0,0]]}', "--k-max", "3"],
+         ["custom row 1 entry 1", "inf"]),
+        (["dim-measure", "--seq", CONST3, "--rows", '{"custom":[[NaN,0,0]]}', "--k-max", "3"],
+         ["custom row 1 entry 1", "nan"]),
+        (["dim-measure", "--seq", CONST3, "--rows", '{"custom":[["a"]]}', "--k-max", "3"],
+         ["custom row 1 entry 1", "'a'"]),
     ],
 )
 def test_bad_descriptor_values_are_named_in_one_line(capsys, argv, names):

@@ -7,11 +7,14 @@ import json
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantordim import cli
+from cantordim import cli, faithfulness_diagnostic, faithfulness_ratio, make_sequence
 from cantordim.cli import run
+from cantordim.precision import mpf_text
+from cantordim.sequences import TextSeries
 
 
 @contextlib.contextmanager
@@ -89,3 +92,48 @@ def test_report_is_written_in_bounded_pieces():
     assert total > 2 * 2**20  # larger than any one write may be
     assert max(out.sizes) < 2**20
     assert json.loads(out.getvalue())["k_max"] == 30000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 10**6), st.lists(st.text(max_size=8), max_size=12),
+       st.sampled_from([(1, 1), (3, 2), (cli.CHUNK_CHARS, cli.BATCH_ITEMS)]))
+def test_text_series_is_written_as_its_pairs(first_k, texts, sizes):
+    chunk, batch = sizes
+    series = TextSeries(first_k, texts)
+    pairs = [[k, t] for k, t in zip(itertools.count(first_k), texts)]
+    with mock.patch.object(cli, "CHUNK_CHARS", chunk), mock.patch.object(cli, "BATCH_ITEMS", batch):
+        for payload, expected in (
+            (series, pairs),
+            ({"b": {"ratios": series}, "a": 1}, {"b": {"ratios": pairs}, "a": 1}),
+            ([series, []], [pairs, []]),
+        ):
+            assert written(payload).getvalue() == reference(expected)
+
+
+SPILL_CASES = [
+    ({"kind": "counterexample"}, 150, 50),
+    ({"kind": "custom", "table": [9, 2, 40], "tail": {"kind": "arithmetic", "a1": 3, "d": 2}}, 120, 20),
+    ({"kind": "geometric", "b1": 2, "q": 3}, 40, 30),
+]
+
+
+@pytest.mark.parametrize("spec, k_max, dps", SPILL_CASES)
+@pytest.mark.parametrize("batch", [1, 7, cli.BATCH_ITEMS])
+def test_faithfulness_output_from_the_spill_equals_the_old_layout(capsys, spec, k_max, dps, batch):
+    # The old layout: every field as the report gives it, with ratios as
+    # [k, text] pairs of the oracle's r_k formatted at the report precision.
+    seq = make_sequence(spec)
+    payload = faithfulness_diagnostic(seq, k_max, dps=dps).to_jsonable()
+    points = [(k, mpf_text(faithfulness_ratio(seq, k, dps), dps)) for k in range(2, k_max + 1)]
+    payload["ratios"] = [[k, text] for k, text in points]
+    head = f"# precision_dps={dps}\n"
+    expected = {
+        "json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "csv": head + "k,r_k\n" + "".join(f"{k},{text}\n" for k, text in points),
+        "plot-data": head + "".join(f"{k} {text}\n" for k, text in points),
+    }
+    argv = ["faithfulness", "--seq", json.dumps(spec), "--k-max", str(k_max), "--precision", str(dps)]
+    with mock.patch.object(cli, "BATCH_ITEMS", batch):
+        for fmt, text in expected.items():
+            assert run(argv + ["--format", fmt]) == 0
+            assert capsys.readouterr().out == text, fmt

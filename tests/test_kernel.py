@@ -8,6 +8,7 @@ equality), on all five sequence kinds and at 15, 30 and 50 digits.
 """
 
 import random
+from itertools import groupby
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,8 @@ from cantordim import (
 )
 from cantordim.billingsley import FLAG_UNIT_MEASURE, FLAG_ZERO_MEASURE
 from cantordim.measure import MEASURE_ENTROPY, SPECTRUM_COUNT, dimension_series
-from cantordim.precision import ln_int
+from cantordim.precision import ln_int, mpf_text
+from cantordim.sequences import trailing_decade_start
 
 DPS = st.sampled_from([15, 30, 50])
 K_MAX = st.integers(min_value=4, max_value=120)
@@ -97,9 +99,13 @@ def test_faithfulness_ratios_and_square_sum(spec, k_max, dps):
                 r = log_n / before
                 ratios.append((k, r))
                 square += r * r
-    assert [k for k, _ in report.ratios] == [k for k, _ in ratios]
-    assert bits(r for _, r in report.ratios) == bits(r for _, r in ratios)
+        maxima = [(d, max(r for _, r in group))
+                  for d, group in groupby(ratios, key=lambda p: trailing_decade_start(p[0]))]
+    # The report keeps each ratio as its text only; the bits of every ratio
+    # still reach the square sum and the decade maxima.
+    assert report.ratios == [mpf_text(r, dps) for _, r in ratios]
     assert report.square_summable_partial._mpf_ == square._mpf_
+    assert [(d, v._mpf_) for d, v in report.decade_maxima] == [(d, v._mpf_) for d, v in maxima]
 
 
 ROW_RULES = ["uniform", "example1", "example1_psi", "point_mass:0"]

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -20,6 +20,8 @@ from cantordim import (
     stirling_log_factorial,
     working_dps,
 )
+from cantordim import cli
+from cantordim.precision import mpf_text
 from cantordim.sequences import (
     VERDICT_INCONCLUSIVE,
     VERDICT_MET,
@@ -291,8 +293,7 @@ def test_diagnostic_constant_met():
     rep = faithfulness_diagnostic(make_sequence(CONSTANT2), 1000)
     assert rep.verdict == "criterion_met_numerically"
     assert rep.violation_ranks == []
-    ks = [k for k, _ in rep.ratios]
-    assert ks == list(range(2, 1001))  # no gaps
+    assert len(rep.ratios) == 999  # r_2 .. r_1000, no gaps
     # r_k = 1/(k-1), so the partial sum of squares approaches pi^2/6
     with working_dps(50):
         assert abs(rep.square_summable_partial - mp.pi**2 / 6) < mpf("2e-3")
@@ -336,28 +337,87 @@ def test_diagnostic_rejects_non_finite_tolerances(tolerances):
         faithfulness_diagnostic(make_sequence(CONSTANT2), 10, **tolerances)
 
 
+def oracle_ratios(seq, k_max: int) -> dict:
+    """{k: r_k} for 2 <= k <= k_max from the operator-form oracle."""
+    return {k: faithfulness_ratio(seq, k) for k in range(2, k_max + 1)}
+
+
+def sweep_aggregates(rep) -> tuple:
+    """What the sweep derives from its ratios, with every value as its bits."""
+    return (
+        rep.ratios,
+        [(d, v._mpf_) for d, v in rep.decade_maxima],
+        rep.violation_ranks,
+        rep.final_decade_below_tol,
+        rep.verdict,
+        rep.square_summable_partial._mpf_,
+    )
+
+
+def post_hoc_aggregates(ratios: dict, k_max: int, met_tol: float, threshold: float, dps: int) -> tuple:
+    """``sweep_aggregates`` recomputed afterwards from oracle ratios, in mpf operators."""
+    with working_dps(dps):
+        maxima = [(d, max(r for _, r in group))  # max() keeps the first maximal ratio
+                  for d, group in itertools.groupby(ratios.items(), key=lambda p: trailing_decade_start(p[0]))]
+        violation_ranks = [k for k, r in ratios.items() if k >= VIOLATION_BURN_IN and r >= threshold]
+        final_ok = all(r < met_tol for k, r in ratios.items() if k >= trailing_decade_start(k_max))
+        square = mpf(0)
+        for r in ratios.values():
+            square += r * r
+        values = [v for _, v in maxima]
+    if len(violation_ranks) >= 2:
+        verdict = VERDICT_VIOLATED
+    elif final_ok and all(b < a for a, b in zip(values, values[1:])):
+        verdict = VERDICT_MET
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+    return (
+        [mpf_text(r, dps) for r in ratios.values()],
+        [(d, v._mpf_) for d, v in maxima],
+        violation_ranks,
+        final_ok,
+        verdict,
+        square._mpf_,
+    )
+
+
 @pytest.mark.parametrize("spec, k_max", [(COUNTER, 1000), (ARITH, 300), (GEO, 150)])
 def test_tolerance_verdicts_match_a_float_comparison_oracle(spec, k_max):
     # Thresholds set to the double nearest a ratio of the series sit as close
     # to that ratio as a float can, so a lossy conversion would move a rank.
     seq = make_sequence(spec)
-    ratios = faithfulness_diagnostic(seq, k_max).ratios
+    ratios = oracle_ratios(seq, k_max)
     final_start = trailing_decade_start(k_max)
-    picks = [r for k, r in ratios if k in (VIOLATION_BURN_IN, final_start, (final_start + k_max) // 2, k_max)]
-    for r in picks:
-        tol = float(r)
+    for k in sorted({VIOLATION_BURN_IN, final_start, (final_start + k_max) // 2, k_max}):
+        tol = float(ratios[k])
         rep = faithfulness_diagnostic(seq, k_max, met_tol=tol, violation_threshold=tol)
-        with working_dps(rep.dps):
-            violation_ranks = [k for k, r in rep.ratios if k >= VIOLATION_BURN_IN and r >= tol]
-            final_ok = all(r < tol for k, r in rep.ratios if k >= final_start)
-            maxima = [v for _, v in rep.decade_maxima]
-        if len(violation_ranks) >= 2:
-            verdict = VERDICT_VIOLATED
-        elif final_ok and all(b < a for a, b in zip(maxima, maxima[1:])):
-            verdict = VERDICT_MET
-        else:
-            verdict = VERDICT_INCONCLUSIVE
-        assert (rep.violation_ranks, rep.verdict) == (violation_ranks, verdict)
+        assert sweep_aggregates(rep) == post_hoc_aggregates(ratios, k_max, tol, tol, rep.dps)
+
+
+TAILS = st.sampled_from([
+    COUNTER,
+    CONSTANT2,
+    {"kind": "arithmetic", "a1": 3, "d": 2},
+    {"kind": "geometric", "b1": 2, "q": 2},
+])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    table=st.lists(st.integers(min_value=2, max_value=10**6), min_size=1, max_size=12),
+    tail=TAILS,
+    k_max=st.integers(min_value=3, max_value=120),
+    picks=st.tuples(st.integers(min_value=2, max_value=120), st.integers(min_value=2, max_value=120)),
+)
+@example(table=[2], tail=CONSTANT2, k_max=20, picks=(17, 17))  # r_17 = 1/16 exactly: a tie at both tolerances
+def test_sweep_aggregates_match_a_post_hoc_oracle(table, tail, k_max, picks):
+    # met_tol and the violation threshold each sit at (the double nearest)
+    # one of the series' own ratios, where a single misplaced comparison shows.
+    seq = make_sequence({"kind": "custom", "table": table, "tail": tail})
+    ratios = oracle_ratios(seq, k_max)
+    met_tol, threshold = (float(ratios[min(k, k_max)]) for k in picks)
+    rep = faithfulness_diagnostic(seq, k_max, met_tol=met_tol, violation_threshold=threshold)
+    assert sweep_aggregates(rep) == post_hoc_aggregates(ratios, k_max, met_tol, threshold, rep.dps)
 
 
 def test_diagnostic_short_range_is_not_violated_by_one_spike():
@@ -394,7 +454,8 @@ def test_witness_fits_match_a_linear_scan(table):
 
 
 def test_report_serializes_to_json_and_csv():
+    # The ratios are a TextSeries node, which the CLI writer renders.
     rep = faithfulness_diagnostic(make_sequence(ARITH), 50)
-    payload = rep.to_jsonable()
-    text = json.dumps(payload, sort_keys=True)
-    assert json.loads(text)["verdict"] == rep.verdict
+    payload = json.loads("".join(cli._json_pieces(rep.to_jsonable())))
+    assert payload["verdict"] == rep.verdict
+    assert payload["ratios"] == [[k, text] for k, text in enumerate(rep.ratios, 2)]
