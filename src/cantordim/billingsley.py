@@ -53,6 +53,7 @@ from .precision import (
 )
 from .sequences import (
     BasicSequence,
+    Series,
     is_power_of_ten,
     log_prefix_product,
     trailing_decade_start,
@@ -65,7 +66,7 @@ FLAG_ZERO_MEASURE = "zero_measure"
 FLAG_UNIT_MEASURE = "unit_measure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioPoint:
     """One b_k value; degenerate prefixes (measure 0 or 1) are flagged and
     carry value 0 by convention."""
@@ -107,23 +108,29 @@ class RatioSeries:
     points: list[RatioPoint]
     segments: list[tuple[str, int, int]] = field(default_factory=list)
 
+    def rows(self, texts: dict[int, str] | None = None) -> Series:
+        """The points as a series node, each formatted as it is written.
+        ``texts`` maps ``id(point)`` to the point's text at this series'
+        precision; series that hold the same point objects pass one dict,
+        so each point is formatted once."""
+        n, texts = self.dps, {} if texts is None else texts
+
+        def rows():
+            for p in self.points:
+                text = texts.get(id(p))
+                if text is None:
+                    text = texts[id(p)] = mpf_text(p.value, n)
+                yield (p.k, text, p.flag) if p.flag else (p.k, text)
+
+        return Series(len(self.points), rows)
+
     def to_jsonable(self, texts: dict[int, str] | None = None) -> dict:
-        """The series as JSON.  ``texts`` maps ``id(point)`` to the point's
-        text at this series' precision; series that hold the same point
-        objects pass one dict, so each point is formatted once."""
-        n = self.dps
-        texts = {} if texts is None else texts
-        points = []
-        for p in self.points:
-            text = texts.get(id(p))
-            if text is None:
-                text = texts[id(p)] = mpf_text(p.value, n)
-            points.append([p.k, text, p.flag] if p.flag else [p.k, text])
+        """The series as JSON, its points as ``rows(texts)``."""
         return {
             "digits": self.digits.to_jsonable(),
             "precision_dps": self.dps,
             "segments": [[kind, a, b] for kind, a, b in self.segments],
-            "points": points,
+            "points": self.rows(texts),
         }
 
 
@@ -312,17 +319,6 @@ class Example1Report:
             "notes": REPORT_NOTES,
         }
 
-    def series_map(self) -> dict[str, list[tuple[int, mpf]]]:
-        """Named (k, value) series for CSV / plot-data emission."""
-        out = {
-            "measure_dim": list(self.measure_series.points),
-            "spectrum_dim": list(self.spectrum_series.points),
-            "ratio_extreme": [(p.k, p.value) for p in self.ratio_extreme.points],
-        }
-        for i, s in enumerate(self.ratio_samples):
-            out[f"ratio_sample_{i}"] = [(p.k, p.value) for p in s.points]
-        return out
-
 
 def example1_report(
     k_max: int,
@@ -361,7 +357,7 @@ def example1_report(
             _step_walks(walks, k, log_prefix, row, prec, rnd)
 
         mseries, sseries = dimension_series(
-            [(model, MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], k_max, dps, on_rank
+            [(model, MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], k_max, dps, on_rank, liminf=True
         )
         m_est = final_decade_liminf(mseries)
         dp = dp_report(model, mseries, scan, m_est)

@@ -195,26 +195,18 @@ def _scalar(value) -> str:
     return json.dumps(value)
 
 
-def _formatter(values):
-    """The function giving each value's JSON text, or None if one is a container."""
-    types = set(map(type, values))
-    if types == {int}:
-        return int.__repr__
-    return None if any(issubclass(t, _CONTAINERS) for t in types) else _scalar
-
-
-def _scalar_list_text(values, text, indent: str) -> str:
-    """The indented layout of a non-empty list of scalars."""
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(map(text, values)) + "\n" + indent + "]"
+def _batches(rows, length: int):
+    """The rows in lists of up to BATCH_ITEMS."""
+    rows = iter(rows)
+    for _ in range(0, length, BATCH_ITEMS):
+        yield list(itertools.islice(rows, BATCH_ITEMS))
 
 
 def _json_pieces(value, indent: str = ""):
     """The text of ``json.dumps(value, sort_keys=True, indent=2)``, in pieces.
 
-    A list of scalars (a digit string) or of non-empty scalar lists (a
-    ``[k, value]`` series) is formatted BATCH_ITEMS items to a piece, and so
-    is a ``TextSeries``, written as the list of its ``[k, text]`` pairs."""
+    A list of scalars (a digit string) is formatted BATCH_ITEMS items to a
+    piece, and so is a ``Series`` node, one f-string to a row."""
     if isinstance(value, dict):
         if not value:
             yield "{}"
@@ -226,41 +218,33 @@ def _json_pieces(value, indent: str = ""):
             yield from _json_pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(value, (list, tuple, sequences.TextSeries)):
-        if not value:
+    elif isinstance(value, (list, tuple, sequences.Series)):
+        if not len(value):
             yield "[]"
             return
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if isinstance(value, sequences.TextSeries):
-            text = partial(_scalar_list_text, text=_scalar, indent=inner)
+        inner, cell = indent + "  ", indent + "    "
+        sep, quote_sep, close = ",\n" + inner, '",\n' + cell + '"', '"\n' + inner + "]"
+        if isinstance(value, sequences.Series):
+            text = lambda row: f'[\n{cell}{row[0]},\n{cell}"{quote_sep.join(row[1:])}{close}'  # noqa: E731
         else:
-            text = _formatter(value)
-            if text is None and set(map(type, value)) <= {list, tuple} and all(value):
-                item_text = _formatter(itertools.chain.from_iterable(value))
-                if item_text:
-                    text = partial(_scalar_list_text, text=item_text, indent=inner)
+            text = None if any(isinstance(item, _CONTAINERS) for item in value) else _scalar
         if text is None:
             for i, item in enumerate(value):
                 yield "[\n" + inner if i == 0 else sep
                 yield from _json_pieces(item, inner)
         else:
-            items = iter(value)
-            for i in range(0, len(value), BATCH_ITEMS):
-                batch = itertools.islice(items, BATCH_ITEMS)
+            for i, batch in enumerate(_batches(value, len(value))):
                 yield ("[\n" + inner if i == 0 else sep) + sep.join(map(text, batch))
         yield "\n" + indent + "]"
     else:
         yield _scalar(value)
 
 
-def _series_pieces(points, head: str, sep: str, dps: int):
-    """The rows of a (k, mpf) series or of a ``TextSeries``, whose texts are used as they stand."""
+def _series_pieces(series: sequences.Series, head: str, sep: str):
+    """A series node as ``k<sep>text`` lines under ``head``."""
     yield head
-    if not isinstance(points, sequences.TextSeries):
-        points = ((k, mpf_text(v, dps)) for k, v in points)
-    for k, text in points:
-        yield f"{k}{sep}{text}\n"
+    for batch in _batches(series, len(series)):
+        yield "".join([f"{row[0]}{sep}{row[1]}\n" for row in batch])
 
 
 def _write(pieces, path: str | None) -> None:
@@ -280,7 +264,7 @@ def _write(pieces, path: str | None) -> None:
 
 
 def _emit(ns, payload: dict, dps: int, series=None, column=None) -> None:
-    """Write the JSON report, or its named (k, value) series as CSV or plot-data.
+    """Write the JSON report, or its named ``Series`` nodes as CSV or plot-data.
 
     The JSON is byte for byte ``json.dumps(payload, sort_keys=True,
     indent=2)`` plus a newline.  One CSV series goes to --out (or stdout)
@@ -302,7 +286,7 @@ def _emit(ns, payload: dict, dps: int, series=None, column=None) -> None:
         if csv:
             head += f"k,{column if len(series) == 1 else 'value'}\n"
         suffix = "" if csv and len(series) == 1 else f".{name}.{'csv' if csv else 'dat'}"
-        _write(_series_pieces(points, head, "," if csv else " ", dps), ns.out and ns.out + suffix)
+        _write(_series_pieces(points, head, "," if csv else " "), ns.out and ns.out + suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +361,14 @@ def _cmd_billingsley(ns, dps):
     series = bl.ratio_series(model, codec.DigitString(seq, ns.digits), ns.k_max, dps=dps)
     payload = series.to_jsonable()
     payload["model"] = model.descriptor()
-    _emit(ns, payload, dps, {"ratios": [(p.k, p.value) for p in series.points]}, "b_k")
+    _emit(ns, payload, dps, {"ratios": payload["points"]}, "b_k")
 
 
 def _cmd_boxcount(ns, dps):
     spec = estimator.DigitSetSpec.from_descriptor(sequences.make_sequence(ns.seq), ns.set)
     estimate = estimator.box_dimension_estimate(spec, ns.k_max, dps=dps)
-    _emit(ns, estimate.to_jsonable(), dps, {"ratios": estimate.series}, "ratio")
+    payload = estimate.to_jsonable()
+    _emit(ns, payload, dps, {"ratios": payload["series"]}, "ratio")
 
 
 def _cmd_example1(ns, dps):
@@ -394,7 +379,12 @@ def _cmd_example1(ns, dps):
         samples=ns.samples,
         dps=dps,
     )
-    _emit(ns, report.to_jsonable(), dps, report.series_map())
+    payload = report.to_jsonable()  # its ratio series share one dict of point texts
+    series = {"measure_dim": payload["measure_dimension"]["points"],
+              "spectrum_dim": payload["spectrum_dimension"]["points"],
+              "ratio_extreme": payload["ratio_series_extreme"]["points"]}
+    series.update((f"ratio_sample_{i}", s["points"]) for i, s in enumerate(payload["ratio_series_samples"]))
+    _emit(ns, payload, dps, series)
 
 
 COMMANDS = {

@@ -19,7 +19,7 @@ from .precision import (
     as_mpf, from_int, fzero, ln_int_raw, mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_sqrt,
     mpf_sub, mpf_text, resolve_dps, walk_precision, working_dps,
 )
-from .sequences import BasicSequence, as_integer, is_power_of_ten, rank_logs
+from .sequences import BasicSequence, Series, as_integer, is_power_of_ten, rank_logs
 
 FAMILY_NOTE = (
     "slope is the dimension w.r.t. the cylinder family; it equals the "
@@ -139,9 +139,7 @@ class DigitSetSpec:
         if not digits:
             raise EstimatorError(f"admissible set at rank {k} is empty")
         if digits[-1] > n - 1:
-            raise EstimatorError(
-                f"admissible digit {digits[-1]} at rank {k} outside 0..{n - 1}"
-            )
+            raise EstimatorError(f"admissible digit {digits[-1]} at rank {k} outside 0..{n - 1}")
         return digits
 
     def admissible_count(self, k: int, n: int) -> int:
@@ -223,7 +221,7 @@ class BoxCountEstimate:
             "slope": mpf_text(self.slope, n),
             "residual": mpf_text(self.residual, n),
             "note": FAMILY_NOTE,
-            "series": [[k, mpf_text(r, n)] for k, r in self.series],
+            "series": Series.of_values(self.series, n),
         }
 
 

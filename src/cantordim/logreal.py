@@ -50,11 +50,9 @@ class LogReal:
         return cls(1, mpf(0))
 
     @classmethod
-    def from_log(cls, log_mag, sign: int = 1) -> "LogReal":
-        """Value whose natural log of magnitude is ``log_mag``."""
-        if sign == 0:
-            return cls.zero()
-        return cls(sign, log_mag)
+    def from_log(cls, log_mag) -> "LogReal":
+        """The positive value whose natural log is ``log_mag``."""
+        return cls(1, log_mag)
 
     @classmethod
     def from_int(cls, n: int) -> "LogReal":

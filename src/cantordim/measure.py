@@ -22,6 +22,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Mapping, Optional, Sequence
 
 from mpmath import mp, mpf
@@ -35,6 +36,7 @@ from .precision import (
 from .sequences import (
     ArithmeticSequence,
     BasicSequence,
+    Series,
     as_ratio,
     is_power_of_ten,
     rank_logs,
@@ -186,23 +188,16 @@ class VanishingZeroRow(Row):
 
 
 class CustomRow(Row):
-    def __init__(self, probs: Sequence, eps: mpf):
-        entries = []
-        for p in probs:
-            if isinstance(p, LogReal):
-                entries.append(p)
-            else:
-                entries.append(LogReal.from_fraction(Fraction(p)))
+    def __init__(self, probs: Sequence[Fraction], eps: mpf):
+        entries = [LogReal.from_fraction(p) for p in probs]
         if any(e.sign < 0 for e in entries):
             raise ModelError("probabilities must be >= 0")
         self.n = len(entries)
         self._entries = entries
         total = log_sum(entries)
         if total.is_zero() or abs(total.log()) > eps:
-            raise ModelError(
-                f"row does not sum to 1 within tolerance (log sum = "
-                f"{'-inf' if total.is_zero() else total.log()})"
-            )
+            log_sum_text = "-inf" if total.is_zero() else total.log()
+            raise ModelError(f"row does not sum to 1 within tolerance (log sum = {log_sum_text})")
         self._cums = [LogReal.zero()]
         for e in entries[:-1]:
             self._cums.append(self._cums[-1] + e)
@@ -331,37 +326,34 @@ class SpikedPointMassRule(RowRule):
 
 class CustomRule(RowRule):
     """Explicit probability tables, one per rank; the last row repeats for
-    ranks beyond the table."""
+    ranks beyond the table.  Each entry is read as an exact rational here."""
 
     def __init__(self, rows: Sequence[Sequence]):
-        if not rows:
+        try:
+            self.rows = [
+                [as_ratio(p, f"custom row {i} entry {j}", ModelError) for j, p in enumerate(row, 1)]
+                for i, row in enumerate(rows, 1)
+            ]
+        except TypeError as exc:
+            raise ModelError(f"malformed custom row descriptor: {exc}") from exc
+        if not self.rows:
             raise ModelError("custom rows need at least one row")
-        self.rows = [list(r) for r in rows]
 
     def row(self, k: int, n: int) -> Row:
         raw = self.rows[min(k, len(self.rows)) - 1]
         if len(raw) != n:
-            raise ModelError(
-                f"custom row for rank {k} has {len(raw)} entries, expected {n}"
-            )
+            raise ModelError(f"custom row for rank {k} has {len(raw)} entries, expected {n}")
         # Rows are built inside working_dps, so the requested precision is
         # the ambient one less the guard digits (MIN_DPS outside any block).
         return CustomRow(raw, eps_for(max(mp.dps - GUARD_DPS, MIN_DPS)))
 
     def descriptor(self):
-        return {"custom": [[_entry_jsonable(p) for p in row] for row in self.rows]}
+        return {"custom": [[str(p) if p.denominator != 1 else int(p) for p in row] for row in self.rows]}
 
     def separated_from_zero(self, seq):
         # The table cycles its last row, so the infimum is a minimum over
         # finitely many entries.
-        if any(Fraction(p) == 0 for row in self.rows for p in row):
-            return False
-        return True
-
-
-def _entry_jsonable(p):
-    q = Fraction(p)
-    return str(q) if q.denominator != 1 else int(q)
+        return all(p != 0 for row in self.rows for p in row)
 
 
 def make_row_rule(spec) -> RowRule:
@@ -385,13 +377,7 @@ def make_row_rule(spec) -> RowRule:
             return PointMassRule(j)
         raise ModelError(f"unknown row rule {spec!r}")
     if isinstance(spec, Mapping) and "custom" in spec:
-        try:
-            return CustomRule([
-                [as_ratio(p, f"custom row {i} entry {j}", ModelError) for j, p in enumerate(row, 1)]
-                for i, row in enumerate(spec["custom"], 1)
-            ])
-        except TypeError as exc:
-            raise ModelError(f"malformed custom row descriptor: {exc}") from exc
+        return CustomRule(spec["custom"])
     raise ModelError(f"unknown row rule descriptor {spec!r}")
 
 
@@ -529,22 +515,30 @@ class DimensionSeries:
     """A running dimension approximation d_k with its formula tag and the
     partial sum of squared faithfulness ratios (the precondition under
     which the formula is exact in the limit; divergence is reported, never
-    fatal)."""
+    fatal).  ``texts[k - 1]`` is the text of d_k at ``dps`` digits.  Built
+    with ``liminf=True``, it also keeps the suffix minima min(d_j..d_K) as
+    ``envelope``: their runs (last rank, value), the values strictly rising.
+    """
 
     formula: str
     model_descriptor: dict
     dps: int
-    points: list[tuple[int, mpf]]
+    texts: list[str]
     precondition_partial: mpf
+    envelope: Optional[list[tuple[int, mpf]]] = None
+
+    @property
+    def points(self) -> Series:
+        """The ``(k, text)`` rows of d_k."""
+        return Series.of_texts(1, self.texts)
 
     def to_jsonable(self) -> dict:
-        n = self.dps
         return {
             "formula": self.formula,
             "model": self.model_descriptor,
             "precision_dps": self.dps,
-            "precondition_partial_sum": mpf_text(self.precondition_partial, n),
-            "points": [[k, mpf_text(v, n)] for k, v in self.points],
+            "precondition_partial_sum": mpf_text(self.precondition_partial, self.dps),
+            "points": self.points,
         }
 
 
@@ -559,13 +553,16 @@ def dimension_series(
     k_max: int,
     dps: int | None = None,
     on_rank: Callable[[int, tuple, Row], None] | None = None,
+    liminf: bool = False,
 ) -> list[DimensionSeries]:
     """d_k = (term(row 1) + ... + term(row k)) / ln(n_1 ... n_k) for each
     (model, (formula, term)) in specs, all from one ``walk`` of the first
     model.  The models share its sequence, so the others' rows are built
     at the walk's n_k, and the partial sum of r_k**2 is summed once for
     all.  ``on_rank(k, ln(n_1...n_k), row)`` sees each row of the walk,
-    with the prefix log as a raw kernel value.
+    with the prefix log as a raw kernel value.  Each d_k is formatted in
+    the walk and kept as text; with ``liminf``, each series' envelope is
+    kept as a stack of runs, a new d_k ending every run not below it.
     """
     for model, _ in specs:
         if not 1 <= k_max <= model.depth_cap:
@@ -576,13 +573,20 @@ def dimension_series(
     with working_dps(dps):
         prec, rnd = walk_precision()
         numerators = [fzero] * len(specs)
-        points: list[list[tuple[int, mpf]]] = [[] for _ in specs]
+        texts: list[list[str]] = [[] for _ in specs]
+        runs: list[list[tuple[int, tuple]]] = [[] for _ in specs]
         square_partial = fzero
         for k, log_n, before, log_prefix, row in specs[0][0].walk(k_max):
             for i, (model, (_, row_term)) in enumerate(specs):
                 term = row_term(row if i == 0 else model.rule.row(k, row.n), prec, rnd)
                 numerators[i] = mpf_add(numerators[i], term, prec, rnd)
-                points[i].append((k, as_mpf(mpf_div(numerators[i], log_prefix, prec, rnd))))
+                d = mpf_div(numerators[i], log_prefix, prec, rnd)
+                texts[i].append(mpf_text(as_mpf(d), used))
+                if liminf:
+                    stack = runs[i]
+                    while stack and not mpf_lt(stack[-1][1], d):
+                        stack.pop()
+                    stack.append((k, d))
             if k > 1:
                 r = mpf_div(log_n, before, prec, rnd)
                 square_partial = mpf_add(square_partial, mpf_mul(r, r, prec, rnd), prec, rnd)
@@ -593,10 +597,11 @@ def dimension_series(
                 formula=formula,
                 model_descriptor=model.descriptor(),
                 dps=used,
-                points=series_points,
+                texts=series_texts,
                 precondition_partial=as_mpf(square_partial),
+                envelope=[(k, as_mpf(v)) for k, v in stack] if liminf else None,
             )
-            for (model, (formula, _)), series_points in zip(specs, points)
+            for (model, (formula, _)), series_texts, stack in zip(specs, texts, runs)
         ]
 
 
@@ -615,52 +620,48 @@ def dim_spectrum_series(model: SymbolModel, k_max: int, dps: int | None = None) 
 class LiminfEstimate:
     """Windowed stand-in for a liminf: the minimum over the trailing window,
     plus the full suffix-minimum envelope so the raw structure stays visible.
-    A finite series cannot decide a liminf; this is a labeled heuristic."""
+    A finite series cannot decide a liminf; this is a labeled heuristic.
+    ``lower_envelope`` holds the envelope's runs, listed rank by rank in JSON.
+    """
 
     estimate: mpf
     window: int
     lower_envelope: list[tuple[int, mpf]]
 
+    def _envelope_rows(self):
+        first = 1
+        for last, value in self.lower_envelope:
+            yield from zip(range(first, last + 1), repeat(mpf_text(value, 17)))  # one text a run
+            first = last + 1
+
     def to_jsonable(self) -> dict:
-        # A suffix minimum holds one mpf object over each run of ranks, so
-        # each run is formatted once.
-        envelope, last, text = [], None, ""
-        for k, v in self.lower_envelope:
-            if v is not last:
-                last, text = v, mpf_text(v, 17)
-            envelope.append([k, text])
         return {
             "estimate": mpf_text(self.estimate, 17),
             "window": self.window,
             "heuristic": "minimum over trailing window; no finite computation decides a liminf",
-            "lower_envelope": envelope,
+            "lower_envelope": Series(self.lower_envelope[-1][0], self._envelope_rows),
         }
 
 
 def liminf_estimate(series: DimensionSeries, window: int) -> LiminfEstimate:
-    """Trailing-window minimum and the suffix-minima envelope of a series."""
+    """Trailing-window minimum and the suffix-minima envelope of a series
+    built by ``dimension_series(..., liminf=True)``."""
     if window < 1:
         raise ModelError(f"window must be >= 1, got {window}")
-    if window > len(series.points):
-        raise ModelError(
-            f"window {window} larger than series of length {len(series.points)}"
-        )
-    envelope = []
-    running = None
-    for k, v in reversed(series.points):
-        if running is None or mpf_lt(v._mpf_, running._mpf_):  # min(running, v)
-            running = v
-        envelope.append((k, running))
-    envelope.reverse()
-    # The window's minimum is the envelope at the window's first rank; equal
-    # mpf values have equal bits, so which of them min() would keep is moot.
-    return LiminfEstimate(estimate=envelope[-window][1], window=window, lower_envelope=envelope)
+    k_max = len(series.texts)
+    if window > k_max:
+        raise ModelError(f"window {window} larger than series of length {k_max}")
+    if series.envelope is None:
+        raise ModelError("the series was built without its envelope; build it with dimension_series(..., liminf=True)")
+    start = k_max - window + 1  # the window's minimum is the envelope's value there
+    estimate = next(v for last, v in series.envelope if last >= start)
+    return LiminfEstimate(estimate=estimate, window=window, lower_envelope=series.envelope)
 
 
 def final_decade_liminf(series: DimensionSeries) -> LiminfEstimate:
     """``liminf_estimate`` over the final decade: the ranks from the largest
     power of ten <= k_max on."""
-    k_max = len(series.points)
+    k_max = len(series.texts)
     return liminf_estimate(series, k_max - trailing_decade_start(k_max) + 1)
 
 
@@ -750,7 +751,7 @@ def dp_necessary_conditions(
     on the measure dimension series' rank walk.
     """
     scan = PositivityScan()
-    (series,) = dimension_series([(model, MEASURE_ENTROPY)], k_max, dps, scan.observe)
+    (series,) = dimension_series([(model, MEASURE_ENTROPY)], k_max, dps, scan.observe, liminf=True)
     return dp_report(model, series, scan, final_decade_liminf(series), tol)
 
 
@@ -763,7 +764,7 @@ def dp_report(
 ) -> DpReport:
     """The DP verdict from a walk's measure dimension series, its
     ``final_decade_liminf`` and the positivity scan."""
-    k_max = len(series.points)
+    k_max = len(series.texts)
     all_positive = scan.first_zero is None
     estimate = liminf.estimate
     with working_dps(series.dps):

@@ -19,8 +19,10 @@ libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
   ``mpf_neg``, and ``sum`` from 0 is a chain of ``mpf_add`` from ``fzero``;
 - comparisons are the exact ``mpf_cmp``/``mpf_lt`` on the raw values;
 - a value is wrapped in an mpf (``as_mpf``) only when a report keeps it
-  or formats it, and each mpf is formatted with ``mpf_text`` (the
-  faithfulness sweep keeps its ratios as that text alone).
+  or formats it, and each mpf is formatted with ``mpf_text``.  The spill:
+  the faithfulness sweep and the dimension series keep their per-rank
+  values as that text alone, and the other series are formatted as the
+  CLI writes them.
 
 Every operation is therefore the same correctly rounded libmp call at the
 same precision as in the operator form, and every output bit is the same;

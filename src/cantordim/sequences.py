@@ -26,9 +26,9 @@ import itertools
 import math
 import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Mapping, Optional
+from typing import Callable, ClassVar, Iterator, Mapping, Optional, Sequence
 
 from mpmath import mp, mpf
 
@@ -81,6 +81,41 @@ def as_ratio(value, what: str, error: type[ValueError] = SequenceError) -> Fract
         raise error(f"{what} must be a rational number, got {value!r}") from None
 
 
+@dataclass(frozen=True, eq=False)
+class Series:
+    """A JSON series: ``[k, text]`` rows, or ``[k, text, flag]`` for a
+    flagged point, yielded afresh by ``rows()`` on each iteration.
+
+    Reports put this node where a series goes and the CLI writer writes its
+    rows as they come, so no list of a series is ever built.  A text is an
+    ``mpf_text`` and a flag a fixed name, so neither needs JSON escaping,
+    and the writer puts both in as they stand.
+    """
+
+    length: int
+    rows: Callable[[], Iterator[tuple]]
+
+    @classmethod
+    def of_texts(cls, first_k: int, texts: Sequence[str]) -> "Series":
+        """The texts, kept as they are, at ranks first_k, first_k + 1, ..."""
+        return cls(len(texts), lambda: zip(itertools.count(first_k), texts))
+
+    @classmethod
+    def of_values(cls, points: Sequence[tuple[int, mpf]], n: int) -> "Series":
+        """(k, value) points, each value formatted to n digits as it is written."""
+        return cls(len(points), lambda: ((k, mpf_text(v, n)) for k, v in points))
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.rows())
+
+    def __getitem__(self, i: int) -> tuple:
+        """Row i (from the end when negative), found by iterating."""
+        return next(itertools.islice(self, range(self.length)[i], None))
+
+
 class BasicSequence(ABC):
     """A branching sequence n_1, n_2, ... with every term an integer >= 2."""
 
@@ -118,8 +153,8 @@ class BasicSequence(ABC):
     def iter_terms(self, k_max: int):
         """n_1, ..., n_{k_max} in order.
 
-        Overridden where per-term recomputation would repeat big-integer
-        powers (geometric tails)."""
+        Overridden where stepping beats ``term(k)`` per rank: geometric
+        tails (big-integer powers) and integer-step progressions."""
         return (self.term(k) for k in range(1, k_max + 1))
 
     def _check_rank(self, k: int) -> None:
@@ -127,9 +162,7 @@ class BasicSequence(ABC):
             raise SequenceError(f"rank must be >= 1, got {k}")
         cap = self.max_rank()
         if cap is not None and k > cap:
-            raise SequenceError(
-                f"rank {k} exceeds the {cap}-term custom table (no tail rule)"
-            )
+            raise SequenceError(f"rank {k} exceeds the {cap}-term custom table (no tail rule)")
 
 
 @dataclass(frozen=True)
@@ -175,6 +208,14 @@ class ArithmeticSequence(BasicSequence):
         if rem:
             raise SequenceError(f"term({k}) = {self.a1 + (k - 1) * d} is not an integer")
         return value
+
+    def iter_terms(self, k_max: int):
+        num, den = self.d.numerator, self.d.denominator
+        if den != 1:
+            # den does not divide (k - 1) * num at k = 2, so term(2) raises
+            # whatever a1 is: the checked per-rank path costs nothing here.
+            return super().iter_terms(k_max)
+        return iter(range(self.a1, self.a1 + k_max * num, num))
 
     def eventually_bounded(self) -> bool:
         return False
@@ -469,14 +510,7 @@ class EnvelopeFit:
     degenerate_geometric: bool = False
 
     def to_jsonable(self) -> dict:
-        return {
-            "fits": self.fits,
-            "a1": self.a1,
-            "d": self.d,
-            "b1": self.b1,
-            "q": self.q,
-            "degenerate_geometric": self.degenerate_geometric,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -490,7 +524,7 @@ class SubgeometricFit:
     witness_q: Optional[int] = None
 
     def to_jsonable(self) -> dict:
-        return {"holds": self.holds, "witness_q": self.witness_q}
+        return asdict(self)
 
 
 def _min_q_for_power(target: int, exponent: int, floor: int) -> int:
@@ -526,23 +560,6 @@ VERDICT_VIOLATED = "criterion_violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class TextSeries:
-    """A ``[k, value]`` series held as its formatted values alone, for k =
-    first_k, first_k + 1, ...; the CLI writer renders it as the JSON list of
-    those pairs without building them."""
-
-    first_k: int
-    texts: list[str]
-
-    def __len__(self) -> int:
-        return len(self.texts)
-
-    def __iter__(self):
-        """The (k, text) pairs."""
-        return zip(itertools.count(self.first_k), self.texts)
-
-
 @dataclass
 class FaithfulnessReport:
     """Outcome of a finite faithfulness-ratio sweep.
@@ -572,7 +589,7 @@ class FaithfulnessReport:
     notes: list[str] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        """The JSON report, with ``ratios`` as a ``TextSeries`` node."""
+        """The JSON report, with its two series as ``Series`` nodes."""
         n = self.dps
         return {
             "sequence": self.seq_descriptor,
@@ -582,12 +599,12 @@ class FaithfulnessReport:
             "violation_threshold": self.violation_threshold,
             "verdict": self.verdict,
             "violation_ranks": list(self.violation_ranks),
-            "decade_maxima": [[k, mpf_text(v, n)] for k, v in self.decade_maxima],
+            "decade_maxima": Series.of_values(self.decade_maxima, n),
             "envelope": self.envelope.to_jsonable(),
             "subgeometric": self.subgeometric.to_jsonable(),
             "square_summable_partial": mpf_text(self.square_summable_partial, n),
             "notes": list(self.notes),
-            "ratios": TextSeries(2, self.ratios),
+            "ratios": Series.of_texts(2, self.ratios),
         }
 
 
@@ -610,9 +627,7 @@ def faithfulness_diagnostic(
     if k_max < 3:
         raise SequenceError(f"diagnostic needs k_max >= 3, got {k_max}")
     if not (math.isfinite(met_tol) and math.isfinite(violation_threshold)):
-        raise SequenceError(
-            f"met_tol and violation_threshold must be finite, got {met_tol} and {violation_threshold}"
-        )
+        raise SequenceError(f"met_tol and violation_threshold must be finite, got {met_tol} and {violation_threshold}")
     cap = seq.max_rank()
     if cap is not None and k_max > cap:
         raise SequenceError(f"k_max {k_max} exceeds the custom table length {cap}")

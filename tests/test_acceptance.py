@@ -172,7 +172,7 @@ def test_criterion_06_classical_cantor_cross_check():
         model = SymbolModel(seq, make_row_rule({"custom": [["1/2", 0, "1/2"]]}), 20)
         series = dim_spectrum_series(model, 20, dps=DPS)
         for k, v in series.points:
-            check(abs(v - want) <= mpf("1e-12"), f"spectrum series off at k = {k}", failures)
+            check(abs(mpf(v) - want) <= mpf("1e-12"), f"spectrum series off at k = {k}", failures)
         check(abs(want - mpf("0.6309297")) < mpf("1e-7"), "ln2/ln3 sanity", failures)
         est = box_dimension_estimate(DigitSetSpec.constant_digits(seq, (0, 2)), 12, dps=DPS)
         check(abs(est.slope - want) <= mpf("1e-9"), f"slope {est.slope}", failures)
@@ -196,7 +196,7 @@ def test_criterion_07_uniform_dimension_one():
             model = SymbolModel(seq, make_row_rule("uniform"), depth_cap=200)
             series = dim_measure_series(model, 200, dps=DPS)
             for k, v in series.points:
-                check(abs(v - 1) <= tol,
+                check(abs(mpf(v) - 1) <= tol,
                       f"{spec['kind']}: d_{k} = {v} not 1 within eps", failures)
     finish(7, "uniform rows: measure-dimension series = 1 to eps for every sequence kind",
            failures)
@@ -239,7 +239,7 @@ def test_criterion_09_example1_reproduction():
         # (a) measure dimension: trailing estimate >= 0.95, rising between spikes
         check(report.measure_liminf.estimate >= mpf("0.95"),
               f"measure estimate {report.measure_liminf.estimate}", failures)
-        mvalues = dict(report.measure_series.points)
+        mvalues = {k: mpf(text) for k, text in report.measure_series.points}
         check(all(mvalues[k + 1] > mvalues[k] for k in range(11, 99)),
               "measure series not increasing between spikes", failures)
         # (b) spectrum dimension of the companion model

@@ -13,7 +13,6 @@ from cantordim import (
     DigitString,
     SymbolModel,
     billingsley_ratio,
-    dim_spectrum_series,
     dp_necessary_conditions,
     eps_for,
     example1_model,
@@ -28,7 +27,8 @@ from cantordim import (
     v_extreme_element,
     working_dps,
 )
-from cantordim import billingsley, measure
+from cantordim import billingsley, cli, measure
+from cantordim.measure import SPECTRUM_COUNT, dimension_series
 from cantordim.billingsley import (
     FLAG_UNIT_MEASURE,
     FLAG_ZERO_MEASURE,
@@ -37,6 +37,23 @@ from cantordim.billingsley import (
     _step_walks,
 )
 from cantordim.precision import mpf_text, walk_precision
+from cantordim.sequences import Series
+
+
+def rendered(payload) -> str:
+    """The payload as the CLI writer writes it."""
+    return "".join(cli._json_pieces(payload))
+
+
+def list_form(value):
+    """The payload with every series node as its JSON list."""
+    if isinstance(value, Series):
+        return [list(row) for row in value]
+    if isinstance(value, dict):
+        return {key: list_form(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [list_form(item) for item in value]
+    return value
 
 ARITH = make_sequence({"kind": "arithmetic", "a1": 2, "d": 1})
 CONSTANT3 = make_sequence({"kind": "constant", "s": 3})
@@ -138,15 +155,15 @@ def test_sampled_elements_stay_in_v():
 
 def test_report_before_first_spike_is_flat():
     report = example1_report(9, seed=1)
-    assert all(v == 1 for _, v in report.measure_series.points)
-    assert all(v == 1 for _, v in report.spectrum_series.points)
+    assert all(text == "1.0" for _, text in report.measure_series.points)
+    assert all(text == "1.0" for _, text in report.spectrum_series.points)
     assert all(p.value == 1 for p in report.ratio_extreme.points)
 
 
 def test_report_at_first_spike():
     report = example1_report(10, seed=1)
-    assert report.measure_series.points[-1][1] < 1
-    assert report.spectrum_series.points[-1][1] < 1
+    assert mpf(report.measure_series.points[-1][1]) < 1
+    assert mpf(report.spectrum_series.points[-1][1]) < 1
     assert report.ratio_extreme.points[-1].value < mpf("1e-8")
 
 
@@ -179,9 +196,7 @@ def test_headline_from_the_first_spike_on_states_the_collapse(k_max):
 
 def test_report_headline_and_json():
     report = example1_report(20, seed=7)
-    payload = report.to_jsonable()
-    text = json.dumps(payload, sort_keys=True)
-    parsed = json.loads(text)
+    parsed = json.loads(rendered(report.to_jsonable()))
     assert parsed["dp_necessary_conditions"]["verdict"] == "necessary_conditions_met_only"
     assert float(parsed["headline"]["predicted_image_dimension"]) < 1e-8
     assert parsed["seed"] == 7
@@ -212,7 +227,7 @@ def test_example1_report_equals_its_unfused_composition(tower, samples, dps):
     report = example1_report(k_max, seed=seed, tower=tower, samples=samples, dps=dps)
     model = example1_model(depth_cap=k_max, tower=tower)
     dp = dp_necessary_conditions(model, k_max, dps=dps)
-    spectrum = dim_spectrum_series(example1_psi_model(depth_cap=k_max), k_max, dps)
+    (spectrum,) = dimension_series([(example1_psi_model(depth_cap=k_max), SPECTRUM_COUNT)], k_max, dps, liminf=True)
     rng = random.Random(seed)
     strings = [v_extreme_element(ARITH, k_max)]
     strings += [sample_v_element(ARITH, k_max, rng) for _ in range(samples)]
@@ -268,8 +283,8 @@ def test_example1_series_share_one_segments_pass(tower):
 
 
 def unshared_jsonable(report) -> dict:
-    """The report's JSON with every number formatted on its own by to_str."""
-    out = report.to_jsonable()
+    """The report's JSON list form with every number formatted on its own by to_str."""
+    out = list_form(report.to_jsonable())
 
     def points(series):
         return [
@@ -277,22 +292,24 @@ def unshared_jsonable(report) -> dict:
             for p in series.points
         ]
 
+    def envelope(est):
+        runs, first = [], 1
+        for last, v in est.lower_envelope:
+            runs += [[k, to_str(v._mpf_, 17)] for k in range(first, last + 1)]
+            first = last + 1
+        return runs
+
     out["ratio_series_extreme"]["points"] = points(report.ratio_extreme)
     for js, series in zip(out["ratio_series_samples"], report.ratio_samples):
         js["points"] = points(series)
     for key, est in (("measure_dimension", report.measure_liminf), ("spectrum_dimension", report.spectrum_liminf)):
-        out[key]["liminf"]["lower_envelope"] = [[k, to_str(v._mpf_, 17)] for k, v in est.lower_envelope]
+        out[key]["liminf"]["lower_envelope"] = envelope(est)
     return out
-
-
-def runs_of_one_object(values) -> int:
-    return sum(1 for i, v in enumerate(values) if i == 0 or v is not values[i - 1])
 
 
 @pytest.mark.parametrize("tower", [False, True])
 def test_example1_report_formats_each_shared_number_once(monkeypatch, tower):
     k_max = 300
-    report = example1_report(k_max, samples=3, tower=tower)
     calls = collections.Counter()
 
     def counting(module):
@@ -304,23 +321,28 @@ def test_example1_report_formats_each_shared_number_once(monkeypatch, tower):
 
     monkeypatch.setattr(billingsley, "mpf_text", counting("billingsley"))
     monkeypatch.setattr(measure, "mpf_text", counting("measure"))
-    shared = report.to_jsonable()
+    report = example1_report(k_max, samples=3, tower=tower)
+    assert calls == {"measure": 2 * k_max}  # the walk formats each dimension point once
+    payload = report.to_jsonable()
+    # the headline's three numbers; per dimension series its partial sum and
+    # its liminf estimate; the DP report's two numbers
+    assert calls == {"billingsley": 3, "measure": 2 * (k_max + 2) + 2}
+    written = rendered(payload)
     ratio_points = [p for s in [report.ratio_extreme] + report.ratio_samples for p in s.points]
     distinct = len({id(p) for p in ratio_points})
     assert len(ratio_points) == 4 * k_max and distinct == k_max
-    # one call per distinct ratio point, plus the headline's three numbers
-    assert calls["billingsley"] == distinct + 3
-    runs = [runs_of_one_object([v for _, v in est.lower_envelope]) for est in (report.measure_liminf, report.spectrum_liminf)]
+    runs = [len(est.lower_envelope) for est in (report.measure_liminf, report.spectrum_liminf)]
     assert sum(runs) < 2 * k_max  # the spike ranks hold each envelope flat for a while
-    # per dimension series: its points, its partial sum, its liminf estimate
-    # and one call per run of its envelope; then the DP report's two numbers
+    # writing adds one call per distinct ratio point and one per envelope run
+    assert calls["billingsley"] == distinct + 3
     assert calls["measure"] == 2 * (k_max + 2) + sum(runs) + 2
-    assert json.dumps(shared, sort_keys=True) == json.dumps(unshared_jsonable(report), sort_keys=True)
+    assert written == json.dumps(unshared_jsonable(report), sort_keys=True, indent=2)
 
 
 def test_report_text_does_not_depend_on_the_callers_precision():
+    # the series are formatted as they are written, inside the caller's block
     rep = example1_report(200, samples=1, dps=30)
-    outside = rep.to_jsonable()
+    outside = rendered(rep.to_jsonable())
     for dps in (15, 30, 100):
         with working_dps(dps):
-            assert rep.to_jsonable() == outside
+            assert rendered(rep.to_jsonable()) == outside

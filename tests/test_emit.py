@@ -1,20 +1,37 @@
 """The chunked report writer: the bytes of json.dumps, in bounded writes."""
 
+import argparse
 import contextlib
 import io
 import itertools
 import json
+import random
 import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantordim import cli, faithfulness_diagnostic, faithfulness_ratio, make_sequence
+from cantordim import (
+    DigitSetSpec,
+    DigitString,
+    SymbolModel,
+    box_dimension_estimate,
+    cli,
+    dim_measure_series,
+    dim_spectrum_series,
+    example1_report,
+    faithfulness_diagnostic,
+    faithfulness_ratio,
+    make_row_rule,
+    make_sequence,
+    ratio_series,
+)
+from cantordim.billingsley import FLAG_UNIT_MEASURE, FLAG_ZERO_MEASURE
 from cantordim.cli import run
 from cantordim.precision import mpf_text
-from cantordim.sequences import TextSeries
+from cantordim.sequences import Series
 
 
 @contextlib.contextmanager
@@ -94,20 +111,106 @@ def test_report_is_written_in_bounded_pieces():
     assert json.loads(out.getvalue())["k_max"] == 30000
 
 
+# What a series node holds: number texts (as mpf_text makes them, which
+# need no JSON escaping) and the ratio series' flag names.
+NUMBER_TEXTS = st.text(alphabet="0123456789.e+-", max_size=8) | st.sampled_from(["0.0", "-inf", "nan", "1.0e-30"])
+FLAGS = st.none() | st.sampled_from([FLAG_ZERO_MEASURE, FLAG_UNIT_MEASURE])
+WRITER_SIZES = st.sampled_from([(1, 1), (3, 2), (cli.CHUNK_CHARS, cli.BATCH_ITEMS)])
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(-3, 10**6), st.lists(st.text(max_size=8), max_size=12),
-       st.sampled_from([(1, 1), (3, 2), (cli.CHUNK_CHARS, cli.BATCH_ITEMS)]))
-def test_text_series_is_written_as_its_pairs(first_k, texts, sizes):
+@given(st.integers(-3, 10**6), st.lists(st.tuples(NUMBER_TEXTS, FLAGS), max_size=12), WRITER_SIZES)
+def test_series_node_is_written_as_its_rows(first_k, cells, sizes):
     chunk, batch = sizes
-    series = TextSeries(first_k, texts)
-    pairs = [[k, t] for k, t in zip(itertools.count(first_k), texts)]
+    rows = [(k, text, flag) if flag else (k, text) for k, (text, flag) in zip(itertools.count(first_k), cells)]
+    texts = [text for text, _ in cells]
     with mock.patch.object(cli, "CHUNK_CHARS", chunk), mock.patch.object(cli, "BATCH_ITEMS", batch):
-        for payload, expected in (
-            (series, pairs),
-            ({"b": {"ratios": series}, "a": 1}, {"b": {"ratios": pairs}, "a": 1}),
-            ([series, []], [pairs, []]),
+        for series, expected in (
+            (Series(len(rows), lambda: iter(rows)), [list(row) for row in rows]),
+            (Series.of_texts(first_k, texts), [[k, t] for k, t in zip(itertools.count(first_k), texts)]),
         ):
-            assert written(payload).getvalue() == reference(expected)
+            assert [list(row) for row in series] == expected
+            for payload, listed in (
+                (series, expected),
+                ({"b": {"ratios": series}, "a": 1}, {"b": {"ratios": expected}, "a": 1}),
+                ([series, [], Series(0, lambda: iter(()))], [expected, [], []]),
+            ):
+                assert written(payload).getvalue() == reference(listed)
+            csv = "".join(cli._series_pieces(series, "head\n", ","))
+            assert csv == "head\n" + "".join(f"{row[0]},{row[1]}\n" for row in expected)
+
+
+def test_series_node_rows_by_index():
+    series = Series.of_texts(5, ["a", "b", "c"])
+    assert (series[0], series[2], series[-1], series[-3]) == ((5, "a"), (7, "c"), (7, "c"), (5, "a"))
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            series[i]
+
+
+def list_form(value):
+    """The payload with every series node as its JSON list."""
+    if isinstance(value, Series):
+        return [list(row) for row in value]
+    if isinstance(value, dict):
+        return {key: list_form(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [list_form(item) for item in value]
+    return value
+
+
+REPORT_SEQUENCES = st.sampled_from([
+    {"kind": "constant", "s": 3},
+    {"kind": "arithmetic", "a1": 2, "d": 1},
+    {"kind": "geometric", "b1": 2, "q": 3},
+    {"kind": "counterexample"},
+    {"kind": "custom", "table": [9, 2, 40], "tail": {"kind": "arithmetic", "a1": 3, "d": 2}},
+])
+ROWS = st.sampled_from(["uniform", "example1", "example1_psi", "point_mass:0"])
+
+
+def report_payload(kind, seq, rows, k_max, dps, rng):
+    """The payload of one report kind, as the CLI hands it to the writer."""
+    model = SymbolModel(seq, make_row_rule(rows), k_max)
+    if kind == "faithfulness":
+        return faithfulness_diagnostic(seq, k_max, dps=dps).to_jsonable()
+    if kind == "dim-measure":
+        return dim_measure_series(model, k_max, dps).to_jsonable()
+    if kind == "dim-spectrum":
+        return dim_spectrum_series(model, k_max, dps).to_jsonable()
+    if kind == "billingsley":
+        # digit 0 most of the time, so point-mass rows give flagged points
+        digits = DigitString(seq, tuple(0 if rng.random() < 0.7 else rng.randrange(n) for n in seq.iter_terms(k_max)))
+        payload = ratio_series(model, digits, k_max, dps).to_jsonable()
+        payload["model"] = model.descriptor()
+        return payload
+    if kind == "boxcount":
+        return box_dimension_estimate(DigitSetSpec.with_exceptions(seq, (0,), (2, 5)), k_max, dps).to_jsonable()
+    return example1_report(k_max, seed=rng.randrange(100), samples=rng.randrange(3), dps=dps).to_jsonable()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["faithfulness", "dim-measure", "dim-spectrum", "billingsley", "boxcount", "example1"]),
+    spec=REPORT_SEQUENCES,
+    rows=ROWS,
+    k_max=st.integers(4, 40),
+    dps=st.sampled_from([15, 30, 50]),
+    seed=st.integers(0, 2**16),
+    batch=st.sampled_from([1, 3, cli.BATCH_ITEMS]),
+)
+# flagged rows of both kinds; plain rows, then flagged ones from the spike at rank 10
+@example(kind="billingsley", spec={"kind": "constant", "s": 3}, rows="point_mass:0", k_max=12, dps=15, seed=1, batch=3)
+@example(kind="billingsley", spec={"kind": "arithmetic", "a1": 2, "d": 1}, rows="example1_psi", k_max=20, dps=30,
+         seed=2, batch=4)
+@example(kind="example1", spec={"kind": "constant", "s": 3}, rows="uniform", k_max=40, dps=30, seed=0, batch=7)
+def test_every_report_is_written_as_json_dumps_of_its_list_form(kind, spec, rows, k_max, dps, seed, batch):
+    payload = report_payload(kind, make_sequence(spec), rows, k_max, dps, random.Random(seed))
+    ns = argparse.Namespace(format="json", out=None, command=kind)
+    out = io.StringIO()
+    with mock.patch.object(cli, "BATCH_ITEMS", batch), contextlib.redirect_stdout(out):
+        cli._emit(ns, payload, dps)
+    assert out.getvalue() == json.dumps(list_form(payload), sort_keys=True, indent=2) + "\n"
 
 
 SPILL_CASES = [
@@ -123,7 +226,9 @@ def test_faithfulness_output_from_the_spill_equals_the_old_layout(capsys, spec, 
     # The old layout: every field as the report gives it, with ratios as
     # [k, text] pairs of the oracle's r_k formatted at the report precision.
     seq = make_sequence(spec)
-    payload = faithfulness_diagnostic(seq, k_max, dps=dps).to_jsonable()
+    report = faithfulness_diagnostic(seq, k_max, dps=dps)
+    payload = report.to_jsonable()
+    payload["decade_maxima"] = [[k, mpf_text(v, dps)] for k, v in report.decade_maxima]
     points = [(k, mpf_text(faithfulness_ratio(seq, k, dps), dps)) for k in range(2, k_max + 1)]
     payload["ratios"] = [[k, text] for k, text in points]
     head = f"# precision_dps={dps}\n"

@@ -230,4 +230,4 @@ def test_slope_matches_spectrum_series_for_rank_constant_counts():
             ]
             model = SymbolModel(seq, make_row_rule({"custom": [row]}), depth_cap=64)
             series = dim_spectrum_series(model, 64)
-            assert abs(est.slope - series.points[-1][1]) <= mpf("1e-9")
+            assert abs(est.slope - mpf(series.points[-1][1])) <= mpf("1e-9")

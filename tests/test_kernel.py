@@ -3,8 +3,10 @@
 Each pipeline below runs its per-rank loop on raw libmp values (see the
 ``precision`` module).  The reference loops here are the same formulas
 written with mpf and LogReal operators, at the same precision and in the
-same order, so every emitted value must agree bit for bit (``_mpf_``
-equality), on all five sequence kinds and at 15, 30 and 50 digits.
+same order, so every value a report keeps must agree bit for bit (``_mpf_``
+equality), and every value it keeps only as text must be byte for byte
+``mpf_text`` of the reference value, on all five sequence kinds and at 15,
+30 and 50 digits.
 """
 
 import random
@@ -28,7 +30,7 @@ from cantordim import (
     working_dps,
 )
 from cantordim.billingsley import FLAG_UNIT_MEASURE, FLAG_ZERO_MEASURE
-from cantordim.measure import MEASURE_ENTROPY, SPECTRUM_COUNT, dimension_series
+from cantordim.measure import MEASURE_ENTROPY, SPECTRUM_COUNT, dimension_series, final_decade_liminf
 from cantordim.precision import ln_int, mpf_text
 from cantordim.sequences import trailing_decade_start
 
@@ -87,6 +89,16 @@ def bits(values):
     return [v._mpf_ for v in values]
 
 
+def suffix_minimum_runs(values) -> list:
+    """The suffix minima min(values[j:]) as (last rank, bits) runs, ranks from 1."""
+    envelope, running = [], None
+    for v in reversed(values):
+        running = v if running is None or v < running else running
+        envelope.append(running)
+    envelope.reverse()
+    return [(k, v._mpf_) for k, v in enumerate(envelope, 1) if k == len(envelope) or envelope[k] != v]
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=SEQUENCES, k_max=K_MAX, dps=DPS)
 @example(spec={"kind": "counterexample"}, k_max=120, dps=15)
@@ -119,7 +131,8 @@ ROW_RULES = ["uniform", "example1", "example1_psi", "point_mass:0"]
 def test_dimension_series_both_formulas(spec, k_max, dps, rules):
     seq = make_sequence(spec)
     first, second = (SymbolModel(seq, make_row_rule(r), k_max) for r in rules)
-    measure, spectrum = dimension_series([(first, MEASURE_ENTROPY), (second, SPECTRUM_COUNT)], k_max, dps)
+    specs = [(first, MEASURE_ENTROPY), (second, SPECTRUM_COUNT)]
+    measure, spectrum = dimension_series(specs, k_max, dps, liminf=True)
     with working_dps(dps):
         h = m = square = mpf(0)
         want_measure, want_spectrum = [], []
@@ -131,10 +144,18 @@ def test_dimension_series_both_formulas(spec, k_max, dps, rules):
             if k > 1:
                 r = log_n / before
                 square += r * r
+    window = k_max - trailing_decade_start(k_max) + 1
     for series, want in [(measure, want_measure), (spectrum, want_spectrum)]:
+        # each d_k is kept as its text alone; the values that stay raw (the
+        # square sum, the suffix-minimum runs, the liminf) keep their bits
         assert [k for k, _ in series.points] == list(range(1, k_max + 1))
-        assert bits(v for _, v in series.points) == bits(want)
+        assert series.texts == [mpf_text(v, dps) for v in want]
         assert series.precondition_partial._mpf_ == square._mpf_
+        assert [(k, v._mpf_) for k, v in series.envelope] == suffix_minimum_runs(want)
+        assert final_decade_liminf(series).estimate._mpf_ == min(want[-window:])._mpf_
+    # the same walk without the rider keeps the same texts and no envelope
+    for plain, series in zip(dimension_series(specs, k_max, dps), (measure, spectrum)):
+        assert plain.texts == series.texts and plain.envelope is None
 
 
 # (sequence, row rule) pairs for the ratio series, with zero-mass digits:
@@ -178,6 +199,10 @@ def test_ratio_series_values_and_flags(case, k_max, dps, seed, zero_bias):
     assert [p.k for p in got.points] == list(range(1, k_max + 1))
     assert [p.flag for p in got.points] == [flag for _, flag in want]
     assert bits(p.value for p in got.points) == bits(v for v, _ in want)
+    # the written rows: flagged points carry the flag as a third element
+    assert list(got.rows()) == [
+        (k, mpf_text(v, dps), flag) if flag else (k, mpf_text(v, dps)) for k, (v, flag) in enumerate(want, 1)
+    ]
 
 
 DIGIT_SETS = [
@@ -214,3 +239,4 @@ def test_box_dimension_slope_residual_and_series(spec, k_max, dps, make_set):
     assert got.residual._mpf_ == residual._mpf_
     assert [k for k, _ in got.series] == [k for k, _, _ in points]
     assert bits(r for _, r in got.series) == bits(series)
+    assert list(got.to_jsonable()["series"]) == [(k, mpf_text(r, dps)) for (k, _, _), r in zip(points, series)]

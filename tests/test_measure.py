@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from cantordim.cli import run
+
 from cantordim import (
     DigitString,
     ModelError,
@@ -36,8 +38,8 @@ from cantordim import (
     make_sequence,
     working_dps,
 )
-from cantordim.measure import MEASURE_ENTROPY, SPECTRUM_COUNT, UniformRow, dimension_series
-from cantordim.precision import ln_int
+from cantordim.measure import MEASURE_ENTROPY, SPECTRUM_COUNT, CustomRule, UniformRow, dimension_series
+from cantordim.precision import ln_int, mpf_text
 
 CONSTANT2 = make_sequence({"kind": "constant", "s": 2})
 CONSTANT3 = make_sequence({"kind": "constant", "s": 3})
@@ -381,19 +383,19 @@ def test_dim_measure_uniform_is_one_everywhere():
         tol = eps_for(50)
         for seq in (CONSTANT2, CONSTANT3, ARITH, GEO, COUNTER):
             series = dim_measure_series(uniform_model(seq, 60), 60)
-            assert all(abs(v - 1) <= tol for _, v in series.points)
+            assert all(abs(mpf(v) - 1) <= tol for _, v in series.points)
 
 
 def test_dim_measure_point_mass_is_zero():
     m = SymbolModel(CONSTANT3, make_row_rule("point_mass:2"), 40)
     series = dim_measure_series(m, 40)
-    assert all(v == 0 for _, v in series.points)
+    assert all(text == "0.0" for _, text in series.points)  # exactly 0
 
 
 def test_dim_measure_example1_rises_toward_one():
     with working_dps(50):
         series = dim_measure_series(example1_model(depth_cap=100), 100)
-        values = dict(series.points)
+        values = {k: mpf(text) for k, text in series.points}
         assert abs(values[100] - 1) < mpf("0.05")
         for k in range(11, 100):
             assert values[k + 1] > values[k] or k + 1 == 100
@@ -407,7 +409,7 @@ def test_dim_series_bounds_and_precondition():
             dim_measure_series(cantor_model(40), 40),
             dim_spectrum_series(example1_psi_model(depth_cap=40), 40),
         ):
-            assert all(-tol <= v <= 1 + tol for _, v in series.points)
+            assert all(-tol <= mpf(v) <= 1 + tol for _, v in series.points)
             assert series.precondition_partial > 0
 
 
@@ -415,19 +417,19 @@ def test_dim_spectrum_cantor_constant():
     with working_dps(50):
         series = dim_spectrum_series(cantor_model(30), 30)
         want = mp.ln(2) / mp.ln(3)
-        assert all(abs(v - want) <= mpf("1e-12") for _, v in series.points)
+        assert all(abs(mpf(v) - want) <= mpf("1e-12") for _, v in series.points)
 
 
 def test_dim_spectrum_fully_positive_is_one():
     with working_dps(50):
         series = dim_spectrum_series(uniform_model(ARITH, 30), 30)
-        assert all(abs(v - 1) <= eps_for(50) for _, v in series.points)
+        assert all(abs(mpf(v) - 1) <= eps_for(50) for _, v in series.points)
 
 
 def test_dim_spectrum_companion_model_rises_between_spikes():
     with working_dps(50):
         series = dim_spectrum_series(example1_psi_model(depth_cap=100), 100)
-        values = dict(series.points)
+        values = {k: mpf(text) for k, text in series.points}
         assert values[100] < 1
         assert abs(values[100] - 1) < mpf("0.05")
         for k in range(11, 99):
@@ -442,26 +444,34 @@ def test_dim_spectrum_companion_model_rises_between_spikes():
 
 def test_liminf_constant_series():
     with working_dps(50):
-        series = dim_spectrum_series(cantor_model(30), 30)
+        (series,) = dimension_series([(cantor_model(30), SPECTRUM_COUNT)], 30, liminf=True)
         est = liminf_estimate(series, 10)
         assert abs(est.estimate - mp.ln(2) / mp.ln(3)) <= mpf("1e-12")
 
 
 def test_liminf_monotone_series_takes_window_start():
-    series = dim_measure_series(example1_model(depth_cap=60), 60)
+    (series,) = dimension_series([(example1_model(depth_cap=60), MEASURE_ENTROPY)], 60, liminf=True)
     est = liminf_estimate(series, 5)
     # rising between spikes: minimum of the last 5 points is the first
-    assert est.estimate == series.points[-5][1]
-    # the lower envelope is the suffix minimum, hence non-decreasing nowhere
+    assert mpf_text(est.estimate, series.dps) == series.points[-5][1]
+    # the lower envelope is the suffix minimum, kept as runs of strictly
+    # rising values that end at the last rank; its JSON has every rank
+    ends = [k for k, _ in est.lower_envelope]
     env = [v for _, v in est.lower_envelope]
-    assert all(a <= b for a, b in zip(env, env[1:]))
-    assert len(env) == 60
+    assert all(a < b for a, b in zip(env, env[1:]))
+    assert all(a < b for a, b in zip(ends, ends[1:])) and ends[-1] == 60
+    assert [k for k, _ in est.to_jsonable()["lower_envelope"]] == list(range(1, 61))
 
 
 def test_liminf_window_domain():
-    series = dim_measure_series(cantor_model(10), 10)
-    with pytest.raises(ModelError):
+    (series,) = dimension_series([(cantor_model(10), MEASURE_ENTROPY)], 10, liminf=True)
+    with pytest.raises(ModelError, match="window 11 larger than series of length 10"):
         liminf_estimate(series, 11)
+    with pytest.raises(ModelError, match="window must be >= 1"):
+        liminf_estimate(series, 0)
+    # a series built without the envelope rider holds no value to take it from
+    with pytest.raises(ModelError, match="was built without its envelope"):
+        liminf_estimate(dim_measure_series(cantor_model(10), 10), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -620,3 +630,36 @@ def test_make_row_rule_rejects_unknown():
         make_row_rule("bogus")
     with pytest.raises(ModelError):
         make_row_rule({"something": 1})
+
+
+@pytest.mark.parametrize("rows, rows_json, message", [
+    ([[True, 0, 0]], "[[true,0,0]]", "custom row 1 entry 1 must be a rational number, got True"),
+    ([[float("inf"), 0, 0]], "[[Infinity,0,0]]", "custom row 1 entry 1 must be a rational number, got inf"),
+    ([["1/3"] * 3, ["1/2", None, "1/2"]], '[["1/3","1/3","1/3"],["1/2",null,"1/2"]]',
+     "custom row 2 entry 2 must be a rational number, got None"),
+    ([5], "[5]", "malformed custom row descriptor: 'int' object is not iterable"),
+    ([], "[]", "custom rows need at least one row"),
+])
+def test_custom_rule_reads_every_entry_when_built(capsys, rows, rows_json, message):
+    # The library and the CLI share the one check in CustomRule.__init__,
+    # which refuses a boolean or an infinity as a probability and names the
+    # entry.
+    with pytest.raises(ModelError) as info:
+        CustomRule(rows)
+    assert str(info.value) == message
+    argv = ["dim-measure", "--seq", '{"kind":"constant","s":3}', "--rows", '{"custom":%s}' % rows_json,
+            "--k-max", "3"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_custom_rule_keeps_its_entries_as_exact_rationals():
+    rule = CustomRule([[0.5, "1/4", Fraction(1, 4)], [1, 0, "0"]])
+    assert rule.rows == [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], [1, 0, 0]]
+    assert rule.descriptor() == {"custom": [["1/2", "1/4", "1/4"], [1, 0, 0]]}
+    assert rule.separated_from_zero(CONSTANT3) is False
+    assert CustomRule([["1/2", "1/4", "1/4"]]).separated_from_zero(CONSTANT3) is True
+    with working_dps(30):
+        row = SymbolModel(CONSTANT3, rule, 5).row(2)
+        assert row.logp(0).log() == 0 and row.logp(1).is_zero()

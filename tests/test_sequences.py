@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from cantordim import (
 from cantordim import cli
 from cantordim.precision import mpf_text
 from cantordim.sequences import (
+    ArithmeticSequence,
     VERDICT_INCONCLUSIVE,
     VERDICT_MET,
     VERDICT_VIOLATED,
@@ -454,8 +456,35 @@ def test_witness_fits_match_a_linear_scan(table):
 
 
 def test_report_serializes_to_json_and_csv():
-    # The ratios are a TextSeries node, which the CLI writer renders.
+    # The ratios are a Series node, which the CLI writer renders.
     rep = faithfulness_diagnostic(make_sequence(ARITH), 50)
     payload = json.loads("".join(cli._json_pieces(rep.to_jsonable())))
     assert payload["verdict"] == rep.verdict
     assert payload["ratios"] == [[k, text] for k, text in enumerate(rep.ratios, 2)]
+
+
+def _terms_or_error(terms):
+    """The terms an iterator yields, then the SequenceError text it ends in (or None)."""
+    out = []
+    try:
+        for n in terms:
+            out.append(n)
+    except SequenceError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a1=st.integers(2, 10**30),
+    d=st.fractions(min_value=1, max_value=10**6, max_denominator=12) | st.integers(1, 10**40),
+    k_max=st.integers(0, 40),
+)
+@example(a1=2, d=1, k_max=70)
+@example(a1=3, d=Fraction(3, 2), k_max=5)
+def test_arithmetic_iter_terms_match_term_k(a1, d, k_max):
+    # The pass steps the progression in integers; it must yield what term(k)
+    # gives and raise term(k)'s SequenceError at the same rank.
+    seq = ArithmeticSequence(a1, d)
+    by_term = (seq.term(k) for k in range(1, k_max + 1))
+    assert _terms_or_error(seq.iter_terms(k_max)) == _terms_or_error(by_term)
