@@ -15,7 +15,7 @@ the image set's dimension independently.
 ``ratio_series`` reads b_k off one ``SymbolModel.walk``, adding one digit's
 log mass per rank to the raw log of the cylinder measure (see
 ``precision`` for the kernel); ``billingsley_ratio`` computes one value
-with mpf and LogReal operators as its oracle.  ``example1_report`` feeds
+with mpf operators on the oracles' logs as its oracle.  ``example1_report`` feeds
 the same walk to every series it reports: both dimension series, the DP
 positivity scan and the ratio series of each digit string.
 """
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from mpmath import mpf
 
 from .codec import DigitString, check_max_rank
-from .logreal import LogReal
+from .logreal import LOG_ZERO
 from .measure import (
     MEASURE_ENTROPY,
     SPECTRUM_COUNT,
@@ -76,15 +76,6 @@ class RatioPoint:
     flag: Optional[str] = None
 
 
-def _ratio_point(k: int, log_prefix: mpf, mu: LogReal) -> RatioPoint:
-    """b_k from ln(n_1...n_k) and the cylinder measure mu along the string."""
-    if mu.is_zero():
-        return RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE)
-    if mu.log() == 0:
-        return RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE)
-    return RatioPoint(k=k, value=log_prefix / (-mu.log()))
-
-
 def billingsley_ratio(
     model: SymbolModel, d: DigitString, k: int, dps: int | None = None
 ) -> RatioPoint:
@@ -94,8 +85,13 @@ def billingsley_ratio(
     if d.rank < k:
         raise ValueError(f"digit string has rank {d.rank} < k = {k}")
     with working_dps(dps):
-        mu = cylinder_measure_log(model, d.truncate(k), dps)
-        return _ratio_point(k, log_prefix_product(model.seq, k, dps).log(), mu)
+        log_mu = cylinder_measure_log(model, d.truncate(k), dps).log()
+        log_prefix = log_prefix_product(model.seq, k, dps).log()
+        if log_mu == LOG_ZERO:
+            return RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE)
+        if log_mu == 0:
+            return RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE)
+        return RatioPoint(k=k, value=log_prefix / (-log_mu))
 
 
 @dataclass
@@ -173,13 +169,13 @@ def _step_walks(
     walks: list[_RatioWalk], k: int, log_prefix: tuple, row: Row, prec: int, rnd: str
 ) -> None:
     """Advance each walk by rank k at the kernel's (prec, rnd), with the
-    flags and values of ``_ratio_point``.  Walks whose cylinders have the
+    flags and values of ``billingsley_ratio``.  Walks whose cylinders have the
     same log measure so far and whose digits have the same mass share one
     computation and one (frozen) point: the V-strings under the example1
     rows, where a digit's mass depends on its rank only, all do."""
     done = {}
     for walk in walks:
-        key = (walk.log_mu, row.logp(walk.d.digits[k - 1]).log_mag._mpf_)
+        key = (walk.log_mu, row.logp(walk.d.digits[k - 1])._mpf_)
         step = done.get(key)
         if step is None:
             log_mu = mpf_add(*key, prec, rnd)

@@ -19,7 +19,7 @@ from .precision import (
     as_mpf, from_int, fzero, ln_int_raw, mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_sqrt,
     mpf_sub, mpf_text, resolve_dps, walk_precision, working_dps,
 )
-from .sequences import BasicSequence, Series, as_integer, is_power_of_ten, rank_logs
+from .sequences import BasicSequence, Series, as_integer, is_power_of_ten, rank_logs, reject_unknown_keys
 
 FAMILY_NOTE = (
     "slope is the dimension w.r.t. the cylinder family; it equals the "
@@ -91,7 +91,8 @@ class DigitSetSpec:
     def from_descriptor(cls, seq: BasicSequence, spec) -> "DigitSetSpec":
         """JSON forms: "all" | {"every_rank": [...]} |
         {"except_ranks": "powers_of_10" | [ranks...], "digits_at_exception": [...]} |
-        {"per_rank": [[...], ...]}, optionally wrapped as {"admissible": ...}."""
+        {"per_rank": [[...], ...]}, optionally wrapped as {"admissible": ...}.
+        A key outside its form's keys is refused."""
         if isinstance(spec, Mapping) and set(spec) == {"admissible"}:
             spec = spec["admissible"]
         if spec == "all":
@@ -99,8 +100,10 @@ class DigitSetSpec:
         try:
             if isinstance(spec, Mapping):
                 if "every_rank" in spec:
+                    reject_unknown_keys(spec, {"every_rank"}, "digit-set", EstimatorError)
                     return cls.constant_digits(seq, spec["every_rank"])
                 if "except_ranks" in spec:
+                    reject_unknown_keys(spec, {"except_ranks", "digits_at_exception"}, "digit-set", EstimatorError)
                     rule = spec["except_ranks"]
                     digits = spec.get("digits_at_exception", [0])
                     if rule == "powers_of_10":
@@ -109,6 +112,7 @@ class DigitSetSpec:
                         return cls.with_exceptions(seq, digits, exception_ranks=rule)
                     raise EstimatorError(f"unknown except_ranks rule {rule!r}")
                 if "per_rank" in spec:
+                    reject_unknown_keys(spec, {"per_rank"}, "digit-set", EstimatorError)
                     return cls.from_table(seq, spec["per_rank"])
         except TypeError as exc:
             raise EstimatorError(f"malformed digit-set descriptor: {exc}") from exc

@@ -1,12 +1,16 @@
-"""Signed reals stored in the natural-log domain with mpmath magnitudes.
+"""Non-negative reals held as their natural logs.
 
-A ``LogReal`` holds a sign and ln|x| as an arbitrary-precision real, so it
-can represent quantities such as 10**-(10**100) whose linear form has an
-exponent too long to ever materialize.  Addition uses log-sum-exp with an
-absorb shortcut: once the gap between two log magnitudes exceeds the
-ambient precision, the smaller addend is dropped outright instead of
-evaluating exp() of an astronomically large argument.  The dominant term
-is therefore never lost, whatever the scale gap.
+Every probability and measure in the package is >= 0 and some are as small
+as 10**-(10**100), whose linear form has an exponent too long to ever
+materialize.  They are held as plain mpf values ln p, with ``LOG_ZERO``
+(-inf) for 0: a product is a sum of logs, and the helpers here do the rest.
+Addition uses log-sum-exp with an absorb shortcut: once the gap between two
+logs exceeds the ambient precision, the smaller addend is dropped outright
+instead of evaluating exp() of an astronomically large argument.  The
+dominant term is therefore never lost, whatever the scale gap.
+
+``LogReal`` is the value the oracles ``cylinder_measure_log`` and
+``log_prefix_product`` return: one log, with a guarded linear form.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from mpmath import mp, mpf
 
 from .precision import ln_int
 
+LOG_ZERO = mpf("-inf")
+
 # Linear-domain conversion is refused beyond this log magnitude: above it
 # the mpf exponent integer itself starts to get long (and is unbounded for
-# the doubly-exponential probabilities this type exists to carry).
+# the doubly-exponential probabilities this module exists to carry).
 LINEAR_LOG_LIMIT = mpf("1e6")
 
 
@@ -28,60 +34,67 @@ def _absorb_gap() -> mpf:
     return (mp.prec + 4) * mp.ln(2)
 
 
+def log_add(a: mpf, b: mpf) -> mpf:
+    """ln(e**a + e**b)."""
+    if a < b:
+        a, b = b, a
+    if b == LOG_ZERO:
+        return a
+    gap = a - b
+    if gap > _absorb_gap():
+        return a
+    return a + mp.log1p(mp.exp(-gap))
+
+
+def log_sub(a: mpf, b: mpf) -> mpf:
+    """ln(e**a - e**b) for b <= a; ``LOG_ZERO`` when they are equal."""
+    if b == LOG_ZERO:
+        return a
+    gap = a - b
+    if gap < 0:
+        raise ValueError(f"log_sub needs b <= a, got a = {a}, b = {b}")
+    if gap == 0:
+        return LOG_ZERO
+    if gap > _absorb_gap():
+        return a
+    return a + mp.log1p(-mp.exp(-gap))
+
+
+def log_sum(logs) -> mpf:
+    """ln of the sum of e**x over ``logs``, a left fold of ``log_add``."""
+    total = LOG_ZERO
+    for x in logs:
+        total = log_add(total, x)
+    return total
+
+
+def log_fraction(value) -> mpf:
+    """ln of a non-negative rational (an int or a Fraction)."""
+    q = Fraction(value)
+    if q == 0:
+        return LOG_ZERO
+    return ln_int(q.numerator) - ln_int(q.denominator)
+
+
+def log_xlog(log_x: mpf, log_y: mpf) -> mpf:
+    """ln(-x ln y) from ln x and ln y, for 0 <= x and 0 <= y <= 1: the log
+    of one entropy term -x ln y (``LOG_ZERO`` when x = 0 or y = 1)."""
+    if log_x == LOG_ZERO or log_y == 0:
+        return LOG_ZERO
+    return log_x + mp.ln(-log_y)
+
+
 class LogReal:
-    """A real number represented as (sign, ln|value|)."""
+    """A non-negative real held as ln(value), -inf for zero."""
 
-    __slots__ = ("sign", "log_mag")
-
-    def __init__(self, sign: int, log_mag) -> None:
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {sign!r}")
-        self.sign = sign
-        self.log_mag = mpf("-inf") if sign == 0 else mpf(log_mag)
-
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LogReal":
-        return cls(0, mpf("-inf"))
-
-    @classmethod
-    def one(cls) -> "LogReal":
-        return cls(1, mpf(0))
-
-    @classmethod
-    def from_log(cls, log_mag) -> "LogReal":
-        """The positive value whose natural log is ``log_mag``."""
-        return cls(1, log_mag)
-
-    @classmethod
-    def from_int(cls, n: int) -> "LogReal":
-        if n == 0:
-            return cls.zero()
-        return cls(1 if n > 0 else -1, ln_int(abs(n)))
-
-    @classmethod
-    def from_fraction(cls, value) -> "LogReal":
-        q = Fraction(value)
-        if q == 0:
-            return cls.zero()
-        sign = 1 if q > 0 else -1
-        return cls(sign, ln_int(abs(q.numerator)) - ln_int(q.denominator))
-
-    @classmethod
-    def from_mpf(cls, x) -> "LogReal":
-        x = mpf(x)
-        if x == 0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, mp.ln(abs(x)))
-
-    # ---- queries -------------------------------------------------------
+    def __init__(self, log_mag) -> None:
+        self.log_mag = mpf(log_mag)
 
     def is_zero(self) -> bool:
-        return self.sign == 0
+        return self.log_mag == LOG_ZERO
 
     def log(self) -> mpf:
-        """ln|value|; -inf for zero."""
+        """ln(value); -inf for zero."""
         return self.log_mag
 
     def to_mpf(self) -> mpf:
@@ -90,69 +103,10 @@ class LogReal:
         Raises OverflowError when |ln value| exceeds LINEAR_LOG_LIMIT;
         such values only exist meaningfully in the log domain.
         """
-        if self.sign == 0:
+        if self.is_zero():
             return mpf(0)
         if abs(self.log_mag) > LINEAR_LOG_LIMIT:
             raise OverflowError(
                 f"log magnitude {self.log_mag} too extreme for a linear-domain value"
             )
-        return self.sign * mp.exp(self.log_mag)
-
-    # ---- arithmetic ----------------------------------------------------
-
-    def __neg__(self) -> "LogReal":
-        return LogReal(-self.sign, self.log_mag)
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0 or other.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.sign * other.sign, self.log_mag + other.log_mag)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by log-domain zero")
-        if self.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.sign * other.sign, self.log_mag - other.log_mag)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.log_mag >= other.log_mag:
-            big, small = self, other
-        else:
-            big, small = other, self
-        gap = big.log_mag - small.log_mag
-        if big.sign == small.sign:
-            if gap > _absorb_gap():
-                return big
-            return LogReal(big.sign, big.log_mag + mp.log1p(mp.exp(-gap)))
-        if gap == 0:
-            return LogReal.zero()
-        if gap > _absorb_gap():
-            return big
-        return LogReal(big.sign, big.log_mag + mp.log1p(-mp.exp(-gap)))
-
-    def __sub__(self, other: "LogReal") -> "LogReal":
-        return self + (-other)
-
-    # ---- comparison and presentation ------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LogReal) and (self.sign, self.log_mag) == (other.sign, other.log_mag)
-
-    def __hash__(self):
-        return hash((self.sign, self.log_mag))
-
-    def __repr__(self) -> str:
-        return f"LogReal(sign={self.sign}, log_mag={self.log_mag})"
-
-
-def log_sum(values) -> LogReal:
-    """Sum of LogReals via repeated compensated log-sum-exp."""
-    total = LogReal.zero()
-    for v in values:
-        total = total + v
-    return total
+        return mp.exp(self.log_mag)

@@ -3,9 +3,9 @@
 A SymbolModel assigns each rank k a probability row over the digits
 0..n_k-1; the measure of a rank-k cylinder is the product of its digit
 probabilities.  Rows are structured objects queried in O(1) (a uniform row
-over 10**10 digits is never materialized), and all probabilities live in
-the log domain as LogReals, since the built-in counterexample model uses
-digit masses as small as 10**-(10**100).
+over 10**10 digits is never materialized), and every probability is held
+as a plain mpf ln p (``LOG_ZERO`` for 0, see ``logreal``), since the
+built-in counterexample model uses digit masses as small as 10**-(10**100).
 
 Rows are built on demand and never kept.  The series pipelines read ranks
 through ``SymbolModel.walk``: one pass that reads each term n_k once and
@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from mpmath import mp, mpf
 
 from .codec import DigitString, check_max_rank, greedy_digits
-from .logreal import LogReal, log_sum
+from .logreal import LOG_ZERO, LogReal, log_add, log_fraction, log_sub, log_sum, log_xlog
 from .precision import (
     GUARD_DPS, MIN_DPS, as_mpf, eps_for, fzero, ln_int, ln_int_raw, mpf_add, mpf_div,
     mpf_lt, mpf_mul, mpf_text, resolve_dps, walk_precision, working_dps,
@@ -40,6 +40,7 @@ from .sequences import (
     as_ratio,
     is_power_of_ten,
     rank_logs,
+    reject_unknown_keys,
     trailing_decade_start,
 )
 
@@ -59,12 +60,12 @@ class Row(ABC):
     n: int
 
     @abstractmethod
-    def logp(self, digit: int) -> LogReal:
-        """P(digit) as a LogReal."""
+    def logp(self, digit: int) -> mpf:
+        """ln P(digit), ``LOG_ZERO`` for a zero mass."""
 
     @abstractmethod
-    def cum(self, digit: int) -> LogReal:
-        """P(X < digit) as a LogReal."""
+    def cum(self, digit: int) -> mpf:
+        """ln P(X < digit), ``LOG_ZERO`` for a zero mass."""
 
     @abstractmethod
     def entropy(self) -> mpf:
@@ -91,15 +92,15 @@ class UniformRow(Row):
         self.n = n
         self._logp = None  # built on the first logp call; the dimension series never ask
 
-    def logp(self, digit: int) -> LogReal:
+    def logp(self, digit: int) -> mpf:
         self._check_digit(digit)
         if self._logp is None:
-            self._logp = LogReal.from_log(-ln_int(self.n))
+            self._logp = -ln_int(self.n)
         return self._logp
 
-    def cum(self, digit: int) -> LogReal:
+    def cum(self, digit: int) -> mpf:
         self._check_digit(digit)
-        return LogReal.from_fraction(Fraction(digit, self.n))
+        return log_fraction(Fraction(digit, self.n))
 
     def entropy(self) -> mpf:
         return ln_int(self.n)
@@ -118,13 +119,13 @@ class PointMassRow(Row):
         self.n = n
         self.j = j
 
-    def logp(self, digit: int) -> LogReal:
+    def logp(self, digit: int) -> mpf:
         self._check_digit(digit)
-        return LogReal.one() if digit == self.j else LogReal.zero()
+        return mpf(0) if digit == self.j else LOG_ZERO
 
-    def cum(self, digit: int) -> LogReal:
+    def cum(self, digit: int) -> mpf:
         self._check_digit(digit)
-        return LogReal.one() if digit > self.j else LogReal.zero()
+        return mpf(0) if digit > self.j else LOG_ZERO
 
     def entropy(self) -> mpf:
         return mpf(0)
@@ -149,85 +150,74 @@ class VanishingZeroRow(Row):
         if n < 2:
             raise ModelError("vanishing-zero row needs n >= 2")
         self.n = n
-        self._p0 = LogReal.from_log(log_p0)
-        one_minus = LogReal.one() - self._p0
-        self._share = one_minus / LogReal.from_int(n - 1)
-        self._one_minus = one_minus
+        self._log_p0 = mpf(log_p0)
+        self._log_rest = log_sub(mpf(0), self._log_p0)  # ln(1 - p0)
+        self._log_share = self._log_rest - ln_int(n - 1)
 
-    def logp(self, digit: int) -> LogReal:
+    def logp(self, digit: int) -> mpf:
         self._check_digit(digit)
-        return self._p0 if digit == 0 else self._share
+        return self._log_p0 if digit == 0 else self._log_share
 
-    def cum(self, digit: int) -> LogReal:
+    def cum(self, digit: int) -> mpf:
         self._check_digit(digit)
         if digit == 0:
-            return LogReal.zero()
-        return self._p0 + self._share * LogReal.from_int(digit - 1)
+            return LOG_ZERO
+        return log_add(self._log_p0, self._log_share + log_fraction(digit - 1))
 
     def entropy(self) -> mpf:
         # -(p0 ln p0 + (1-p0) ln share); the first term underflows any
-        # fixed-width float but is kept honestly via LogReal addition.
-        t0 = self._p0 * LogReal.from_mpf(self._p0.log())
-        t1 = self._one_minus * LogReal.from_mpf(self._share.log())
-        total = t0 + t1
+        # fixed-width float but is kept honestly in the log domain.
+        total = log_add(log_xlog(self._log_p0, self._log_p0), log_xlog(self._log_rest, self._log_share))
         # Over two digits 1 - p0 rounds to 1, so ln share = 0 and the sum is
         # the first term alone, near 10**-(10**10) at the first spike rank:
         # no linear mpf holds it.  A spike row comes after the uniform rows
         # of ranks 1..9, whose entropies sum to at least 9 ln 2 > 1, so an
         # entropy below 2**-(prec + 4) changes no rounded bit of the
         # numerator it joins, and it is returned as 0.
-        if total.log() < -(mp.prec + 4) * mp.ln(2):
+        if total < -(mp.prec + 4) * mp.ln(2):
             return mpf(0)
-        return -total.to_mpf()
+        return LogReal(total).to_mpf()
 
     def support_count(self) -> int:
         return self.n
 
     def min_positive_log(self) -> mpf:
-        return self._p0.log()
+        return self._log_p0
 
 
 class CustomRow(Row):
     def __init__(self, probs: Sequence[Fraction], eps: mpf):
-        entries = [LogReal.from_fraction(p) for p in probs]
-        if any(e.sign < 0 for e in entries):
-            raise ModelError("probabilities must be >= 0")
-        self.n = len(entries)
-        self._entries = entries
-        total = log_sum(entries)
-        if total.is_zero() or abs(total.log()) > eps:
-            log_sum_text = "-inf" if total.is_zero() else total.log()
-            raise ModelError(f"row does not sum to 1 within tolerance (log sum = {log_sum_text})")
-        self._cums = [LogReal.zero()]
-        for e in entries[:-1]:
-            self._cums.append(self._cums[-1] + e)
+        if any(not 0 <= p <= 1 for p in probs):
+            raise ModelError("probabilities must be in [0, 1]")
+        logs = [log_fraction(p) for p in probs]
+        self.n = len(logs)
+        self._logs = logs
+        total = log_sum(logs)
+        if total == LOG_ZERO or abs(total) > eps:
+            raise ModelError(f"row does not sum to 1 within tolerance (log sum = {total})")
+        self._cums = [LOG_ZERO]
+        for x in logs[:-1]:
+            self._cums.append(log_add(self._cums[-1], x))
 
-    def logp(self, digit: int) -> LogReal:
+    def logp(self, digit: int) -> mpf:
         self._check_digit(digit)
-        return self._entries[digit]
+        return self._logs[digit]
 
-    def cum(self, digit: int) -> LogReal:
+    def cum(self, digit: int) -> mpf:
         self._check_digit(digit)
         return self._cums[digit]
 
     def entropy(self) -> mpf:
-        total = LogReal.zero()
-        for e in self._entries:
-            if not e.is_zero():
-                total = total + e * LogReal.from_mpf(e.log())
-        return -total.to_mpf() if not total.is_zero() else mpf(0)
+        return LogReal(log_sum(log_xlog(x, x) for x in self._logs)).to_mpf()
 
     def support_count(self) -> int:
-        return sum(1 for e in self._entries if not e.is_zero())
+        return sum(1 for x in self._logs if x != LOG_ZERO)
 
     def first_zero_digit(self) -> Optional[int]:
-        for i, e in enumerate(self._entries):
-            if e.is_zero():
-                return i
-        return None
+        return next((i for i, x in enumerate(self._logs) if x == LOG_ZERO), None)
 
     def min_positive_log(self) -> mpf:
-        return min(e.log() for e in self._entries if not e.is_zero())
+        return min(x for x in self._logs if x != LOG_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +319,16 @@ class CustomRule(RowRule):
     ranks beyond the table.  Each entry is read as an exact rational here."""
 
     def __init__(self, rows: Sequence[Sequence]):
-        try:
-            self.rows = [
-                [as_ratio(p, f"custom row {i} entry {j}", ModelError) for j, p in enumerate(row, 1)]
-                for i, row in enumerate(rows, 1)
-            ]
-        except TypeError as exc:
-            raise ModelError(f"malformed custom row descriptor: {exc}") from exc
+        # A string or a mapping would be read one character or key at a time.
+        if not isinstance(rows, (list, tuple)):
+            raise ModelError(f"custom rows must be an array of rows, got {rows!r}")
+        for i, row in enumerate(rows, 1):
+            if not isinstance(row, (list, tuple)):
+                raise ModelError(f"custom row {i} must be an array of entries, got {row!r}")
+        self.rows = [
+            [as_ratio(p, f"custom row {i} entry {j}", ModelError) for j, p in enumerate(row, 1)]
+            for i, row in enumerate(rows, 1)
+        ]
         if not self.rows:
             raise ModelError("custom rows need at least one row")
 
@@ -377,6 +370,7 @@ def make_row_rule(spec) -> RowRule:
             return PointMassRule(j)
         raise ModelError(f"unknown row rule {spec!r}")
     if isinstance(spec, Mapping) and "custom" in spec:
+        reject_unknown_keys(spec, {"custom"}, "row rule", ModelError)
         return CustomRule(spec["custom"])
     raise ModelError(f"unknown row rule descriptor {spec!r}")
 
@@ -452,18 +446,18 @@ def _require_same_sequence(model: SymbolModel, d: DigitString) -> None:
 
 def cylinder_measure_log(model: SymbolModel, d: DigitString, dps: int | None = None) -> LogReal:
     """Measure of the cylinder of d: the product of its digit probabilities,
-    as a LogReal (.log() is the sum of the log probabilities; exact zero iff
-    some digit has zero mass)."""
+    as a LogReal (.log() is the sum of the log probabilities, summed from 0
+    in rank order; exact zero iff some digit has zero mass)."""
     _require_same_sequence(model, d)
     if d.rank > model.depth_cap:
         raise ModelError(f"rank {d.rank} exceeds depth_cap {model.depth_cap}")
     with working_dps(dps):
-        out = LogReal.one()
+        total = mpf(0)
         for i, a in enumerate(d.digits, 1):
-            out = out * model.row(i).logp(a)
-            if out.is_zero():
+            total += model.row(i).logp(a)
+            if total == LOG_ZERO:
                 break
-        return out
+        return LogReal(total)
 
 
 def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
@@ -496,15 +490,15 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
         check_max_rank(k)
         floor_log = -(mp.dps + 2) * mp.ln(10)
         acc = mpf(0)
-        prefix = LogReal.one()
+        prefix = mpf(0)  # ln of the measure of the cylinder containing x
         terms = model.seq.iter_terms(k)
         for i, (n, a) in enumerate(greedy_digits(x, terms), 1):
             row = model.rule.row(i, n)
-            term = prefix * row.cum(a)
-            if not term.is_zero() and term.log() > floor_log:
-                acc += term.to_mpf()
-            prefix = prefix * row.logp(a)
-            if prefix.log() < floor_log - 1:  # ln 0 = -inf: a zero prefix stops too
+            term = prefix + row.cum(a)
+            if term > floor_log:
+                acc += LogReal(term).to_mpf()
+            prefix += row.logp(a)
+            if prefix < floor_log - 1:  # ln 0 = -inf: a zero prefix stops too
                 break
         deque(terms, maxlen=0)  # the terms past the stop are still checked
         return acc

@@ -81,6 +81,13 @@ def as_ratio(value, what: str, error: type[ValueError] = SequenceError) -> Fract
         raise error(f"{what} must be a rational number, got {value!r}") from None
 
 
+def reject_unknown_keys(spec: Mapping, allowed, what: str, error: type[ValueError] = SequenceError) -> None:
+    """Refuse a key outside ``allowed``, which would leave a misspelled field at its default."""
+    for key in spec:
+        if key not in allowed:
+            raise error(f"unknown key {key!r} in {what} descriptor (allowed: {', '.join(sorted(allowed))})")
+
+
 @dataclass(frozen=True, eq=False)
 class Series:
     """A JSON series: ``[k, text]`` rows, or ``[k, text, flag]`` for a
@@ -351,20 +358,27 @@ def make_sequence(spec: Mapping) -> BasicSequence:
       {"kind": "geometric", "b1": 2, "q": 2}
       {"kind": "counterexample"}
       {"kind": "custom", "table": [2, 3, 4], "tail": {...optional...}}
+
+    A key outside its kind's form is refused.
     """
     if not isinstance(spec, Mapping):
         raise SequenceError(f"sequence descriptor must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     try:
         if kind == "constant":
+            reject_unknown_keys(spec, {"kind", "s"}, "constant sequence")
             return ConstantSequence(as_integer(spec["s"], "constant s"))
         if kind == "arithmetic":
+            reject_unknown_keys(spec, {"kind", "a1", "d"}, "arithmetic sequence")
             return ArithmeticSequence(as_integer(spec["a1"], "arithmetic a1"), spec.get("d", 1))
         if kind == "geometric":
+            reject_unknown_keys(spec, {"kind", "b1", "q"}, "geometric sequence")
             return GeometricSequence(as_integer(spec["b1"], "geometric b1"), spec.get("q", 1))
         if kind == "counterexample":
+            reject_unknown_keys(spec, {"kind"}, "counterexample sequence")
             return CounterexampleSequence()
         if kind == "custom":
+            reject_unknown_keys(spec, {"kind", "table", "tail"}, "custom sequence")
             tail = spec.get("tail")
             return CustomSequence(
                 tuple(spec["table"]),
@@ -414,7 +428,7 @@ def log_prefix_product(seq: BasicSequence, k: int, dps: int | None = None) -> Lo
         total = mpf(0)
         for i in range(1, k + 1):
             total += seq.log_term(i, seq.term(i))
-        return LogReal.from_log(total)
+        return LogReal(total)
 
 
 def faithfulness_ratio(seq: BasicSequence, k: int, dps: int | None = None) -> mpf:

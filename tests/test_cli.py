@@ -371,6 +371,24 @@ def test_wrong_typed_descriptor_fields_are_one_line_errors(capsys, argv):
          ["custom row 1 entry 1", "nan"]),
         (["dim-measure", "--seq", CONST3, "--rows", '{"custom":[["a"]]}', "--k-max", "3"],
          ["custom row 1 entry 1", "'a'"]),
+        # a key outside its descriptor's form is refused, not left at the default
+        (["faithfulness", "--seq", '{"kind":"arithmetic","a1":2,"D":3}', "--k-max", "5"],
+         ["'D'", "arithmetic sequence"]),
+        (["faithfulness", "--seq", '{"kind":"geometric","b1":2,"Q":3}', "--k-max", "5"],
+         ["'Q'", "geometric sequence"]),
+        (["faithfulness", "--seq", '{"kind":"custom","table":[3],"tail":{"kind":"constant","s":2,"t":1}}',
+          "--k-max", "5"], ["'t'", "constant sequence"]),
+        (["dim-measure", "--seq", CONST3, "--rows", '{"custom":[["1/3","1/3","1/3"]],"rows":1}',
+          "--k-max", "3"], ["'rows'", "row rule"]),
+        (["boxcount", "--seq", CONST3, "--set", '{"except_ranks":"powers_of_10","digit_at_exception":[1]}',
+          "--k-max", "5"], ["'digit_at_exception'", "digit-set"]),
+        (["boxcount", "--seq", CONST3, "--set", '{"every_rank":[0],"per_rank":[[0]]}', "--k-max", "5"],
+         ["'per_rank'", "digit-set"]),
+        # a custom row given as a string is not read one character at a time
+        (["dim-measure", "--seq", '{"kind":"constant","s":2}', "--rows", '{"custom":["01"]}', "--k-max", "3"],
+         ["custom row 1", "'01'"]),
+        (["cdf", "--seq", '{"kind":"constant","s":2}', "--rows", '{"custom":["10"]}', "--x", "1/3",
+          "--rank", "3"], ["custom row 1", "'10'"]),
     ],
 )
 def test_bad_descriptor_values_are_named_in_one_line(capsys, argv, names):

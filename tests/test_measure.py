@@ -6,11 +6,14 @@ rank-k cylinders in exact Fraction arithmetic and sum the products of
 Fraction probabilities for those lying left of x.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cantordim.cli import run
@@ -32,13 +35,15 @@ from cantordim import (
     example1_psi_model,
     iter_digit_strings,
     liminf_estimate,
-    LogReal,
     log_sum,
     make_row_rule,
     make_sequence,
     working_dps,
 )
-from cantordim.measure import MEASURE_ENTROPY, SPECTRUM_COUNT, CustomRule, UniformRow, dimension_series
+from cantordim.logreal import LOG_ZERO
+from cantordim.measure import (
+    MEASURE_ENTROPY, SPECTRUM_COUNT, CustomRow, CustomRule, UniformRow, dimension_series,
+)
 from cantordim.precision import ln_int, mpf_text
 
 CONSTANT2 = make_sequence({"kind": "constant", "s": 2})
@@ -74,12 +79,17 @@ def test_row_normalization_structured_and_custom():
         ]
         for row in rows:
             total = log_sum(row.logp(d) for d in range(min(row.n, 1000)))
-            assert abs(total.log()) <= tol
+            assert abs(total) <= tol
 
 
 def test_custom_rows_must_normalize():
     with pytest.raises(ModelError):
         SymbolModel(CONSTANT3, make_row_rule({"custom": [["1/2", 0, "1/3"]]}), 10).row(1)
+    # Every entry is a probability: 1 + 10**-20 is refused although the row
+    # sums to 1 within the 10**-10 tolerance of 15 digits.
+    for entries in (["100000000000000000001/100000000000000000000", 0], ["3/2", "-1/2"]):
+        with working_dps(15), pytest.raises(ModelError, match=r"must be in \[0, 1\]"):
+            SymbolModel(CONSTANT2, make_row_rule({"custom": [entries]}), 10).row(1)
 
 
 def test_custom_row_length_must_match():
@@ -92,7 +102,7 @@ def test_custom_rows_repeat_last():
         CONSTANT2, make_row_rule({"custom": [["1/4", "3/4"], ["1/2", "1/2"]]}), 10
     )
     with working_dps(50):
-        assert abs(model.row(5).logp(0).log() - mp.ln(mpf(1) / 2)) <= eps_for(50)
+        assert abs(model.row(5).logp(0) - mp.ln(mpf(1) / 2)) <= eps_for(50)
 
 
 def test_point_mass_needs_digit_in_range():
@@ -156,14 +166,14 @@ def test_additivity_parent_equals_sum_of_children():
                 digits = tuple(rng.randrange(m.seq.term(i)) for i in range(1, rank + 1))
                 parent = DigitString(m.seq, digits)
                 total = log_sum(
-                    cylinder_measure_log(m, DigitString(m.seq, digits + (a,)))
+                    cylinder_measure_log(m, DigitString(m.seq, digits + (a,))).log()
                     for a in range(m.seq.term(rank + 1))
                 )
                 want = cylinder_measure_log(m, parent)
                 if want.is_zero():
-                    assert total.is_zero()
+                    assert total == LOG_ZERO
                 else:
-                    assert abs(total.log() - want.log()) <= tol
+                    assert abs(total - want.log()) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +296,13 @@ def full_walk_cdf(model, x, k, dps):
             return mpf(1)
         floor_log = -(mp.dps + 2) * mp.ln(10)
         acc = mpf(0)
-        prefix = LogReal.one()
+        prefix = mpf(0)
         for i, a in enumerate(encode(x, model.seq, k).digits, 1):
-            term = prefix * model.row(i).cum(a)
-            if not term.is_zero() and term.log() > floor_log:
-                acc += term.to_mpf()
-            prefix = prefix * model.row(i).logp(a)
-            if prefix.is_zero():
+            term = prefix + model.row(i).cum(a)
+            if term > floor_log:
+                acc += mp.exp(term)
+            prefix += model.row(i).logp(a)
+            if prefix == LOG_ZERO:
                 break
         return acc
 
@@ -615,7 +625,7 @@ def test_uniform_row_builds_its_log_probability_once_on_demand():
         row = UniformRow(7)
         assert row._logp is None
         p = row.logp(3)
-        assert p.log() == -ln_int(7)
+        assert p == -ln_int(7)
         assert row.logp(6) is p
         assert row.entropy() == ln_int(7)
 
@@ -637,8 +647,11 @@ def test_make_row_rule_rejects_unknown():
     ([[float("inf"), 0, 0]], "[[Infinity,0,0]]", "custom row 1 entry 1 must be a rational number, got inf"),
     ([["1/3"] * 3, ["1/2", None, "1/2"]], '[["1/3","1/3","1/3"],["1/2",null,"1/2"]]',
      "custom row 2 entry 2 must be a rational number, got None"),
-    ([5], "[5]", "malformed custom row descriptor: 'int' object is not iterable"),
+    ([5], "[5]", "custom row 1 must be an array of entries, got 5"),
     ([], "[]", "custom rows need at least one row"),
+    # a string row or a mapping of rows is not read one character or key at a time
+    (["01"], '["01"]', "custom row 1 must be an array of entries, got '01'"),
+    ({"a": 1}, '{"a":1}', "custom rows must be an array of rows, got {'a': 1}"),
 ])
 def test_custom_rule_reads_every_entry_when_built(capsys, rows, rows_json, message):
     # The library and the CLI share the one check in CustomRule.__init__,
@@ -662,4 +675,60 @@ def test_custom_rule_keeps_its_entries_as_exact_rationals():
     assert CustomRule([["1/2", "1/4", "1/4"]]).separated_from_zero(CONSTANT3) is True
     with working_dps(30):
         row = SymbolModel(CONSTANT3, rule, 5).row(2)
-        assert row.logp(0).log() == 0 and row.logp(1).is_zero()
+        assert row.logp(0) == 0 and row.logp(1) == LOG_ZERO
+
+
+# ---------------------------------------------------------------------------
+# rows pinned bit for bit, and custom rows against exact arithmetic
+# ---------------------------------------------------------------------------
+
+PINNED_ROW_CASES = [
+    (ARITH, "uniform"),
+    (ARITH, "point_mass:1"),
+    (ARITH, "example1"),  # spike rows at ranks 10 and 100
+    (ARITH, "example1:tower"),
+    (ARITH, "example1_psi"),
+    (CONSTANT3, {"custom": [["1/2", 0, "1/2"], ["1/6", "1/3", "1/2"]]}),
+]
+
+
+def test_rows_keep_their_bits():
+    # One sha256 over the raw bits of every row query of each built-in rule
+    # and a custom table with a zero entry, at ranks 1..120 and 15, 50 and
+    # 80 digits, as recorded before the rows moved from LogReal to plain logs.
+    digest = hashlib.sha256()
+    for dps in (15, 50, 80):
+        for seq, rows in PINNED_ROW_CASES:
+            rule = make_row_rule(rows)
+            with working_dps(dps):
+                for k, n in enumerate(seq.iter_terms(120), 1):
+                    row = rule.row(k, n)
+                    values = [v for d in range(n) for v in (row.logp(d), row.cum(d))]
+                    values += [row.entropy(), row.min_positive_log()]
+                    for value in values:
+                        digest.update(repr(value._mpf_).encode())
+    assert digest.hexdigest() == "14f269d260514445503b6ab1e38888dbe8355dbd3a69602e7b2cb25044d08a14"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 10**30), min_size=1, max_size=8).filter(any),
+    dps=st.sampled_from([15, 50, 80]),
+)
+def test_custom_row_entropy_and_cum_match_exact_arithmetic(weights, dps):
+    total = sum(weights)
+    probs = [Fraction(w, total) for w in weights]
+    with working_dps(dps):
+        row = CustomRow(probs, eps_for(dps))
+        entropy = row.entropy()
+        cums = [row.cum(d) for d in range(len(probs))]
+    with working_dps(100):
+        want = -sum(mpf(p.numerator) / p.denominator * mp.ln(mpf(p.numerator) / p.denominator)
+                    for p in probs if p)
+        assert abs(entropy - want) <= eps_for(dps)
+        for d, got in enumerate(cums):
+            below = sum(probs[:d], Fraction(0))
+            if below == 0:
+                assert got == LOG_ZERO
+            else:
+                assert abs(got - mp.ln(mpf(below.numerator) / below.denominator)) <= eps_for(dps)
