@@ -82,6 +82,8 @@ class DigitSetSpec:
 
     @classmethod
     def from_table(cls, seq: BasicSequence, per_rank: Sequence[Sequence[int]]) -> "DigitSetSpec":
+        if not isinstance(per_rank, (list, tuple)):
+            raise EstimatorError(f"per_rank must be an array of digit arrays, got {per_rank!r}")
         table = tuple(_sorted_entries(r, "per_rank") for r in per_rank)
         if not table:
             raise EstimatorError("per-rank table must not be empty")
@@ -175,6 +177,9 @@ class DigitSetSpec:
 
 
 def _sorted_entries(values: Sequence[int], what: str) -> tuple[int, ...]:
+    # A string or a mapping would be read one character or key at a time.
+    if not isinstance(values, (list, tuple)):
+        raise EstimatorError(f"{what} must be an array of integers, got {values!r}")
     out = tuple(sorted({as_integer(v, f"{what} entry", EstimatorError) for v in values}))
     if out and out[0] < 0:
         raise EstimatorError(f"negative {what} entry {out[0]}")

@@ -31,6 +31,17 @@ allocation.  The operator-form single-value functions
 (``log_prefix_product``, ``faithfulness_ratio``, ``billingsley_ratio``,
 ``cylinder_measure_log``) are the bit-for-bit oracles of the kernel loops.
 
+A walk's term log ln n_k comes from ``ln_int_raw``, or, on a long walk
+over distinct terms, from a helper process (``logfeed``).  The helper
+makes the call ``ln_int_raw`` makes on a cache miss,
+``ln_int_uncached(n, prec, rnd)``, at the walk's (prec, rnd), and the walk
+hands the value to ``ln_int_fed``, which caches it as ``ln_int_raw``
+would have; every later lookup in the rank then reads it from the cache.
+The walk uses a helper only if it reports the walk's own
+``LIBMP_IDENTITY`` (mpmath version and integer backend).  libmp's log is
+deterministic integer arithmetic given those and (prec, rnd), so the
+helper's bits are the ones the walk would compute.
+
 ``mpf_text(x, n)`` is byte for byte libmp's ``to_str(x._mpf_, n)``, which
 is what ``nstr(x, n)`` prints for an mpf.  For a finite nonzero value
 whose binary exponent lies within libmp's +-3500 fixed-point range it runs
@@ -48,12 +59,15 @@ import os
 from contextlib import contextmanager
 from functools import lru_cache
 
-from mpmath import mp, mpf
+from mpmath import __version__ as _mpmath_version, mp, mpf
 # The kernel's operations, re-exported to the modules that run the loops.
 from mpmath.libmp import (  # noqa: F401
-    fninf, from_int, fzero, mpf_add, mpf_cmp, mpf_div, mpf_log, mpf_lt, mpf_mul,
+    BACKEND, fninf, from_int, fzero, mpf_add, mpf_cmp, mpf_div, mpf_log, mpf_lt, mpf_mul,
     mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt, mpf_sub, to_str,
 )
+
+# What, besides (prec, rnd), decides the bits of a libmp result.
+LIBMP_IDENTITY = f"mpmath {_mpmath_version} {BACKEND}"
 
 ENV_PRECISION = "CANTORDIM_PRECISION"
 DEFAULT_DPS = 50
@@ -166,6 +180,9 @@ def eps_for(dps: int | None = None) -> mpf:
     return mpf(10) ** (5 - resolve_dps(dps))
 
 
+_fed = None  # set by ln_int_fed for the one cache call it makes
+
+
 # A walk asks for ln n_k twice within one rank (its log, then its row's
 # entropy) and rarely again later, so a large cache mostly keeps logs no one
 # reads: full at 65,536 entries it held 26 MB on a 7*10**4-rank arithmetic
@@ -173,9 +190,15 @@ def eps_for(dps: int | None = None) -> mpf:
 # short exact-codec requests of the benchmark use between them.
 @lru_cache(maxsize=4096)
 def _ln_int_cached(n: int, prec: int, rnd: str) -> tuple:
+    if _fed is not None:
+        return _fed
     # The libmp kernel under mp.ln(mpf(n)), without its wrappers: mpf(n)
     # is from_int(n) rounded to the ambient precision, so the bits agree.
     return mpf_log(from_int(n, prec, rnd), prec, rnd)
+
+
+# ln n at (prec, rnd) computed afresh, by the cache's own function.
+ln_int_uncached = _ln_int_cached.__wrapped__
 
 
 def ln_int_raw(n: int, prec: int, rnd: str) -> tuple:
@@ -189,6 +212,18 @@ def ln_int_raw(n: int, prec: int, rnd: str) -> tuple:
     if n <= 0:
         raise ValueError(f"ln_int needs a positive integer, got {n}")
     return _ln_int_cached(n, prec, rnd)
+
+
+def ln_int_fed(n: int, prec: int, rnd: str, value: tuple) -> tuple:
+    """``ln_int_raw(n, prec, rnd)`` where ``value`` is
+    ``ln_int_uncached(n, prec, rnd)`` computed elsewhere: on a cache miss
+    the cache keeps ``value`` instead of computing it again."""
+    global _fed
+    _fed = value
+    try:
+        return _ln_int_cached(n, prec, rnd)
+    finally:
+        _fed = None
 
 
 def ln_int(n: int) -> mpf:

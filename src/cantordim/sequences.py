@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -32,10 +33,11 @@ from typing import Callable, ClassVar, Iterator, Mapping, Optional, Sequence
 
 from mpmath import mp, mpf
 
+from . import logfeed
 from .logreal import LogReal
 from .precision import (
-    as_mpf, fzero, ln_int, ln_int_raw, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_mul_int,
-    mpf_sub, mpf_text, resolve_dps, walk_precision, working_dps,
+    as_mpf, fzero, ln_int, ln_int_fed, ln_int_raw, mpf_add, mpf_cmp, mpf_div, mpf_mul,
+    mpf_mul_int, mpf_sub, mpf_text, resolve_dps, walk_precision, working_dps,
 )
 
 
@@ -157,12 +159,13 @@ class BasicSequence(ABC):
         """Whether {n_k} stays bounded as k grows; None when unknowable."""
         return None
 
-    def iter_terms(self, k_max: int):
-        """n_1, ..., n_{k_max} in order.
+    def iter_terms(self, k_max: int, start: int = 1):
+        """n_start, ..., n_{k_max} in order.
 
         Overridden where stepping beats ``term(k)`` per rank: geometric
-        tails (big-integer powers) and integer-step progressions."""
-        return (self.term(k) for k in range(1, k_max + 1))
+        tails (big-integer powers), integer-step progressions, tables and
+        the counterexample's runs of 2."""
+        return (self.term(k) for k in range(start, k_max + 1))
 
     def _check_rank(self, k: int) -> None:
         if k < 1:
@@ -216,13 +219,13 @@ class ArithmeticSequence(BasicSequence):
             raise SequenceError(f"term({k}) = {self.a1 + (k - 1) * d} is not an integer")
         return value
 
-    def iter_terms(self, k_max: int):
+    def iter_terms(self, k_max: int, start: int = 1):
         num, den = self.d.numerator, self.d.denominator
         if den != 1:
             # den does not divide (k - 1) * num at k = 2, so term(2) raises
             # whatever a1 is: the checked per-rank path costs nothing here.
-            return super().iter_terms(k_max)
-        return iter(range(self.a1, self.a1 + k_max * num, num))
+            return super().iter_terms(k_max, start)
+        return iter(range(self.a1 + (start - 1) * num, self.a1 + k_max * num, num))
 
     def eventually_bounded(self) -> bool:
         return False
@@ -261,9 +264,9 @@ class GeometricSequence(BasicSequence):
         log_q = mpf_sub(ln_num, ln_den, prec, rnd)
         return mpf_add(ln_int_raw(self.b1, prec, rnd), mpf_mul_int(log_q, k - 1, prec, rnd), prec, rnd)
 
-    def iter_terms(self, k_max: int):
-        value = Fraction(self.b1)
-        for k in range(1, k_max + 1):
+    def iter_terms(self, k_max: int, start: int = 1):
+        value = self.b1 * self.q ** (start - 1)
+        for k in range(start, k_max + 1):
             if value.denominator != 1:
                 raise SequenceError(f"term({k}) = {value} is not an integer")
             yield int(value)
@@ -292,9 +295,18 @@ class CounterexampleSequence(BasicSequence):
         return 10**k if is_power_of_ten(k) else 2
 
     def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
-        if is_power_of_ten(k):
-            return mpf_mul_int(ln_int_raw(10, prec, rnd), k, prec, rnd)
-        return ln_int_raw(2, prec, rnd)
+        if n == 2:
+            return ln_int_raw(2, prec, rnd)
+        return mpf_mul_int(ln_int_raw(10, prec, rnd), k, prec, rnd)  # n = 10**k
+
+    def iter_terms(self, k_max: int, start: int = 1):
+        k = start
+        while k <= k_max:
+            spike = 10 ** len(str(k - 1))  # the first spike rank >= k
+            yield from itertools.repeat(2, min(spike, k_max + 1) - k)
+            if spike <= k_max:
+                yield 10**spike
+            k = spike + 1
 
     def eventually_bounded(self) -> bool:
         return False
@@ -335,6 +347,15 @@ class CustomSequence(BasicSequence):
         if k <= len(self.table):
             return ln_int_raw(n, prec, rnd)
         return self.tail.raw_log_term(k, n, prec, rnd)
+
+    def iter_terms(self, k_max: int, start: int = 1):
+        table = self.table
+        yield from table[start - 1:k_max]
+        first = max(start, len(table) + 1)
+        if first <= k_max:
+            if self.tail is None:
+                self._check_rank(first)  # raises: no tail rule
+            yield from self.tail.iter_terms(k_max, first)
 
     def max_rank(self) -> Optional[int]:
         return len(self.table) if self.tail is None else None
@@ -379,11 +400,11 @@ def make_sequence(spec: Mapping) -> BasicSequence:
             return CounterexampleSequence()
         if kind == "custom":
             reject_unknown_keys(spec, {"kind", "table", "tail"}, "custom sequence")
-            tail = spec.get("tail")
-            return CustomSequence(
-                tuple(spec["table"]),
-                make_sequence(tail) if tail is not None else None,
-            )
+            table, tail = spec["table"], spec.get("tail")
+            # A string or a mapping would be read one character or key at a time.
+            if not isinstance(table, (list, tuple)):
+                raise SequenceError(f"custom table must be an array of integers, got {table!r}")
+            return CustomSequence(tuple(table), make_sequence(tail) if tail is not None else None)
     except KeyError as exc:
         raise SequenceError(f"missing sequence parameter {exc} for kind {kind!r}") from exc
     except TypeError as exc:
@@ -396,6 +417,19 @@ def make_sequence(spec: Mapping) -> BasicSequence:
 # ---------------------------------------------------------------------------
 
 
+def _helper_pays(seq: BasicSequence, k_max: int) -> bool:
+    """Whether a walk's term logs go to a helper process (``logfeed``): a
+    long walk, a second CPU, and every ln n_k an ``ln_int_raw`` of a term
+    the helper can rebuild from the descriptor, seldom one seen before."""
+    while type(seq) is CustomSequence and seq.tail is not None:
+        seq = seq.tail
+    return (
+        k_max >= logfeed.HELPER_MIN_RANKS
+        and type(seq) in (ArithmeticSequence, CustomSequence)
+        and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
 def rank_logs(seq: BasicSequence, k_max: int):
     """Yield (k, n_k, ln n_k, ln(n_1...n_{k-1}), ln(n_1...n_k)) for k = 1..k_max,
     the logs as raw kernel values.
@@ -404,16 +438,23 @@ def rank_logs(seq: BasicSequence, k_max: int):
     The precision is read once, when the walk starts (inside the caller's
     ``working_dps`` block).  Prefix logs are summed from zero in rank order,
     so every series built on them is reproducible bit for bit.  Nothing is
-    stored, so memory stays flat at any k_max.
+    stored, so memory stays flat at any k_max.  A long walk may take its
+    term logs from a helper process, with the same bits (``logfeed``); the
+    helper is reaped when the walk is closed or dropped.
     """
     prec, rnd = walk_precision()
     log_term = seq.raw_log_term
+    helper = logfeed.helper_logs(seq.descriptor(), k_max, prec, rnd) if _helper_pays(seq, k_max) else None
     prefix = fzero
-    for k, n in enumerate(seq.iter_terms(k_max), 1):
-        log_n = log_term(k, n, prec, rnd)
-        before = prefix
-        prefix = mpf_add(prefix, log_n, prec, rnd)
-        yield k, n, log_n, before, prefix
+    try:
+        for (k, n), fed in zip(enumerate(seq.iter_terms(k_max), 1), helper or itertools.repeat(None)):
+            log_n = log_term(k, n, prec, rnd) if fed is None else ln_int_fed(n, prec, rnd, fed)
+            before = prefix
+            prefix = mpf_add(prefix, log_n, prec, rnd)
+            yield k, n, log_n, before, prefix
+    finally:
+        if helper is not None:
+            helper.close()
 
 
 def log_prefix_product(seq: BasicSequence, k: int, dps: int | None = None) -> LogReal:

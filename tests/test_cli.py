@@ -389,6 +389,21 @@ def test_wrong_typed_descriptor_fields_are_one_line_errors(capsys, argv):
          ["custom row 1", "'01'"]),
         (["cdf", "--seq", '{"kind":"constant","s":2}', "--rows", '{"custom":["10"]}', "--x", "1/3",
           "--rank", "3"], ["custom row 1", "'10'"]),
+        # nor is any other array field given as a string, a mapping or a number
+        (["faithfulness", "--seq", '{"kind":"custom","table":"34"}', "--k-max", "2"],
+         ["custom table", "'34'"]),
+        (["faithfulness", "--seq", '{"kind":"custom","table":{"3":1}}', "--k-max", "2"],
+         ["custom table", "{'3': 1}"]),
+        (["boxcount", "--seq", CONST3, "--set", '{"every_rank":"01"}', "--k-max", "5"],
+         ["every_rank must be an array", "'01'"]),
+        (["boxcount", "--seq", CONST3, "--set", '{"per_rank":"01"}', "--k-max", "2"],
+         ["per_rank must be an array", "'01'"]),
+        (["boxcount", "--seq", CONST3, "--set", '{"per_rank":["01"]}', "--k-max", "1"],
+         ["per_rank must be an array", "'01'"]),
+        (["boxcount", "--seq", CONST3, "--set", '{"except_ranks":"powers_of_10","digits_at_exception":"0"}',
+          "--k-max", "5"], ["digits_at_exception must be an array", "'0'"]),
+        (["boxcount", "--seq", CONST3, "--set", '{"except_ranks":[3],"digits_at_exception":5}',
+          "--k-max", "5"], ["digits_at_exception must be an array", "5"]),
     ],
 )
 def test_bad_descriptor_values_are_named_in_one_line(capsys, argv, names):

@@ -488,3 +488,31 @@ def test_arithmetic_iter_terms_match_term_k(a1, d, k_max):
     seq = ArithmeticSequence(a1, d)
     by_term = (seq.term(k) for k in range(1, k_max + 1))
     assert _terms_or_error(seq.iter_terms(k_max)) == _terms_or_error(by_term)
+
+
+@pytest.mark.parametrize("spec, k_max", [
+    (COUNTER, 10**4),
+    ({"kind": "custom", "table": [2, 3, 5, 7, 11, 13], "tail": {"kind": "arithmetic", "a1": 3, "d": 2}}, 10**4),
+    # the tail is read from the first rank past the table: its own term 7/2
+    # at rank 2 is never asked for, and 19/2 at rank 6 raises
+    ({"kind": "custom", "table": [4, 9, 3, 6], "tail": {"kind": "arithmetic", "a1": 2, "d": "3/2"}}, 10**4),
+    ({"kind": "custom", "table": [2, 3], "tail": {"kind": "geometric", "b1": 2, "q": "3/2"}}, 40),
+    ({"kind": "custom", "table": [7] * 10**4}, 10**4),
+    ({"kind": "custom", "table": [7] * 9999}, 10**4),  # the error at the first rank past the table
+    ({"kind": "custom", "table": [3, 4], "tail": {"kind": "custom", "table": [5, 6, 7]}}, 5),
+], ids=["counterexample", "arithmetic-tail", "rational-tail", "geometric-tail", "table", "past-table",
+        "custom-tail"])
+def test_iter_terms_match_term_k(spec, k_max):
+    # Every start a walk or a custom tail may read from gives term(k)'s
+    # terms and raises term(k)'s SequenceError at the same rank.
+    seq = make_sequence(spec)
+    for start in (1, 2, 9, 10, 11, 101, k_max):
+        by_term = (seq.term(k) for k in range(start, k_max + 1))
+        assert _terms_or_error(seq.iter_terms(k_max, start)) == _terms_or_error(by_term)
+
+
+def test_counterexample_log_term_is_read_from_the_term():
+    seq = make_sequence(COUNTER)
+    with working_dps(20):
+        for k in (9, 10, 11, 99, 100, 1000):
+            assert seq.log_term(k, seq.term(k)) == (k * mp.ln(10) if k in (10, 100, 1000) else mp.ln(2))
