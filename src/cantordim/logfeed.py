@@ -1,23 +1,25 @@
 """The term logs of a long rank walk, computed ahead of it in a helper process.
 
-A walk over an arithmetic sequence, or a custom table with an arithmetic
-tail or none, takes ln n_k of a new integer at every rank: one libmp
-``mpf_log`` call, about a third of a 7*10**4-rank ``dim-measure``.  With a
-second CPU free, ``helper_logs`` hands these calls to one helper process
-that runs ahead of the walk, and the walk puts each value it receives into
+A walk over an arithmetic sequence, or over the arithmetic tail of a custom
+table, takes ln n_k of a new integer at every rank: one libmp ``mpf_log``
+call, about a third of a 7*10**4-rank ``dim-measure``.  With a second CPU
+free, ``helper_logs`` hands these calls to one helper process that runs
+ahead of the walk, and the walk puts each value it receives into
 the ``ln_int`` cache (``precision.ln_int_fed``).  The helper computes
 ``precision.ln_int_uncached`` of the same terms at the walk's (prec, rnd),
 so the walk keeps every bit.
 
-The helper runs ``serve`` in ``sys.executable`` with this cantordim on its
-PYTHONPATH, and talks over its stdin and stdout:
+The helper runs ``serve`` in ``sys.executable`` with this cantordim first
+on its PYTHONPATH and the working directory off its ``sys.path``, and
+talks over its stdin and stdout:
 
 1. once it has imported cantordim, it writes one line: the mpmath version
    and integer backend it computes with (``precision.LIBMP_IDENTITY``);
 2. the walk computes its own logs meanwhile and looks for that line every
    CHUNK ranks.  If it names the walk's own mpmath, the walk sends one JSON
    line: the sequence descriptor, k_max, (prec, rnd) and ``start``, the
-   rank CHUNK past its own;
+   rank CHUNK past its own or the walk's ``first`` rank for the helper,
+   whichever is later;
 3. the helper rebuilds the terms from the descriptor and writes ln n_k for
    k = start..k_max as pickled lists of CHUNK raw values.  At a term error
    it stops; the walk meets the same error in its own terms.
@@ -48,10 +50,15 @@ HELPER_MIN_RANKS = 20_000
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # holds this cantordim
 
+# ``python -c`` puts the working directory ('') at sys.path[0], ahead of
+# PYTHONPATH, where a stray cantordim, json or pickle would shadow ours.
+_SERVE = "import sys\nif sys.path[0] == '':\n    del sys.path[0]\nfrom cantordim.logfeed import serve\nserve()"
 
-def helper_logs(descriptor: dict, k_max: int, prec: int, rnd: str):
+
+def helper_logs(descriptor: dict, k_max: int, prec: int, rnd: str, first: int):
     """Yield, for k = 1, 2, ..., ln n_k at (prec, rnd) as a raw value from a
-    helper process, or None where the walk is to compute it itself."""
+    helper process, or None where the walk is to compute it itself: at
+    least at every rank before ``first``."""
     # Imported here, as few runs start a helper: pickle, select and
     # subprocess add about 9 ms to every start-up.
     import pickle
@@ -61,7 +68,7 @@ def helper_logs(descriptor: dict, k_max: int, prec: int, rnd: str):
     proc = None
     try:
         proc = subprocess.Popen(
-            [sys.executable, "-c", "from cantordim.logfeed import serve; serve()"],
+            [sys.executable, "-c", _SERVE],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_ROOT, os.environ.get("PYTHONPATH"))))},
         )
@@ -71,10 +78,11 @@ def helper_logs(descriptor: dict, k_max: int, prec: int, rnd: str):
             k += CHUNK
         # Not used if it died before it was ready, or computes with another mpmath.
         if proc.stdout.readline() == f"{LIBMP_IDENTITY}\n".encode():
-            job = {"seq": descriptor, "k_max": k_max, "prec": prec, "rnd": rnd, "start": k + CHUNK}
+            start = max(k + CHUNK, first)
+            job = {"seq": descriptor, "k_max": k_max, "prec": prec, "rnd": rnd, "start": start}
             proc.stdin.write(json.dumps(job).encode() + b"\n")
             proc.stdin.close()
-            yield from repeat(None, CHUNK)
+            yield from repeat(None, start - k)
             while True:
                 yield from pickle.load(proc.stdout)
     except (OSError, EOFError, pickle.UnpicklingError):

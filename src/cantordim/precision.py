@@ -37,6 +37,8 @@ makes the call ``ln_int_raw`` makes on a cache miss,
 ``ln_int_uncached(n, prec, rnd)``, at the walk's (prec, rnd), and the walk
 hands the value to ``ln_int_fed``, which caches it as ``ln_int_raw``
 would have; every later lookup in the rank then reads it from the cache.
+The value is handed over with its key (n, prec, rnd), and a cache miss
+for any other key, say in another thread, computes its own log.
 The walk uses a helper only if it reports the walk's own
 ``LIBMP_IDENTITY`` (mpmath version and integer backend).  libmp's log is
 deterministic integer arithmetic given those and (prec, rnd), so the
@@ -180,7 +182,7 @@ def eps_for(dps: int | None = None) -> mpf:
     return mpf(10) ** (5 - resolve_dps(dps))
 
 
-_fed = None  # set by ln_int_fed for the one cache call it makes
+_fed = None  # ((n, prec, rnd), value), set by ln_int_fed for the one cache call it makes
 
 
 # A walk asks for ln n_k twice within one rank (its log, then its row's
@@ -190,8 +192,9 @@ _fed = None  # set by ln_int_fed for the one cache call it makes
 # short exact-codec requests of the benchmark use between them.
 @lru_cache(maxsize=4096)
 def _ln_int_cached(n: int, prec: int, rnd: str) -> tuple:
-    if _fed is not None:
-        return _fed
+    fed = _fed
+    if fed is not None and fed[0] == (n, prec, rnd):
+        return fed[1]
     # The libmp kernel under mp.ln(mpf(n)), without its wrappers: mpf(n)
     # is from_int(n) rounded to the ambient precision, so the bits agree.
     return mpf_log(from_int(n, prec, rnd), prec, rnd)
@@ -219,7 +222,7 @@ def ln_int_fed(n: int, prec: int, rnd: str, value: tuple) -> tuple:
     ``ln_int_uncached(n, prec, rnd)`` computed elsewhere: on a cache miss
     the cache keeps ``value`` instead of computing it again."""
     global _fed
-    _fed = value
+    _fed = ((n, prec, rnd), value)
     try:
         return _ln_int_cached(n, prec, rnd)
     finally:

@@ -417,17 +417,26 @@ def make_sequence(spec: Mapping) -> BasicSequence:
 # ---------------------------------------------------------------------------
 
 
-def _helper_pays(seq: BasicSequence, k_max: int) -> bool:
-    """Whether a walk's term logs go to a helper process (``logfeed``): a
-    long walk, a second CPU, and every ln n_k an ``ln_int_raw`` of a term
-    the helper can rebuild from the descriptor, seldom one seen before."""
+def _helper_start(seq: BasicSequence, k_max: int) -> Optional[int]:
+    """The first rank whose term log may come from a helper process
+    (``logfeed``), or None for a walk with no helper.
+
+    A helper needs a second CPU and at least ``HELPER_MIN_RANKS`` ranks of an
+    arithmetic sequence, on its own or as the tail of custom tables: terms
+    that never repeat, so that each log is a cache miss.  A table's ranks
+    stay in the walk, as its entries may repeat.
+    """
+    first = 1
     while type(seq) is CustomSequence and seq.tail is not None:
+        first = max(first, len(seq.table) + 1)
         seq = seq.tail
-    return (
-        k_max >= logfeed.HELPER_MIN_RANKS
-        and type(seq) in (ArithmeticSequence, CustomSequence)
+    if (
+        type(seq) is ArithmeticSequence
+        and k_max - first + 1 >= logfeed.HELPER_MIN_RANKS
         and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-    )
+    ):
+        return first
+    return None
 
 
 def rank_logs(seq: BasicSequence, k_max: int):
@@ -444,7 +453,8 @@ def rank_logs(seq: BasicSequence, k_max: int):
     """
     prec, rnd = walk_precision()
     log_term = seq.raw_log_term
-    helper = logfeed.helper_logs(seq.descriptor(), k_max, prec, rnd) if _helper_pays(seq, k_max) else None
+    first = _helper_start(seq, k_max)
+    helper = None if first is None else logfeed.helper_logs(seq.descriptor(), k_max, prec, rnd, first)
     prefix = fzero
     try:
         for (k, n), fed in zip(enumerate(seq.iter_terms(k_max), 1), helper or itertools.repeat(None)):

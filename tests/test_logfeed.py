@@ -167,19 +167,45 @@ def test_a_helper_that_cannot_start_leaves_the_walk_unchanged(helpers, serial, m
     assert helpers.fed == 0
 
 
-@pytest.mark.parametrize("spec, k_max, cpus, pays", [
-    (SEQUENCES["arithmetic(2,1)"], 20_000, {0, 1}, True),
-    (SEQUENCES["arithmetic(2,1)"], 19_999, {0, 1}, False),
-    (SEQUENCES["arithmetic(2,1)"], 20_000, {0}, False),
-    (SEQUENCES["table+arithmetic"], 20_000, {0, 1}, True),
-    ({"kind": "custom", "table": [2] * 20_000}, 20_000, {0, 1}, True),
-    ({"kind": "custom", "table": [2], "tail": {"kind": "geometric", "b1": 2, "q": 2}}, 20_000, {0, 1}, False),
-    ({"kind": "counterexample"}, 10**5, {0, 1}, False),  # closed-form logs
-    ({"kind": "constant", "s": 3}, 10**5, {0, 1}, False),  # one log, cached
+@pytest.mark.parametrize("spec, k_max, cpus, first", [
+    (SEQUENCES["arithmetic(2,1)"], 20_000, {0, 1}, 1),
+    (SEQUENCES["arithmetic(2,1)"], 19_999, {0, 1}, None),
+    (SEQUENCES["arithmetic(2,1)"], 20_000, {0}, None),
+    (SEQUENCES["table+arithmetic"], 20_006, {0, 1}, 7),
+    (SEQUENCES["table+arithmetic"], 20_005, {0, 1}, None),  # 19,999 ranks of tail
+    ({"kind": "custom", "table": [2] * 20_000}, 20_000, {0, 1}, None),  # repeated entries, cached
+    ({"kind": "custom", "table": [2] * 20_000, "tail": SEQUENCES["arithmetic(2,1)"]}, 40_000, {0, 1}, 20_001),
+    ({"kind": "custom", "table": [2, 3], "tail": {"kind": "custom", "table": [2] * 9, "tail": SEQUENCES["arithmetic(2,1)"]}},
+     20_009, {0, 1}, 10),
+    ({"kind": "custom", "table": [2], "tail": {"kind": "geometric", "b1": 2, "q": 2}}, 20_000, {0, 1}, None),
+    ({"kind": "counterexample"}, 10**5, {0, 1}, None),  # closed-form logs
+    ({"kind": "constant", "s": 3}, 10**5, {0, 1}, None),  # one log, cached
 ])
-def test_which_walks_get_a_helper(monkeypatch, spec, k_max, cpus, pays):
+def test_which_walks_get_a_helper(monkeypatch, spec, k_max, cpus, first):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    assert sequences._helper_pays(make_sequence(spec), k_max) is pays
+    assert sequences._helper_start(make_sequence(spec), k_max) == first
+
+
+def test_a_table_stays_in_the_walk(helpers, monkeypatch):
+    # The helper computes from the tail's first rank, past the CHUNK ranks
+    # the walk computes while it sends the job.
+    table = [2, 3] * 20
+    spec = {"kind": "custom", "table": table, "tail": SEQUENCES["arithmetic(3,2)"]}
+    fed = walk(spec)
+    assert helpers.fed == K - len(table)
+    monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", K + 1)
+    assert fed == walk(spec)
+
+
+def test_the_helper_ignores_modules_in_the_working_directory(helpers, serial, tmp_path, monkeypatch):
+    # Each decoy would make the helper die before its first line, and the
+    # walk would then compute every log itself.
+    (tmp_path / "cantordim").mkdir()
+    (tmp_path / "cantordim" / "__init__.py").write_text("raise SystemExit(3)\n")
+    (tmp_path / "pickle.py").write_text("raise SystemExit(4)\n")
+    monkeypatch.chdir(tmp_path)
+    assert walk(SEQUENCES["arithmetic(2,1)"]) == serial["arithmetic(2,1)"]
+    assert len(helpers.procs) == 1 and helpers.fed == K - logfeed.CHUNK
 
 
 def test_a_helper_with_another_mpmath_is_not_used(helpers, serial, monkeypatch):

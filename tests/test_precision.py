@@ -10,7 +10,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
 from cantordim import SymbolModel, dim_measure_series, make_row_rule, make_sequence, working_dps
-from cantordim.precision import _ln_int_cached, ln_int, mpf_text
+from cantordim import precision
+from cantordim.precision import _ln_int_cached, ln_int, ln_int_fed, ln_int_raw, ln_int_uncached, mpf_text
 from cantordim.sequences import rank_logs
 
 
@@ -68,6 +69,23 @@ def test_each_rank_reads_its_log_from_the_cache_once_more():
     finally:
         _ln_int_cached.cache_clear()
     assert (info.misses, info.hits) == (ranks, ranks)
+
+
+def test_a_fed_log_is_cached_under_its_own_key_only(monkeypatch):
+    # A cache miss for another key while a log is fed (say, in another
+    # thread) computes its own log.
+    prec, rnd = 200, "n"
+    log3, log5 = ln_int_uncached(3, prec, rnd), ln_int_uncached(5, prec, rnd)
+    _ln_int_cached.cache_clear()
+    try:
+        monkeypatch.setattr(precision, "_fed", ((3, prec, rnd), log3))
+        assert ln_int_raw(5, prec, rnd) == log5
+        monkeypatch.setattr(precision, "_fed", None)
+        assert ln_int_fed(3, prec, rnd, log3) == log3
+        assert ln_int_fed(5, prec, rnd, log3) == log5  # a hit keeps the cached value
+        assert precision._fed is None and _ln_int_cached.cache_info().misses == 2
+    finally:
+        _ln_int_cached.cache_clear()
 
 
 # Raw values with both signs, 1 to 400 mantissa bits and binary exponents
