@@ -9,112 +9,73 @@ the ``ln_int`` cache (``precision.ln_int_fed``).  The helper computes
 ``precision.ln_int_uncached`` of the same terms at the walk's (prec, rnd),
 so the walk keeps every bit.
 
-The helper runs ``serve`` in ``sys.executable`` with this cantordim first
-on its PYTHONPATH and the working directory off its ``sys.path``, and
-talks over its stdin and stdout:
+The helper is a fork of the walk's own process, so it runs the same code
+and the same mpmath on the walk's own sequence object.  It computes ln n_k
+for k = start..k_max, where ``start`` is rank CHUNK + 1 or the walk's
+``first`` rank for the helper, whichever is later, and writes them to a
+pipe as pickled lists of CHUNK raw values; the walk computes the ranks
+before ``start`` itself meanwhile.  At a term error the helper stops; the
+walk meets the same error in its own terms.  The helper always ends in
+``os._exit``, so it never returns into the walk's caller, runs no atexit
+hook and flushes none of the caller's buffers.
 
-1. once it has imported cantordim, it writes one line: the mpmath version
-   and integer backend it computes with (``precision.LIBMP_IDENTITY``);
-2. the walk computes its own logs meanwhile and looks for that line every
-   CHUNK ranks.  If it names the walk's own mpmath, the walk sends one JSON
-   line: the sequence descriptor, k_max, (prec, rnd) and ``start``, the
-   rank CHUNK past its own or the walk's ``first`` rank for the helper,
-   whichever is later;
-3. the helper rebuilds the terms from the descriptor and writes ln n_k for
-   k = start..k_max as pickled lists of CHUNK raw values.  At a term error
-   it stops; the walk meets the same error in its own terms.
-
-If the helper cannot start, computes with another mpmath, or dies, the
-walk computes the rest of its logs itself.  However the walk stops, the
-helper is killed and waited for.
+If the fork fails or the helper dies, the walk computes the rest of its
+logs itself.  However the walk stops, the helper is killed and waited for.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
 import os
-import sys
+import signal
 from itertools import islice, repeat
 
-from .precision import LIBMP_IDENTITY, ln_int_uncached
+from .precision import ln_int_uncached
 
-# Ranks per message, and between two looks for the helper's first line.
+# Ranks per message.
 CHUNK = 1024
 
 # The shortest walk given a helper.  On the 2-CPU host where this was set,
-# whose speed varies by up to 2x, a helper was ready 0.12-0.19 s after it
-# started (a fresh interpreter plus ``import cantordim``) and one log took
-# 6.6-10 us, so the helper's start-up is paid back from about 2*10**4 ranks.
+# whose speed varies by up to 2x, a helper that started as a fresh
+# interpreter was ready 0.12-0.19 s after it started and one log took
+# 6.6-10 us, so its start-up was paid back from about 2*10**4 ranks.  On
+# the same host a forked helper of a 23 MB process writes its first byte
+# 1.0-5.1 ms after the fork.  The bound is kept all the same: retuning it
+# is a separate change, to be measured on its own.
 HELPER_MIN_RANKS = 20_000
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # holds this cantordim
 
-# ``python -c`` puts the working directory ('') at sys.path[0], ahead of
-# PYTHONPATH, where a stray cantordim, json or pickle would shadow ours.
-_SERVE = "import sys\nif sys.path[0] == '':\n    del sys.path[0]\nfrom cantordim.logfeed import serve\nserve()"
+def helper_logs(seq, k_max: int, prec: int, rnd: str, first: int):
+    """Yield, for k = 1, 2, ..., ln n_k of ``seq`` at (prec, rnd) as a raw
+    value from a helper process, or None where the walk is to compute it
+    itself: at least at every rank before ``first``."""
+    import pickle  # imported here, as few runs start a helper
 
-
-def helper_logs(descriptor: dict, k_max: int, prec: int, rnd: str, first: int):
-    """Yield, for k = 1, 2, ..., ln n_k at (prec, rnd) as a raw value from a
-    helper process, or None where the walk is to compute it itself: at
-    least at every rank before ``first``."""
-    # Imported here, as few runs start a helper: pickle, select and
-    # subprocess add about 9 ms to every start-up.
-    import pickle
-    import select
-    import subprocess
-
-    proc = None
+    start = max(CHUNK + 1, first)
+    pid = None
     try:
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _SERVE],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_ROOT, os.environ.get("PYTHONPATH"))))},
-        )
-        k = 1
-        while not select.select([proc.stdout], [], [], 0)[0]:
-            yield from repeat(None, CHUNK)
-            k += CHUNK
-        # Not used if it died before it was ready, or computes with another mpmath.
-        if proc.stdout.readline() == f"{LIBMP_IDENTITY}\n".encode():
-            start = max(k + CHUNK, first)
-            job = {"seq": descriptor, "k_max": k_max, "prec": prec, "rnd": rnd, "start": start}
-            proc.stdin.write(json.dumps(job).encode() + b"\n")
-            proc.stdin.close()
-            yield from repeat(None, start - k)
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as logs:
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        logs.close()
+                        out = open(write_fd, "wb")
+                        terms = seq.iter_terms(k_max, start)
+                        while chunk := [ln_int_uncached(n, prec, rnd) for n in islice(terms, CHUNK)]:
+                            pickle.dump(chunk, out, pickle.HIGHEST_PROTOCOL)
+                            out.flush()
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(write_fd)
+            yield from repeat(None, start - 1)
             while True:
-                yield from pickle.load(proc.stdout)
+                yield from pickle.load(logs)
     except (OSError, EOFError, pickle.UnpicklingError):
-        pass  # the helper could not start, or died: the walk computes the rest
+        pass  # the fork failed, or the helper died: the walk computes the rest
     finally:
-        if proc is not None:
-            proc.kill()
-            for pipe in (proc.stdin, proc.stdout):
-                with contextlib.suppress(OSError):  # unflushed bytes to a dead helper
-                    pipe.close()
-            proc.wait()
+        if pid:  # never 0: the helper ends in os._exit
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     yield from repeat(None)
-
-
-def serve() -> None:
-    """The helper's side of ``helper_logs``."""
-    import pickle
-
-    from .sequences import SequenceError, make_sequence
-
-    out = sys.stdout.buffer
-    out.write(f"{LIBMP_IDENTITY}\n".encode())
-    out.flush()
-    line = sys.stdin.buffer.readline()
-    if not line:
-        return  # the walk ended first
-    job = json.loads(line)
-    prec, rnd = job["prec"], job["rnd"]
-    terms = make_sequence(job["seq"]).iter_terms(job["k_max"], job["start"])
-    try:
-        while chunk := [ln_int_uncached(n, prec, rnd) for n in islice(terms, CHUNK)]:
-            pickle.dump(chunk, out, pickle.HIGHEST_PROTOCOL)
-            out.flush()
-    except SequenceError:
-        pass  # the walk raises it from its own terms, at the same rank

@@ -38,11 +38,10 @@ makes the call ``ln_int_raw`` makes on a cache miss,
 hands the value to ``ln_int_fed``, which caches it as ``ln_int_raw``
 would have; every later lookup in the rank then reads it from the cache.
 The value is handed over with its key (n, prec, rnd), and a cache miss
-for any other key, say in another thread, computes its own log.
-The walk uses a helper only if it reports the walk's own
-``LIBMP_IDENTITY`` (mpmath version and integer backend).  libmp's log is
-deterministic integer arithmetic given those and (prec, rnd), so the
-helper's bits are the ones the walk would compute.
+for any other key, say in another thread, computes its own log.  The
+helper is a fork of the walk's process, with its mpmath and integer
+backend, and libmp's log is deterministic integer arithmetic given those
+and (prec, rnd), so the helper's bits are the ones the walk would compute.
 
 ``mpf_text(x, n)`` is byte for byte libmp's ``to_str(x._mpf_, n)``, which
 is what ``nstr(x, n)`` prints for an mpf.  For a finite nonzero value
@@ -61,15 +60,12 @@ import os
 from contextlib import contextmanager
 from functools import lru_cache
 
-from mpmath import __version__ as _mpmath_version, mp, mpf
+from mpmath import mp, mpf
 # The kernel's operations, re-exported to the modules that run the loops.
 from mpmath.libmp import (  # noqa: F401
-    BACKEND, fninf, from_int, fzero, mpf_add, mpf_cmp, mpf_div, mpf_log, mpf_lt, mpf_mul,
+    fninf, from_int, fzero, mpf_add, mpf_cmp, mpf_div, mpf_log, mpf_lt, mpf_mul,
     mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt, mpf_sub, to_str,
 )
-
-# What, besides (prec, rnd), decides the bits of a libmp result.
-LIBMP_IDENTITY = f"mpmath {_mpmath_version} {BACKEND}"
 
 ENV_PRECISION = "CANTORDIM_PRECISION"
 DEFAULT_DPS = 50

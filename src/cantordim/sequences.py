@@ -417,6 +417,14 @@ def make_sequence(spec: Mapping) -> BasicSequence:
 # ---------------------------------------------------------------------------
 
 
+def _single_threaded() -> bool:
+    """Whether this process runs one thread (Linux: one entry in /proc/self/task)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 def _helper_start(seq: BasicSequence, k_max: int) -> Optional[int]:
     """The first rank whose term log may come from a helper process
     (``logfeed``), or None for a walk with no helper.
@@ -424,7 +432,9 @@ def _helper_start(seq: BasicSequence, k_max: int) -> Optional[int]:
     A helper needs a second CPU and at least ``HELPER_MIN_RANKS`` ranks of an
     arithmetic sequence, on its own or as the tail of custom tables: terms
     that never repeat, so that each log is a cache miss.  A table's ranks
-    stay in the walk, as its entries may repeat.
+    stay in the walk, as its entries may repeat.  The helper is a fork, so
+    the process must run one thread: a fork copies a lock that another
+    thread holds, and the child may then wait on it for ever.
     """
     first = 1
     while type(seq) is CustomSequence and seq.tail is not None:
@@ -434,6 +444,7 @@ def _helper_start(seq: BasicSequence, k_max: int) -> Optional[int]:
         type(seq) is ArithmeticSequence
         and k_max - first + 1 >= logfeed.HELPER_MIN_RANKS
         and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+        and _single_threaded()
     ):
         return first
     return None
@@ -454,7 +465,7 @@ def rank_logs(seq: BasicSequence, k_max: int):
     prec, rnd = walk_precision()
     log_term = seq.raw_log_term
     first = _helper_start(seq, k_max)
-    helper = None if first is None else logfeed.helper_logs(seq.descriptor(), k_max, prec, rnd, first)
+    helper = None if first is None else logfeed.helper_logs(seq, k_max, prec, rnd, first)
     prefix = fzero
     try:
         for (k, n), fed in zip(enumerate(seq.iter_terms(k_max), 1), helper or itertools.repeat(None)):

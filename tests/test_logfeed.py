@@ -5,11 +5,15 @@ import contextlib
 import io
 import json
 import os
-import select
+import signal
 import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
+import cantordim
 from cantordim import SymbolModel, cli, logfeed, make_row_rule, make_sequence, sequences
 from cantordim.measure import ModelError
 from cantordim.precision import _ln_int_cached, working_dps
@@ -27,29 +31,29 @@ SEQUENCES = {
 
 
 class Helpers:
-    """The helpers started, and how many logs the walks took from them."""
+    """The helpers forked, and how many logs the walks took from them."""
 
     def __init__(self):
-        self.procs = []
+        self.pids = []
         self.fed = 0
 
     def assert_all_exited(self):
-        for proc in self.procs:
-            proc.wait(timeout=30)
-            assert proc.poll() is not None
+        # The walk has waited for each helper, so none is left to wait for.
+        for pid in self.pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """Every walk gets a helper, which is ready before the walk's first
-    look for it, so it takes over at rank CHUNK + 1."""
+    """Every walk gets a helper, which takes over at rank CHUNK + 1."""
     started = Helpers()
 
-    class ReadyPopen(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.procs.append(self)
-            select.select([self.stdout], [], [], 60)
+    def recording_fork(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            started.pids.append(pid)
+        return pid
 
     def counting_fed(*args, _fed=sequences.ln_int_fed):
         started.fed += 1
@@ -58,7 +62,8 @@ def helpers(monkeypatch):
     monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", 1)
     monkeypatch.setattr(logfeed, "CHUNK", 7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(subprocess, "Popen", ReadyPopen)
+    monkeypatch.setattr(sequences, "_single_threaded", lambda: True)
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(sequences, "ln_int_fed", counting_fed)
     yield started
     started.assert_all_exited()
@@ -90,7 +95,7 @@ def serial():
 @pytest.mark.parametrize("name", SEQUENCES)
 def test_full_walk_matches_the_serial_walk(helpers, serial, name):
     assert walk(SEQUENCES[name]) == serial[name]
-    assert len(helpers.procs) == 1
+    assert len(helpers.pids) == 1
     assert helpers.fed == (0 if name == "rational-d" else K - logfeed.CHUNK)
 
 
@@ -106,10 +111,10 @@ def test_cli_bytes_match_the_serial_run(helpers, monkeypatch, name):
         return code, out.getvalue(), err.getvalue()
 
     fed = run()
-    assert len(helpers.procs) == 1 and helpers.fed == (0 if name == "rational-d" else K - logfeed.CHUNK)
+    assert len(helpers.pids) == 1 and helpers.fed == (0 if name == "rational-d" else K - logfeed.CHUNK)
     monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", K + 1)
     assert run() == fed
-    assert len(helpers.procs) == 1
+    assert len(helpers.pids) == 1
 
 
 def test_break_reaps_the_helper(helpers, serial):
@@ -150,7 +155,7 @@ def test_a_killed_helper_leaves_the_walk_unchanged(helpers, monkeypatch):
 
     def kill(k):
         if k == 40:
-            helpers.procs[0].kill()
+            os.kill(helpers.pids[0], signal.SIGKILL)
 
     fed = walk(spec, k_max, stop=kill)
     assert 40 - logfeed.CHUNK <= helpers.fed < k_max - logfeed.CHUNK
@@ -159,10 +164,10 @@ def test_a_killed_helper_leaves_the_walk_unchanged(helpers, monkeypatch):
 
 
 def test_a_helper_that_cannot_start_leaves_the_walk_unchanged(helpers, serial, monkeypatch):
-    def no_process(*args, **kwargs):
+    def no_process():
         raise OSError("no process")
 
-    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
     assert walk(SEQUENCES["arithmetic(2,1)"]) == serial["arithmetic(2,1)"]
     assert helpers.fed == 0
 
@@ -187,8 +192,8 @@ def test_which_walks_get_a_helper(monkeypatch, spec, k_max, cpus, first):
 
 
 def test_a_table_stays_in_the_walk(helpers, monkeypatch):
-    # The helper computes from the tail's first rank, past the CHUNK ranks
-    # the walk computes while it sends the job.
+    # The helper computes from the tail's first rank, which lies past the
+    # CHUNK ranks the walk always computes itself.
     table = [2, 3] * 20
     spec = {"kind": "custom", "table": table, "tail": SEQUENCES["arithmetic(3,2)"]}
     fed = walk(spec)
@@ -198,17 +203,81 @@ def test_a_table_stays_in_the_walk(helpers, monkeypatch):
 
 
 def test_the_helper_ignores_modules_in_the_working_directory(helpers, serial, tmp_path, monkeypatch):
-    # Each decoy would make the helper die before its first line, and the
-    # walk would then compute every log itself.
+    # Each decoy would kill a helper that imported afresh, and the walk
+    # would then compute every log itself.
     (tmp_path / "cantordim").mkdir()
     (tmp_path / "cantordim" / "__init__.py").write_text("raise SystemExit(3)\n")
     (tmp_path / "pickle.py").write_text("raise SystemExit(4)\n")
     monkeypatch.chdir(tmp_path)
     assert walk(SEQUENCES["arithmetic(2,1)"]) == serial["arithmetic(2,1)"]
-    assert len(helpers.procs) == 1 and helpers.fed == K - logfeed.CHUNK
+    assert len(helpers.pids) == 1 and helpers.fed == K - logfeed.CHUNK
 
 
-def test_a_helper_with_another_mpmath_is_not_used(helpers, serial, monkeypatch):
-    monkeypatch.setattr(logfeed, "LIBMP_IDENTITY", "mpmath 0.0 other")
-    assert walk(SEQUENCES["arithmetic(2,1)"]) == serial["arithmetic(2,1)"]
-    assert len(helpers.procs) == 1 and helpers.fed == 0
+def test_which_walks_get_a_helper_beside_a_second_thread(monkeypatch):
+    # A fork copies a lock that another thread holds, and the child may then
+    # wait on it for ever.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seq = make_sequence(SEQUENCES["arithmetic(2,1)"])
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        assert sequences._helper_start(seq, 20_000) is None
+    finally:
+        parked.set()
+        thread.join()
+    # join() returns once the thread's Python state is gone; its OS thread
+    # may linger a moment longer.
+    deadline = time.monotonic() + 10
+    while sequences._helper_start(seq, 20_000) is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert sequences._helper_start(seq, 20_000) == 1
+
+
+# Block-buffered stdout holds a line when the walk forks its helper; the
+# walk waits (without reaping it) until the helper has ended by itself.
+_EXIT_SCRIPT = """
+import atexit, json, os, sys
+from cantordim import logfeed, make_sequence
+from cantordim.precision import working_dps
+from cantordim.sequences import SequenceError, rank_logs
+
+logfeed.HELPER_MIN_RANKS, logfeed.CHUNK = 1, 7
+os.sched_getaffinity = lambda pid: {0, 1}
+pids = []
+_fork = os.fork
+def fork():
+    pids.append(_fork())
+    return pids[-1]
+os.fork = fork
+atexit.register(print, "atexit")
+print("unflushed")
+out = []
+try:
+    with working_dps(30):
+        for item in rank_logs(make_sequence(json.loads(sys.argv[1])), int(sys.argv[2])):
+            if item[0] == 1:
+                ended = os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+            out.append(item)
+except SequenceError as exc:
+    out.append(str(exc))
+try:
+    os.waitpid(pids[0], os.WNOHANG)
+except ChildProcessError:
+    print("reaped")
+print(len(pids), ended.si_code == os.CLD_EXITED, ended.si_status)
+print(repr(out))
+"""
+
+
+@pytest.mark.parametrize("name", ["arithmetic(2,1)", "rational-d"])  # rational-d: the helper's terms raise
+def test_the_helper_exits_without_touching_the_callers_state(serial, name):
+    path = os.path.dirname(os.path.dirname(os.path.abspath(cantordim.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (path, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _EXIT_SCRIPT, json.dumps(SEQUENCES[name]), str(K)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stderr == ""
+    assert done.stdout == f"unflushed\nreaped\n1 True 0\n{serial[name]!r}\natexit\n"
