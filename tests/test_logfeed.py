@@ -21,6 +21,8 @@ from cantordim.sequences import SequenceError, rank_logs
 
 K = 300
 
+_SCHED_GETAFFINITY = getattr(os, "sched_getaffinity", None)
+
 SEQUENCES = {
     "arithmetic(2,1)": {"kind": "arithmetic", "a1": 2, "d": 1},
     "arithmetic(3,2)": {"kind": "arithmetic", "a1": 3, "d": 2},
@@ -46,8 +48,10 @@ class Helpers:
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """Every walk gets a helper, which takes over at rank CHUNK + 1."""
+    """Every walk gets a helper, which takes over at rank CHUNK + 1, and
+    leaves the walk's CPU mask as it found it."""
     started = Helpers()
+    mask = _SCHED_GETAFFINITY and _SCHED_GETAFFINITY(0)
 
     def recording_fork(_fork=os.fork):
         pid = _fork()
@@ -67,6 +71,7 @@ def helpers(monkeypatch):
     monkeypatch.setattr(sequences, "ln_int_fed", counting_fed)
     yield started
     started.assert_all_exited()
+    assert (_SCHED_GETAFFINITY and _SCHED_GETAFFINITY(0)) == mask  # the walk's own mask is never touched
 
 
 def walk(spec, k_max=K, stop=None):
@@ -163,6 +168,78 @@ def test_a_killed_helper_leaves_the_walk_unchanged(helpers, monkeypatch):
     assert fed == walk(spec, k_max)
 
 
+def _cpus_allowed(pid):
+    """The CPUs process ``pid`` may run on, from its Cpus_allowed_list."""
+    with open(f"/proc/{pid}/status") as status:
+        line = next(line for line in status if line.startswith("Cpus_allowed_list:"))
+    cpus = set()
+    for part in line.partition(":")[2].strip().split(","):
+        lo, _, hi = part.partition("-")
+        cpus.update(range(int(lo), int(hi or lo) + 1))
+    return cpus
+
+
+def test_the_helper_runs_off_the_walks_cpu(helpers, monkeypatch):
+    # The real mask this time, which the helper narrows and the walk keeps.
+    monkeypatch.setattr(os, "sched_getaffinity", _SCHED_GETAFFINITY, raising=False)
+    cpus = os.sched_getaffinity(0) if _SCHED_GETAFFINITY else set()
+    if len(cpus) < 2:
+        pytest.skip("fewer than 2 CPUs: the helper has nowhere else to run")
+    read, allowed = [], []
+
+    def recording_walk_cpu(_read=logfeed._walk_cpu):
+        read.append(_read())
+        return read[-1]
+
+    def look(k):
+        if k == 40:  # past the helper's first chunk, so past its pin
+            allowed.append(_cpus_allowed(helpers.pids[0]))
+
+    monkeypatch.setattr(logfeed, "_walk_cpu", recording_walk_cpu)
+    # Long enough that the helper is still writing when the walk looks.
+    spec, k_max = SEQUENCES["arithmetic(2,1)"], 20_000
+    fed = walk(spec, k_max, stop=look)
+    assert os.sched_getaffinity(0) == cpus
+    assert len(read) == 1 and read[0] in cpus
+    assert allowed == [cpus - {read[0]}]
+    assert helpers.fed == k_max - logfeed.CHUNK
+    monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", k_max + 1)
+    assert fed == walk(spec, k_max)
+
+
+def test_a_helper_that_cannot_be_pinned_runs_unpinned(helpers, serial, monkeypatch):
+    def no_pin(pid, cpus):
+        raise OSError("no pin")
+
+    monkeypatch.setattr(os, "sched_setaffinity", no_pin, raising=False)
+    assert walk(SEQUENCES["arithmetic(2,1)"]) == serial["arithmetic(2,1)"]
+    assert len(helpers.pids) == 1 and helpers.fed == K - logfeed.CHUNK
+
+
+@pytest.mark.parametrize("stat", [
+    None,  # cannot be opened
+    b"4242 (python3) R 1",  # cut short
+    b"4242 (a) b) " + b"? " * 40,  # not a number
+])
+def test_no_pin_without_the_walks_cpu(helpers, serial, monkeypatch, stat):
+    def stat_open(file, *args, _open=open, **kwargs):
+        if file != "/proc/self/stat":
+            return _open(file, *args, **kwargs)
+        if stat is None:
+            raise PermissionError(file)
+        return io.BytesIO(stat)
+
+    def no_pin(pid, cpus):
+        # Raised in the helper, this ends it before its first log.
+        raise AssertionError("pin attempted")
+
+    monkeypatch.setattr(logfeed, "open", stat_open, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", no_pin, raising=False)
+    assert logfeed._walk_cpu() is None
+    assert walk(SEQUENCES["arithmetic(2,1)"]) == serial["arithmetic(2,1)"]
+    assert len(helpers.pids) == 1 and helpers.fed == K - logfeed.CHUNK
+
+
 def test_a_helper_that_cannot_start_leaves_the_walk_unchanged(helpers, serial, monkeypatch):
     def no_process():
         raise OSError("no process")
@@ -172,12 +249,15 @@ def test_a_helper_that_cannot_start_leaves_the_walk_unchanged(helpers, serial, m
     assert helpers.fed == 0
 
 
+MIN = logfeed.HELPER_MIN_RANKS
+
+
 @pytest.mark.parametrize("spec, k_max, cpus, first", [
-    (SEQUENCES["arithmetic(2,1)"], 20_000, {0, 1}, 1),
-    (SEQUENCES["arithmetic(2,1)"], 19_999, {0, 1}, None),
-    (SEQUENCES["arithmetic(2,1)"], 20_000, {0}, None),
-    (SEQUENCES["table+arithmetic"], 20_006, {0, 1}, 7),
-    (SEQUENCES["table+arithmetic"], 20_005, {0, 1}, None),  # 19,999 ranks of tail
+    (SEQUENCES["arithmetic(2,1)"], MIN, {0, 1}, 1),
+    (SEQUENCES["arithmetic(2,1)"], MIN - 1, {0, 1}, None),
+    (SEQUENCES["arithmetic(2,1)"], MIN, {0}, None),
+    (SEQUENCES["table+arithmetic"], 6 + MIN, {0, 1}, 7),
+    (SEQUENCES["table+arithmetic"], 6 + MIN - 1, {0, 1}, None),  # MIN - 1 ranks of tail
     ({"kind": "custom", "table": [2] * 20_000}, 20_000, {0, 1}, None),  # repeated entries, cached
     ({"kind": "custom", "table": [2] * 20_000, "tail": SEQUENCES["arithmetic(2,1)"]}, 40_000, {0, 1}, 20_001),
     ({"kind": "custom", "table": [2, 3], "tail": {"kind": "custom", "table": [2] * 9, "tail": SEQUENCES["arithmetic(2,1)"]}},
