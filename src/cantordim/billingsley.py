@@ -16,15 +16,17 @@ the image set's dimension independently.
 log mass per rank to the raw log of the cylinder measure (see
 ``precision`` for the kernel); ``billingsley_ratio`` computes one value
 with mpf operators on the oracles' logs as its oracle.  ``example1_report`` feeds
-the same walk to every series it reports: both dimension series, the DP
-positivity scan and the ratio series of each digit string.
+one walk to every series it reports: both dimension series, the DP
+positivity scan and one b_k series.  Every element of the digit-constrained
+set V has the same cylinder measures under the example1 rows, so every
+element of V, the extreme one and each sample, shares that series.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from mpmath import mpf
 
@@ -145,50 +147,30 @@ def _monotone_segments(points: list[RatioPoint]) -> list[tuple[str, int, int]]:
 
 
 class _RatioWalk:
-    """b_k along one digit string, fed one rank of a model walk at a time
-    by ``_step_walks``.  The cylinder measure is kept as its raw log: ln 1 = 0
-    to start, -inf once a digit has zero mass (the sum stays -inf)."""
+    """b_k along one digit string, fed one rank of a model walk at a time.
+    The cylinder measure is kept as its raw log: ln 1 = 0 to start, -inf
+    once a digit has zero mass (the sum stays -inf)."""
 
     def __init__(self, d: DigitString):
         self.d = d
         self.log_mu = fzero
         self.points: list[RatioPoint] = []
 
-    def series(self, dps: int, earlier: Sequence[RatioSeries] = ()) -> RatioSeries:
-        """The walk's series.  Its segments are those of an ``earlier``
-        series with equal points when there is one (a list compares its
-        elements by identity first, so shared points cost no mpf compare),
-        and computed otherwise."""
-        segments = next((s.segments for s in earlier if s.points == self.points), None)
-        if segments is None:
-            segments = _monotone_segments(self.points)
-        return RatioSeries(digits=self.d, dps=dps, points=self.points, segments=segments)
+    def step(self, k: int, log_prefix: tuple, row: Row, prec: int, rnd: str) -> None:
+        """Advance by rank k at the kernel's (prec, rnd), with the flags and
+        values of ``billingsley_ratio``."""
+        log_mu = self.log_mu = mpf_add(self.log_mu, row.logp(self.d.digits[k - 1])._mpf_, prec, rnd)
+        if log_mu == fninf:
+            point = RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE)
+        elif log_mu == fzero:
+            point = RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE)
+        else:
+            value = mpf_div(log_prefix, mpf_neg(log_mu, prec, rnd), prec, rnd)
+            point = RatioPoint(k=k, value=as_mpf(value))
+        self.points.append(point)
 
-
-def _step_walks(
-    walks: list[_RatioWalk], k: int, log_prefix: tuple, row: Row, prec: int, rnd: str
-) -> None:
-    """Advance each walk by rank k at the kernel's (prec, rnd), with the
-    flags and values of ``billingsley_ratio``.  Walks whose cylinders have the
-    same log measure so far and whose digits have the same mass share one
-    computation and one (frozen) point: the V-strings under the example1
-    rows, where a digit's mass depends on its rank only, all do."""
-    done = {}
-    for walk in walks:
-        key = (walk.log_mu, row.logp(walk.d.digits[k - 1])._mpf_)
-        step = done.get(key)
-        if step is None:
-            log_mu = mpf_add(*key, prec, rnd)
-            if log_mu == fninf:
-                point = RatioPoint(k=k, value=mpf(0), flag=FLAG_ZERO_MEASURE)
-            elif log_mu == fzero:
-                point = RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE)
-            else:
-                value = mpf_div(log_prefix, mpf_neg(log_mu, prec, rnd), prec, rnd)
-                point = RatioPoint(k=k, value=as_mpf(value))
-            step = done[key] = (log_mu, point)
-        walk.log_mu, point = step
-        walk.points.append(point)
+    def series(self, dps: int) -> RatioSeries:
+        return RatioSeries(self.d, dps, self.points, _monotone_segments(self.points))
 
 
 def ratio_series(
@@ -205,7 +187,7 @@ def ratio_series(
         prec, rnd = walk_precision()
         walk = _RatioWalk(d)
         for k, _, _, log_prefix, row in model.walk(k_max):
-            _step_walks([walk], k, log_prefix, row, prec, rnd)
+            walk.step(k, log_prefix, row, prec, rnd)
         return walk.series(used)
 
 
@@ -330,7 +312,8 @@ def example1_report(
     sequence then feeds every series: each rank builds the row of both
     models once, adds to the measure and spectrum numerators and to the
     shared sum of r_k**2, advances the positivity scan of the DP report,
-    and multiplies each string's cylinder measure by its digit's mass.
+    and multiplies the extreme element's cylinder measure by its digit's
+    mass.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -342,15 +325,14 @@ def example1_report(
     seq = model.seq
     with working_dps(dps):
         rng = random.Random(seed)
-        strings = [v_extreme_element(seq, k_max)]
-        strings += [sample_v_element(seq, k_max, rng) for _ in range(samples)]
-        walks = [_RatioWalk(d) for d in strings]
+        walk = _RatioWalk(v_extreme_element(seq, k_max))
+        drawn = [sample_v_element(seq, k_max, rng) for _ in range(samples)]
         scan = PositivityScan()
         prec, rnd = walk_precision()
 
         def on_rank(k: int, log_prefix: tuple, row: Row) -> None:
             scan.observe(k, log_prefix, row)
-            _step_walks(walks, k, log_prefix, row, prec, rnd)
+            walk.step(k, log_prefix, row, prec, rnd)
 
         mseries, sseries = dimension_series(
             [(model, MEASURE_ENTROPY), (psi, SPECTRUM_COUNT)], k_max, dps, on_rank, liminf=True
@@ -359,15 +341,13 @@ def example1_report(
         dp = dp_report(model, mseries, scan, m_est)
         s_est = liminf_estimate(sseries, m_est.window)
         last_spike = trailing_decade_start(k_max)  # a spike only from rank 10 on
-        # Under the example1 rows the walks share their points (see
-        # ``_step_walks``), and then their segments too.
-        series: list[RatioSeries] = []
-        for walk in walks:
-            series.append(walk.series(used, series))
-        extreme_series, *sample_series = series
-        delta_estimate = (
-            extreme_series.points[last_spike - 1].value if last_spike >= FIRST_SPIKE else mpf(1)
-        )
+        extreme = walk.series(used)
+        # Every x in V has the same cylinder measures mu(I_k(x)): the rows are
+        # uniform off the spike ranks, and V fixes digit 0 at them.  So b_k is
+        # one series on all of V, and each sample holds the extreme series'
+        # points and segments with its own digits.
+        sample_series = [RatioSeries(d, used, extreme.points, extreme.segments) for d in drawn]
+        delta_estimate = extreme.points[last_spike - 1].value if last_spike >= FIRST_SPIKE else mpf(1)
         return Example1Report(
             k_max=k_max,
             dps=used,
@@ -377,7 +357,7 @@ def example1_report(
             measure_liminf=m_est,
             spectrum_series=sseries,
             spectrum_liminf=s_est,
-            ratio_extreme=extreme_series,
+            ratio_extreme=extreme,
             ratio_samples=sample_series,
             dp_report=dp,
             delta_estimate=delta_estimate,

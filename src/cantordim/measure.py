@@ -268,50 +268,34 @@ class PointMassRule(RowRule):
         return False  # all other digits carry zero mass
 
 
-class SpikedUniformRule(RowRule):
-    """Uniform rows except at power-of-ten ranks, where digit 0 gets the
-    vanishing mass 1/E(k).
+class SpikedRule(RowRule):
+    """Uniform rows except at power-of-ten ranks, where ``spike(k, n)``
+    builds the row.  The built-in rules, by JSON name (``_SPIKE_ROWS``):
+    "example1" (the package's built-in worked counterexample), whose spike
+    row gives digit 0 the vanishing mass 10**-(10**k); "example1:tower",
+    the steeper 10**-(10**(10**k)); and "example1_psi", the companion
+    model with all spike mass on digit 0, whose spectrum is the set V of
+    points with digit 0 forced at those ranks."""
 
-    The default exponent form is E(k) = 10**(10**k), i.e. ln p0 = -10**k ln 10;
-    ``tower=True`` selects the steeper E(k) = 10**(10**(10**k)).  JSON name:
-    "example1" (the package's built-in worked counterexample).
-    """
-
-    def __init__(self, tower: bool = False):
-        self.tower = tower
-
-    def spike_log_p0(self, k: int) -> mpf:
-        if self.tower:
-            return -ln_int(10) * mp.power(mpf(10), 10**k)
-        return -ln_int(10) * (10**k)
+    def __init__(self, name: str, spike: Callable[[int, int], Row]):
+        self.name = name
+        self.spike = spike
 
     def row(self, k: int, n: int) -> Row:
-        if is_power_of_ten(k):
-            return VanishingZeroRow(n, self.spike_log_p0(k))
-        return UniformRow(n)
+        return self.spike(k, n) if is_power_of_ten(k) else UniformRow(n)
 
     def descriptor(self):
-        return "example1" if not self.tower else "example1:tower"
+        return self.name
 
     def separated_from_zero(self, seq):
         return False
 
 
-class SpikedPointMassRule(RowRule):
-    """Uniform rows except at power-of-ten ranks, where all mass sits on
-    digit 0.  This is the companion model whose spectrum is the set of
-    points with digit 0 forced at those ranks.  JSON name: "example1_psi"."""
-
-    def row(self, k: int, n: int) -> Row:
-        if is_power_of_ten(k):
-            return PointMassRow(n, 0)
-        return UniformRow(n)
-
-    def descriptor(self):
-        return "example1_psi"
-
-    def separated_from_zero(self, seq):
-        return False
+_SPIKE_ROWS: dict[str, Callable[[int, int], Row]] = {
+    "example1": lambda k, n: VanishingZeroRow(n, -ln_int(10) * (10**k)),
+    "example1:tower": lambda k, n: VanishingZeroRow(n, -ln_int(10) * mp.power(mpf(10), 10**k)),
+    "example1_psi": lambda k, n: PointMassRow(n, 0),
+}
 
 
 class CustomRule(RowRule):
@@ -355,12 +339,8 @@ def make_row_rule(spec) -> RowRule:
     if isinstance(spec, str):
         if spec == "uniform":
             return UniformRule()
-        if spec == "example1":
-            return SpikedUniformRule(tower=False)
-        if spec == "example1:tower":
-            return SpikedUniformRule(tower=True)
-        if spec == "example1_psi":
-            return SpikedPointMassRule()
+        if spec in _SPIKE_ROWS:
+            return SpikedRule(spec, _SPIKE_ROWS[spec])
         if spec.startswith("point_mass:"):
             text = spec.split(":", 1)[1]
             try:
@@ -425,13 +405,14 @@ class SymbolModel:
 def example1_model(depth_cap: int = DEPTH_CAP_DEFAULT, tower: bool = False) -> SymbolModel:
     """The built-in counterexample model: n_k = k+1, uniform rows except a
     vanishing digit-0 mass at power-of-ten ranks."""
-    return SymbolModel(ArithmeticSequence(2, Fraction(1)), SpikedUniformRule(tower), depth_cap)
+    rule = make_row_rule("example1:tower" if tower else "example1")
+    return SymbolModel(ArithmeticSequence(2, Fraction(1)), rule, depth_cap)
 
 
 def example1_psi_model(depth_cap: int = DEPTH_CAP_DEFAULT) -> SymbolModel:
     """Companion model: n_k = k+1, uniform rows except all mass on digit 0
     at power-of-ten ranks; its spectrum is the digit-constrained set V."""
-    return SymbolModel(ArithmeticSequence(2, Fraction(1)), SpikedPointMassRule(), depth_cap)
+    return SymbolModel(ArithmeticSequence(2, Fraction(1)), make_row_rule("example1_psi"), depth_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +459,20 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
     1 within that tolerance).  Over at most MAX_RANK = 10**6 ranks they
     grow the prefix by less than e**(1e-4), so no later term reaches the
     floor and the sum is the one the full walk would return.
+
+    At x = 1 the value is 1 and no row is built, but the rank cap is
+    checked and the k terms are read, as on the walk for x < 1.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ModelError(f"cdf needs 0 <= x <= 1, got {x}")
     if not 1 <= k <= model.depth_cap:
         raise ModelError(f"truncation rank {k} outside 1..depth_cap={model.depth_cap}")
+    check_max_rank(k)
     with working_dps(dps):
         if x == 1:
+            deque(model.seq.iter_terms(k), maxlen=0)
             return mpf(1)
-        check_max_rank(k)
         floor_log = -(mp.dps + 2) * mp.ln(10)
         acc = mpf(0)
         prefix = mpf(0)  # ln of the measure of the cylinder containing x

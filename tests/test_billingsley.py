@@ -33,11 +33,9 @@ from cantordim.billingsley import (
     FLAG_UNIT_MEASURE,
     FLAG_ZERO_MEASURE,
     _monotone_segments,
-    _RatioWalk,
-    _step_walks,
 )
-from cantordim.precision import mpf_text, walk_precision
-from cantordim.sequences import Series
+from cantordim.precision import mpf_text
+from cantordim.sequences import Series, trailing_decade_start
 
 
 def rendered(payload) -> str:
@@ -219,11 +217,13 @@ def test_report_tower_form_collapses_harder():
     assert tower.spike_form == "10^(10^(10^k))"
 
 
-@pytest.mark.parametrize("dps", [15, 50, 100])
-@pytest.mark.parametrize("samples", [0, 1, 2, 3])
+@pytest.mark.parametrize("k_max, samples, dps", [
+    *(pytest.param(120, samples, dps, id=f"{samples}-{dps}") for samples in (0, 1, 2, 3) for dps in (15, 50, 100)),
+    pytest.param(1001, 3, 15, id="1001-3-15"),  # the shared series crosses the rank-1000 spike
+])
 @pytest.mark.parametrize("tower", [False, True])
-def test_example1_report_equals_its_unfused_composition(tower, samples, dps):
-    k_max, seed = 120, 11
+def test_example1_report_equals_its_unfused_composition(tower, k_max, samples, dps):
+    seed = 11
     report = example1_report(k_max, seed=seed, tower=tower, samples=samples, dps=dps)
     model = example1_model(depth_cap=k_max, tower=tower)
     dp = dp_necessary_conditions(model, k_max, dps=dps)
@@ -237,49 +237,32 @@ def test_example1_report_equals_its_unfused_composition(tower, samples, dps):
     assert report.measure_series == dp.measure_series
     assert report.spectrum_series == spectrum
     assert report.measure_series.precondition_partial == spectrum.precondition_partial
-    window = k_max - 100 + 1
+    last_spike = trailing_decade_start(k_max)
+    window = k_max - last_spike + 1
     assert report.measure_liminf == liminf_estimate(dp.measure_series, window)
     assert report.spectrum_liminf == liminf_estimate(spectrum, window)
     assert [report.ratio_extreme] + report.ratio_samples == ratios
-    assert report.delta_estimate == ratios[0].points[99].value
+    assert report.delta_estimate == ratios[0].points[last_spike - 1].value
     # the walked ratios also equal the cached-row single-point oracle
     for series in ratios:
-        for k in (9, 10, 11, 99, 100, 120):
+        for k in (9, 10, 11, 99, 100, 120, last_spike, k_max):
             assert series.points[k - 1] == billingsley_ratio(model, series.digits, k, dps)
-
-
-def test_walks_stepped_together_keep_their_own_series():
-    # digits 0 and 2 share a mass and digit 1 has another, so the strings'
-    # cylinder measures part and meet again; each walk must still get the
-    # series a walk of its own gives
-    seq = make_sequence({"kind": "constant", "s": 3})
-    model = SymbolModel(seq, make_row_rule({"custom": [["1/4", "1/2", "1/4"]]}), 40)
-    rng = random.Random(5)
-    strings = [DigitString(seq, tuple(rng.randrange(3) for _ in range(40))) for _ in range(4)]
-    strings.append(strings[0])
-    walks = [_RatioWalk(d) for d in strings]
-    with working_dps(30):
-        prec, rnd = walk_precision()
-        for k, _, _, log_prefix, row in model.walk(40):
-            _step_walks(walks, k, log_prefix, row, prec, rnd)
-    assert [walk.series(30) for walk in walks] == [ratio_series(model, d, 40, 30) for d in strings]
-    # with the earlier series offered, only the repeated string reuses segments
-    series = []
-    for walk in walks:
-        series.append(walk.series(30, series))
-    assert series == [ratio_series(model, d, 40, 30) for d in strings]
-    assert series[4].segments is series[0].segments
-    assert len({id(s.segments) for s in series}) == 4
 
 
 @pytest.mark.parametrize("tower", [False, True])
 def test_example1_series_share_one_segments_pass(tower):
-    report = example1_report(300, samples=3, tower=tower)
+    k_max, seed = 300, 4
+    report = example1_report(k_max, seed=seed, tower=tower, samples=3)
     extreme = report.ratio_extreme
-    for s in [extreme] + report.ratio_samples:
-        assert s.segments == _monotone_segments(s.points)
-    # the samples hold the extreme series' point objects, so its segments too
-    assert all(s.segments is extreme.segments for s in report.ratio_samples)
+    assert extreme.segments == _monotone_segments(extreme.points)
+    assert extreme.digits == v_extreme_element(ARITH, k_max)
+    # one b_k series on all of V: each sample holds the extreme series'
+    # point and segment lists, and its own digits
+    rng = random.Random(seed)
+    for s in report.ratio_samples:
+        assert s.points is extreme.points and s.segments is extreme.segments
+        assert s.digits == sample_v_element(ARITH, k_max, rng)
+    assert len({s.digits for s in [extreme] + report.ratio_samples}) == 4
 
 
 def unshared_jsonable(report) -> dict:

@@ -642,6 +642,15 @@ def test_make_row_rule_rejects_unknown():
         make_row_rule({"something": 1})
 
 
+@pytest.mark.parametrize("name", ["example1", "example1:tower", "example1_psi"])
+def test_spiked_rule_names_round_trip(name):
+    rule = make_row_rule(name)
+    assert rule.descriptor() == name
+    assert rule.separated_from_zero(ARITH) is False
+    # uniform off the power-of-ten ranks
+    assert type(rule.row(9, 10)) is type(rule.row(11, 12)) is UniformRow
+
+
 @pytest.mark.parametrize("rows, rows_json, message", [
     ([[True, 0, 0]], "[[true,0,0]]", "custom row 1 entry 1 must be a rational number, got True"),
     ([[float("inf"), 0, 0]], "[[Infinity,0,0]]", "custom row 1 entry 1 must be a rational number, got inf"),
