@@ -22,6 +22,7 @@ independent oracles.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -425,6 +426,13 @@ def _single_threaded() -> bool:
         return False
 
 
+def _second_cpu() -> bool:
+    """Whether a forked helper may run beside this process: a second CPU in
+    its mask and a single thread, as a fork copies a lock that another
+    thread holds, and the child may then wait on it for ever."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 and _single_threaded()
+
+
 def _helper_start(seq: BasicSequence, k_max: int) -> Optional[int]:
     """The first rank whose term log may come from a helper process
     (``logfeed``), or None for a walk with no helper.
@@ -432,20 +440,13 @@ def _helper_start(seq: BasicSequence, k_max: int) -> Optional[int]:
     A helper needs a second CPU and at least ``HELPER_MIN_RANKS`` ranks of an
     arithmetic sequence, on its own or as the tail of custom tables: terms
     that never repeat, so that each log is a cache miss.  A table's ranks
-    stay in the walk, as its entries may repeat.  The helper is a fork, so
-    the process must run one thread: a fork copies a lock that another
-    thread holds, and the child may then wait on it for ever.
+    stay in the walk, as its entries may repeat.
     """
     first = 1
     while type(seq) is CustomSequence and seq.tail is not None:
         first = max(first, len(seq.table) + 1)
         seq = seq.tail
-    if (
-        type(seq) is ArithmeticSequence
-        and k_max - first + 1 >= logfeed.HELPER_MIN_RANKS
-        and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-        and _single_threaded()
-    ):
+    if type(seq) is ArithmeticSequence and k_max - first + 1 >= logfeed.HELPER_MIN_RANKS and _second_cpu():
         return first
     return None
 
@@ -635,6 +636,26 @@ VERDICT_MET = "criterion_met_numerically"
 VERDICT_VIOLATED = "criterion_violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# The shortest sweep split with a helper process (``faithfulness_diagnostic``).
+# On the 2-CPU host where this was set, whose speed varies by up to 2x,
+# medians of 21 alternating runs at 50 digits, split against serial, of
+# counterexample and geometric(2,3) sweeps of 1,024, 2,048, 3,072 and 4,096
+# ranks: in-process -1%, -12%, -16%, -20% and -1%, -23%, -22%, -22%; a
+# fresh CLI ``faithfulness`` (which imports pickle to fork) +6%, +0%, -0%,
+# -2% and +5%, -3%, -4%, -11%.
+SPLIT_MIN_RANKS = 2048
+# The share of the ranks a split sweep computes itself.  Per rank (best of
+# 9 interleaved in-process rounds, us): the chain of terms, logs and prefix
+# logs; the body on the ranks up to k_max/2 and past it; the body in the
+# helper, with pickling; and the walk's merge: counterexample at 3*10**4
+# ranks 1.8, 6.6 and 7.2, 7.4, 1.3; geometric(2,3) at 3,000 ranks 7.7, 9.4
+# and 16.2, 17.1, 1.2, as its terms grow.  The walk's (chain + body) * s +
+# merge * (k_max - s) meets the helper's chain * k_max + body * (k_max - s)
+# near s = 0.55 k_max and 0.7 k_max.  Medians of 21 alternating in-process
+# runs at shares 0.5/0.6/0.65 against serial: -30%/-30%/-28% and
+# -8%/-16%/-22%.
+SPLIT_SHARE = 0.6
+
 
 @dataclass
 class FaithfulnessReport:
@@ -684,6 +705,92 @@ class FaithfulnessReport:
         }
 
 
+def _split_rank(seq: BasicSequence, k_max: int) -> Optional[int]:
+    """The last rank a sweep computes itself when a helper process computes
+    the rest (``faithfulness_diagnostic``), or None for a sweep with no
+    helper: one of fewer than ``SPLIT_MIN_RANKS`` ranks, one whose walk has a
+    term-log helper already, or one with no second CPU."""
+    if k_max >= SPLIT_MIN_RANKS and _helper_start(seq, k_max) is None and _second_cpu():
+        return min(max(2, round(k_max * SPLIT_SHARE)), k_max - 1)
+    return None
+
+
+def _sweep_part(ranks, first: int, b1: int, witness: int, limits: tuple, total=None) -> list:
+    """The per-rank work of a sweep over a run of ``rank_logs`` tuples from
+    rank ``first`` >= 2 on: [ratio texts, violation ranks, final-decade
+    flag, (decade, first maximal raw r_k) of each decade it meets, squares,
+    witness, d, q].  The squares are the raw r_k**2 terms, or, given a
+    running ``total``, that total with them added in rank order."""
+    threshold, tol, final_start, dps, prec, rnd = limits
+    texts, violation_ranks, maxima, squares = [], [], [], []
+    append = texts.append
+    final_ok, d, q = True, math.inf, 1
+    decade = trailing_decade_start(first)
+    next_decade, best = 10 * decade, None
+    for k, n, log_n, prefix_log, _ in ranks:
+        witness = _min_q_for_power(n, k, witness)
+        d = min(d, (n - 2) // (k - 1))
+        q = _min_q_for_power(-(-n // b1), k - 1, q)  # ceil(n_k / b1)
+        r = mpf_div(log_n, prefix_log, prec, rnd)
+        append(mpf_text(as_mpf(r), dps))
+        if total is None:
+            squares.append(mpf_mul(r, r, prec, rnd))
+        else:
+            total = mpf_add(total, mpf_mul(r, r, prec, rnd), prec, rnd)
+        # The comparisons are mpf_cmp on the raw values, exact as the mpf
+        # operators' (a ratio is never NaN).  Each decade keeps its first
+        # maximal ratio, as max() and a running maximum would.
+        if k == next_decade:
+            maxima.append((decade, best))
+            decade, next_decade, best = k, 10 * k, r
+        elif best is None or mpf_cmp(r, best) > 0:
+            best = r
+        if k >= VIOLATION_BURN_IN and mpf_cmp(r, threshold) >= 0:
+            violation_ranks.append(k)
+        if k >= final_start and final_ok and mpf_cmp(r, tol) >= 0:
+            final_ok = False
+    maxima.append((decade, best))
+    return [texts, violation_ranks, final_ok, maxima, squares if total is None else total, witness, d, q]
+
+
+def _merge(part: list, later: list, prec: int, rnd: str) -> None:
+    """Fold ``later``, the ``_sweep_part`` of the ranks right after those of
+    ``part`` (whose squares are a running total), into ``part``."""
+    texts, violation_ranks, final_ok, maxima, squares, witness, d, q = later
+    # Texts and violation ranks are concatenated.
+    part[0] += texts
+    part[1] += violation_ranks
+    # The final-decade flags are ANDed.
+    part[2] = part[2] and final_ok
+    # The decade holding later's first rank keeps part's maximum unless
+    # later's is strictly greater: each decade keeps its first maximal ratio.
+    (decade, best), *rest = maxima
+    if decade != part[3][-1][0]:
+        part[3].append((decade, best))
+    elif mpf_cmp(best, part[3][-1][1]) > 0:
+        part[3][-1] = (decade, best)
+    part[3] += rest
+    # Later's r_k**2 terms are added to part's total in rank order, as a
+    # serial sweep adds them.
+    total = part[4]
+    for square in squares:
+        total = mpf_add(total, square, prec, rnd)
+    part[4] = total
+    # _min_q_for_power(t, e, floor) is max(floor, the least q at that rank),
+    # so the running witness and q are maxima over the ranks; d is a minimum.
+    part[5], part[6], part[7] = max(part[5], witness), min(part[6], d), max(part[7], q)
+
+
+def _later_parts(ranks, skip: int, first: int, k_max: int, b1: int, limits: tuple):
+    """Step the walk ``ranks`` over ``skip`` ranks (terms, logs and prefix
+    logs alone), then yield the ``_sweep_part`` of ranks first..k_max, CHUNK
+    ranks at a time."""
+    for _ in itertools.islice(ranks, skip):
+        pass
+    for start in range(first, k_max + 1, logfeed.CHUNK):
+        yield _sweep_part(itertools.islice(ranks, logfeed.CHUNK), start, b1, 2, limits)
+
+
 def faithfulness_diagnostic(
     seq: BasicSequence,
     k_max: int,
@@ -699,11 +806,28 @@ def faithfulness_diagnostic(
     sum of r_k**2 (the validity precondition of the measure-dimension
     formula), and fits the progression envelope and the subgeometric
     witness over the observed range from each n_k, in exact integers.
+
+    A sweep of at least ``SPLIT_MIN_RANKS`` ranks whose term logs are cheap
+    (no ``logfeed`` log helper starts), with a second CPU free, is split:
+    the walk computes ranks 2..s, s = ``SPLIT_SHARE`` * k_max, and one
+    forked helper (``logfeed.helper``) walks the terms, logs and prefix logs
+    to rank s and computes ranks s+1..k_max, sending them CHUNK ranks at a
+    time.  Both run the one per-rank body ``_sweep_part`` with the same
+    mpmath backend (the helper is a fork of the walk's process): the same
+    libmp calls on the same operands in the same order, so the bits agree,
+    and ``_merge`` joins the parts in rank order: the walk adds
+    the helper's r_k**2 terms to its own running sum, in the serial
+    summation order.  Ranks the helper did not send, because the fork
+    failed or the helper died, the walk computes itself; a term error past
+    s then comes from the walk's own terms, as in a serial sweep.
     """
     if k_max < 3:
         raise SequenceError(f"diagnostic needs k_max >= 3, got {k_max}")
     if not (math.isfinite(met_tol) and math.isfinite(violation_threshold)):
         raise SequenceError(f"met_tol and violation_threshold must be finite, got {met_tol} and {violation_threshold}")
+    if met_tol <= 0 or violation_threshold <= 0:
+        raise SequenceError(
+            f"met_tol and violation_threshold must be positive, got {met_tol} and {violation_threshold}")
     cap = seq.max_rank()
     if cap is not None and k_max > cap:
         raise SequenceError(f"k_max {k_max} exceeds the custom table length {cap}")
@@ -713,38 +837,24 @@ def faithfulness_diagnostic(
         # Converted once, not on every comparison; a double is exact in mpf
         # at any working precision (>= 53 bits), so no verdict moves.
         threshold, tol = mpf(violation_threshold)._mpf_, mpf(met_tol)._mpf_
-        final_start = trailing_decade_start(k_max)
-        texts: list[str] = []
-        append = texts.append
-        violation_ranks: list[int] = []
-        final_ok = True
-        # The comparisons are mpf_cmp on the raw values, exact as the mpf
-        # operators' (a ratio is never NaN).  Each decade keeps its first
-        # maximal ratio, as max() and a running maximum would.
-        decade_maxima = []
-        decade, next_decade, best = 1, 10, None
-        square_partial = fzero
-        witness, d, q = 2, math.inf, 1
-        for k, n, log_n, prefix_log, _ in rank_logs(seq, k_max):
-            witness = _min_q_for_power(n, k, witness)
-            if k == 1:
-                b1 = max(2, n)
-                continue
-            d = min(d, (n - 2) // (k - 1))
-            q = _min_q_for_power(-(-n // b1), k - 1, q)  # ceil(n_k / b1)
-            r = mpf_div(log_n, prefix_log, prec, rnd)
-            append(mpf_text(as_mpf(r), used_dps))
-            square_partial = mpf_add(square_partial, mpf_mul(r, r, prec, rnd), prec, rnd)
-            if k == next_decade:
-                decade_maxima.append((decade, as_mpf(best)))
-                decade, next_decade, best = k, 10 * k, r
-            elif best is None or mpf_cmp(r, best) > 0:
-                best = r
-            if k >= VIOLATION_BURN_IN and mpf_cmp(r, threshold) >= 0:
-                violation_ranks.append(k)
-            if k >= final_start and final_ok and mpf_cmp(r, tol) >= 0:
-                final_ok = False
-        decade_maxima.append((decade, as_mpf(best)))
+        limits = (threshold, tol, trailing_decade_start(k_max), used_dps, prec, rnd)
+        with contextlib.closing(rank_logs(seq, k_max)) as ranks:
+            _, n, *_ = next(ranks)
+            b1 = max(2, n)
+            split = _split_rank(seq, k_max) or k_max
+            helper = (logfeed.helper(lambda: _later_parts(ranks, split - 1, split + 1, k_max, b1, limits), True)
+                      if split < k_max else contextlib.nullcontext(()))
+            with helper as later_parts:
+                part = _sweep_part(
+                    itertools.islice(ranks, split - 1), 2, b1, _min_q_for_power(n, 1, 2), limits, fzero)
+                for later in later_parts:
+                    _merge(part, later, prec, rnd)
+            done = len(part[0]) + 1  # the last rank swept
+            if done < k_max:  # the helper did not start, or died
+                for later in _later_parts(ranks, done - split, done + 1, k_max, b1, limits):
+                    _merge(part, later, prec, rnd)
+        texts, violation_ranks, final_ok, decade_maxima, square_partial, witness, d, q = part
+        decade_maxima = [(decade, as_mpf(best)) for decade, best in decade_maxima]
         maxima_decreasing = all(b < a for (_, a), (_, b) in zip(decade_maxima, decade_maxima[1:]))
 
         if len(violation_ranks) >= 2:

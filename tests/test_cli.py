@@ -303,6 +303,9 @@ def test_flag_errors_outside_argparse_types_are_one_line(tmp_path, capsys):
     [
         FAITH5 + ["--met-tol", "nan"],
         FAITH5 + ["--violation-threshold", "inf"],
+        # r_k of constant(3) is 1/(k-1): a threshold of 0 would call it violated
+        ["faithfulness", "--seq", CONST3, "--k-max", "20", "--violation-threshold", "0"],
+        FAITH5 + ["--met-tol", "-0.05"],  # never met
         EXAMPLE5 + ["--samples", "-2"],
         ["billingsley", "--seq", CONST3, "--rows", "uniform", "--digits", "[1]", "--k-max", "0"],
     ],
