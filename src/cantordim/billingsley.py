@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from mpmath import mpf
 
@@ -50,8 +50,7 @@ from .measure import (
     liminf_estimate,
 )
 from .precision import (
-    as_mpf, fninf, fzero, mpf_add, mpf_cmp, mpf_div, mpf_neg, mpf_text, resolve_dps,
-    walk_precision, working_dps,
+    as_mpf, fninf, fzero, mpf_add, mpf_cmp, mpf_div, mpf_neg, mpf_text, working_dps,
 )
 from .sequences import (
     BasicSequence,
@@ -182,9 +181,7 @@ def ratio_series(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if d.rank < k_max:
         raise ValueError(f"digit string has rank {d.rank} < k_max = {k_max}")
-    used = resolve_dps(dps)
-    with working_dps(dps):
-        prec, rnd = walk_precision()
+    with working_dps(dps) as (used, prec, rnd):
         walk = _RatioWalk(d)
         for k, _, _, log_prefix, row in model.walk(k_max):
             walk.step(k, log_prefix, row, prec, rnd)
@@ -196,25 +193,24 @@ def ratio_series(
 # ---------------------------------------------------------------------------
 
 
-def v_extreme_element(seq: BasicSequence, k_max: int) -> DigitString:
-    """The all-max-digit element of V to rank k_max, from one pass over
-    the terms; each digit is in 0..n_k-1 by construction."""
+def _v_element(seq: BasicSequence, k_max: int, free: Callable[[int], int]) -> DigitString:
+    """The element of V to rank k_max with digit 0 at power-of-ten ranks and
+    ``free(n_k)``, a digit in 0..n_k-1, at the others, taken in rank order
+    from one pass over the terms."""
     check_max_rank(k_max)
-    digits = tuple(
-        0 if is_power_of_ten(k) else n - 1 for k, n in enumerate(seq.iter_terms(k_max), 1)
-    )
+    digits = tuple(0 if is_power_of_ten(k) else free(n) for k, n in enumerate(seq.iter_terms(k_max), 1))
     return DigitString.unchecked(seq, digits)
+
+
+def v_extreme_element(seq: BasicSequence, k_max: int) -> DigitString:
+    """The all-max-digit element of V to rank k_max."""
+    return _v_element(seq, k_max, lambda n: n - 1)
 
 
 def sample_v_element(seq: BasicSequence, k_max: int, rng: random.Random) -> DigitString:
     """A random element of V: digits uniform over the full range at free
-    ranks, 0 at power-of-ten ranks, drawn in rank order from one pass over
-    the terms."""
-    check_max_rank(k_max)
-    digits = tuple(
-        0 if is_power_of_ten(k) else rng.randrange(n) for k, n in enumerate(seq.iter_terms(k_max), 1)
-    )
-    return DigitString.unchecked(seq, digits)
+    ranks, drawn in rank order."""
+    return _v_element(seq, k_max, rng.randrange)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +315,14 @@ def example1_report(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    used = resolve_dps(dps)
     model = example1_model(depth_cap=k_max, tower=tower)
     psi = example1_psi_model(depth_cap=k_max)
     seq = model.seq
-    with working_dps(dps):
+    with working_dps(dps) as (used, prec, rnd):
         rng = random.Random(seed)
         walk = _RatioWalk(v_extreme_element(seq, k_max))
         drawn = [sample_v_element(seq, k_max, rng) for _ in range(samples)]
         scan = PositivityScan()
-        prec, rnd = walk_precision()
 
         def on_rank(k: int, log_prefix: tuple, row: Row) -> None:
             scan.observe(k, log_prefix, row)

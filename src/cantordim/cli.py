@@ -40,15 +40,9 @@ class ConfigError(Exception):
     """Malformed flags or config files."""
 
 
-DOMAIN_ERRORS = (
-    sequences.SequenceError,
-    codec.CodecError,
-    measure.ModelError,
-    estimator.EstimatorError,
-    ValueError,
-    ZeroDivisionError,
-    OverflowError,
-)
+# SequenceError, CodecError, ModelError and EstimatorError are ValueErrors;
+# ZeroDivisionError and OverflowError are ArithmeticErrors.
+DOMAIN_ERRORS = (ValueError, ArithmeticError)
 
 
 class _Parser(argparse.ArgumentParser):

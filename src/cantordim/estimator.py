@@ -17,7 +17,7 @@ from mpmath import mpf
 
 from .precision import (
     as_mpf, from_int, fzero, ln_int_raw, mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_sqrt,
-    mpf_sub, mpf_text, resolve_dps, walk_precision, working_dps,
+    mpf_sub, mpf_text, working_dps,
 )
 from .sequences import BasicSequence, Series, as_integer, is_power_of_ten, rank_logs, reject_unknown_keys
 
@@ -241,11 +241,9 @@ def box_dimension_estimate(E: DigitSetSpec, k_max: int, dps: int | None = None) 
     cap = E.max_rank()
     if cap is not None and k_max > cap:
         raise EstimatorError(f"k_max {k_max} exceeds the {cap}-rank digit table")
-    used = resolve_dps(dps)
-    with working_dps(dps):
+    with working_dps(dps) as (used, prec, rnd):
         # Least squares in the kernel; each sum runs from zero in rank order,
         # so its bits equal those of sum() over the same mpf values.
-        prec, rnd = walk_precision()
         points = [p for p in _log_counts(E, k_max, prec, rnd) if p[0] >= 2]
         m = from_int(len(points))
         sum_x = sum_y = fzero

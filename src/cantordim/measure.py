@@ -31,7 +31,7 @@ from .codec import DigitString, check_max_rank, greedy_digits
 from .logreal import LOG_ZERO, LogReal, log_add, log_fraction, log_sub, log_sum, log_xlog
 from .precision import (
     GUARD_DPS, MIN_DPS, as_mpf, eps_for, fzero, ln_int, ln_int_raw, mpf_add, mpf_div,
-    mpf_lt, mpf_mul, mpf_text, resolve_dps, walk_precision, working_dps,
+    mpf_lt, mpf_mul, mpf_text, working_dps,
 )
 from .sequences import (
     ArithmeticSequence,
@@ -225,72 +225,27 @@ class CustomRow(Row):
 # ---------------------------------------------------------------------------
 
 
-class RowRule(ABC):
-    """Produces the probability row for each rank."""
+@dataclass(eq=False)  # a rule holds functions, so it compares and hashes by identity
+class RowRule:
+    """Produces the probability row for each rank: ``row(k, n)`` builds rank
+    k's row from n = n_k, ``descriptor()`` is the rule's JSON descriptor, and
+    ``separated_from_zero(seq)`` says whether inf over all ranks of the
+    positive entries stays > 0 on seq."""
 
-    @abstractmethod
-    def row(self, k: int, n: int) -> Row: ...
-
-    @abstractmethod
-    def descriptor(self): ...
-
-    def separated_from_zero(self, seq: BasicSequence) -> Optional[bool]:
-        """Whether inf over all ranks of the positive entries stays > 0."""
-        return None
-
-
-class UniformRule(RowRule):
-    def row(self, k: int, n: int) -> Row:
-        return UniformRow(n)
-
-    def descriptor(self):
-        return "uniform"
-
-    def separated_from_zero(self, seq):
-        return seq.eventually_bounded()
-
-
-class PointMassRule(RowRule):
-    def __init__(self, j: int):
-        if j < 0:
-            raise ModelError(f"point mass digit must be >= 0, got {j}")
-        self.j = j
-
-    def row(self, k: int, n: int) -> Row:
-        if self.j >= n:
-            raise ModelError(f"point mass digit {self.j} outside 0..{n - 1} at rank {k}")
-        return PointMassRow(n, self.j)
-
-    def descriptor(self):
-        return f"point_mass:{self.j}"
-
-    def separated_from_zero(self, seq):
-        return False  # all other digits carry zero mass
-
-
-class SpikedRule(RowRule):
-    """Uniform rows except at power-of-ten ranks, where ``spike(k, n)``
-    builds the row.  The built-in rules, by JSON name (``_SPIKE_ROWS``):
-    "example1" (the package's built-in worked counterexample), whose spike
-    row gives digit 0 the vanishing mass 10**-(10**k); "example1:tower",
-    the steeper 10**-(10**(10**k)); and "example1_psi", the companion
-    model with all spike mass on digit 0, whose spectrum is the set V of
-    points with digit 0 forced at those ranks."""
-
-    def __init__(self, name: str, spike: Callable[[int, int], Row]):
-        self.name = name
-        self.spike = spike
-
-    def row(self, k: int, n: int) -> Row:
-        return self.spike(k, n) if is_power_of_ten(k) else UniformRow(n)
+    name: object
+    row: Callable[[int, int], Row]
+    separated_from_zero: Callable[[BasicSequence], Optional[bool]]
 
     def descriptor(self):
         return self.name
 
-    def separated_from_zero(self, seq):
-        return False
 
-
+# The spiked rules, by JSON name: uniform rows except at power-of-ten ranks,
+# where the spike builds the row.  "example1" (the package's built-in worked
+# counterexample) gives digit 0 the vanishing mass 10**-(10**k);
+# "example1:tower" the steeper 10**-(10**(10**k)); and "example1_psi", the
+# companion model, puts all spike mass on digit 0, so its spectrum is the set
+# V of points with digit 0 forced at those ranks.
 _SPIKE_ROWS: dict[str, Callable[[int, int], Row]] = {
     "example1": lambda k, n: VanishingZeroRow(n, -ln_int(10) * (10**k)),
     "example1:tower": lambda k, n: VanishingZeroRow(n, -ln_int(10) * mp.power(mpf(10), 10**k)),
@@ -309,28 +264,26 @@ class CustomRule(RowRule):
         for i, row in enumerate(rows, 1):
             if not isinstance(row, (list, tuple)):
                 raise ModelError(f"custom row {i} must be an array of entries, got {row!r}")
-        self.rows = [
+        self.rows = table = [
             [as_ratio(p, f"custom row {i} entry {j}", ModelError) for j, p in enumerate(row, 1)]
             for i, row in enumerate(rows, 1)
         ]
-        if not self.rows:
+        if not table:
             raise ModelError("custom rows need at least one row")
 
-    def row(self, k: int, n: int) -> Row:
-        raw = self.rows[min(k, len(self.rows)) - 1]
-        if len(raw) != n:
-            raise ModelError(f"custom row for rank {k} has {len(raw)} entries, expected {n}")
-        # Rows are built inside working_dps, so the requested precision is
-        # the ambient one less the guard digits (MIN_DPS outside any block).
-        return CustomRow(raw, eps_for(max(mp.dps - GUARD_DPS, MIN_DPS)))
+        def row(k: int, n: int) -> Row:
+            raw = table[min(k, len(table)) - 1]
+            if len(raw) != n:
+                raise ModelError(f"custom row for rank {k} has {len(raw)} entries, expected {n}")
+            # Rows are built inside working_dps, so the requested precision is
+            # the ambient one less the guard digits (MIN_DPS outside any block).
+            return CustomRow(raw, eps_for(max(mp.dps - GUARD_DPS, MIN_DPS)))
 
-    def descriptor(self):
-        return {"custom": [[str(p) if p.denominator != 1 else int(p) for p in row] for row in self.rows]}
-
-    def separated_from_zero(self, seq):
         # The table cycles its last row, so the infimum is a minimum over
         # finitely many entries.
-        return all(p != 0 for row in self.rows for p in row)
+        separated = all(p != 0 for raw in table for p in raw)
+        descriptor = {"custom": [[str(p) if p.denominator != 1 else int(p) for p in raw] for raw in table]}
+        super().__init__(descriptor, row, lambda seq: separated)
 
 
 def make_row_rule(spec) -> RowRule:
@@ -338,16 +291,27 @@ def make_row_rule(spec) -> RowRule:
     "example1_psi" | "point_mass:j" | {"custom": [[...], ...]}."""
     if isinstance(spec, str):
         if spec == "uniform":
-            return UniformRule()
-        if spec in _SPIKE_ROWS:
-            return SpikedRule(spec, _SPIKE_ROWS[spec])
+            return RowRule(spec, lambda k, n: UniformRow(n), lambda seq: seq.eventually_bounded())
+        spike = _SPIKE_ROWS.get(spec)
+        if spike is not None:
+            return RowRule(spec, lambda k, n: spike(k, n) if is_power_of_ten(k) else UniformRow(n),
+                           lambda seq: False)
         if spec.startswith("point_mass:"):
             text = spec.split(":", 1)[1]
             try:
                 j = int(text)
             except ValueError:
                 raise ModelError(f"point_mass digit must be an integer, got {text!r}") from None
-            return PointMassRule(j)
+            if j < 0:
+                raise ModelError(f"point mass digit must be >= 0, got {j}")
+
+            def point_mass(k: int, n: int) -> Row:
+                if j >= n:
+                    raise ModelError(f"point mass digit {j} outside 0..{n - 1} at rank {k}")
+                return PointMassRow(n, j)
+
+            # all other digits carry zero mass
+            return RowRule(f"point_mass:{j}", point_mass, lambda seq: False)
         raise ModelError(f"unknown row rule {spec!r}")
     if isinstance(spec, Mapping) and "custom" in spec:
         reject_unknown_keys(spec, {"custom"}, "row rule", ModelError)
@@ -548,9 +512,7 @@ def dimension_series(
             raise ModelError(f"k_max {k_max} outside 1..depth_cap={model.depth_cap}")
         if model.seq != specs[0][0].seq:
             raise ModelError("dimension series sharing a walk need one sequence")
-    used = resolve_dps(dps)
-    with working_dps(dps):
-        prec, rnd = walk_precision()
+    with working_dps(dps) as (used, prec, rnd):
         numerators = [fzero] * len(specs)
         texts: list[list[str]] = [[] for _ in specs]
         runs: list[list[tuple[int, tuple]]] = [[] for _ in specs]

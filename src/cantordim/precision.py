@@ -9,8 +9,9 @@ The per-rank loops (the rank walk, the ratio, dimension and Billingsley
 series, the box-count regression) run on a fixed-precision kernel of raw
 libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
 
-- a walk reads ``prec, rnd = walk_precision()`` once, inside its
-  ``working_dps`` block, and passes them to every operation;
+- a walk opens ``with working_dps(dps) as (used, prec, rnd):``, which
+  resolves its report digits ``used`` and reads its (prec, rnd) once, and
+  passes prec and rnd to every operation;
 - each add, sub, mul, div, negation, square and square root is the libmp
   function the mpf operator (or ``mp.sqrt``) itself calls, on the same
   operands in the same order:
@@ -99,9 +100,13 @@ def resolve_dps(dps: int | None) -> int:
 
 @contextmanager
 def working_dps(dps: int | None = None):
-    """Run a block at ``dps`` significant digits plus guard digits."""
-    with mp.workdps(resolve_dps(dps) + GUARD_DPS):
-        yield
+    """Run a block at ``dps`` significant digits plus guard digits, and
+    yield ``(used, prec, rnd)``: the report digits ``resolve_dps(dps)`` and
+    the block's kernel precision, as ``walk_precision()`` reads it.  An
+    invalid ``dps`` raises before the block runs."""
+    used = resolve_dps(dps)
+    with mp.workdps(used + GUARD_DPS):
+        yield (used, *walk_precision())
 
 
 def walk_precision() -> tuple[int, str]:

@@ -38,7 +38,7 @@ from . import logfeed
 from .logreal import LogReal
 from .precision import (
     as_mpf, fzero, ln_int, ln_int_fed, ln_int_raw, mpf_add, mpf_cmp, mpf_div, mpf_mul,
-    mpf_mul_int, mpf_sub, mpf_text, resolve_dps, walk_precision, working_dps,
+    mpf_mul_int, mpf_sub, mpf_text, walk_precision, working_dps,
 )
 
 
@@ -831,9 +831,7 @@ def faithfulness_diagnostic(
     cap = seq.max_rank()
     if cap is not None and k_max > cap:
         raise SequenceError(f"k_max {k_max} exceeds the custom table length {cap}")
-    used_dps = resolve_dps(dps)
-    with working_dps(dps):
-        prec, rnd = walk_precision()
+    with working_dps(dps) as (used_dps, prec, rnd):
         # Converted once, not on every comparison; a double is exact in mpf
         # at any working precision (>= 53 bits), so no verdict moves.
         threshold, tol = mpf(violation_threshold)._mpf_, mpf(met_tol)._mpf_

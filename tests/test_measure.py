@@ -106,7 +106,7 @@ def test_custom_rows_repeat_last():
 
 
 def test_point_mass_needs_digit_in_range():
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match=r"^point mass digit 5 outside 0\.\.1 at rank 1$"):
         SymbolModel(CONSTANT2, make_row_rule("point_mass:5"), 10).row(1)
 
 
@@ -649,6 +649,36 @@ def test_spiked_rule_names_round_trip(name):
     assert rule.separated_from_zero(ARITH) is False
     # uniform off the power-of-ten ranks
     assert type(rule.row(9, 10)) is type(rule.row(11, 12)) is UniformRow
+
+
+def test_uniform_rule_is_separated_from_zero_on_bounded_sequences_only():
+    rule = make_row_rule("uniform")
+    assert rule.separated_from_zero(CONSTANT3) is True
+    assert rule.separated_from_zero(ARITH) is False
+
+
+def test_point_mass_digit_must_not_be_negative():
+    with pytest.raises(ModelError, match=r"^point mass digit must be >= 0, got -1$"):
+        make_row_rule("point_mass:-1")
+
+
+def test_point_mass_descriptor_is_normalized():
+    rule = make_row_rule("point_mass: 1")
+    assert rule.descriptor() == "point_mass:1"
+    assert rule.separated_from_zero(CONSTANT3) is False
+
+
+@pytest.mark.parametrize("name", ["uniform", "example1", "example1:tower", "example1_psi", "point_mass:0",
+                                  "point_mass:2"])
+def test_built_in_rules_round_trip_through_their_descriptors(name):
+    rule = make_row_rule(name)
+    again = make_row_rule(rule.descriptor())
+    assert again.descriptor() == rule.descriptor() == name
+    for seq in (CONSTANT3, ARITH):
+        assert again.separated_from_zero(seq) is rule.separated_from_zero(seq)
+    with working_dps(30):
+        for k in (1, 10):
+            assert again.row(k, 3).logp(0) == rule.row(k, 3).logp(0)
 
 
 @pytest.mark.parametrize("rows, rows_json, message", [

@@ -71,6 +71,23 @@ def test_each_rank_reads_its_log_from_the_cache_once_more():
     assert (info.misses, info.hits) == (ranks, ranks)
 
 
+@pytest.mark.parametrize("dps", [None, 15, 80])
+def test_working_dps_yields_the_report_digits_and_the_kernel_precision(monkeypatch, dps):
+    monkeypatch.setenv(precision.ENV_PRECISION, "23")
+    with working_dps(dps) as (used, prec, rnd):
+        assert used == precision.resolve_dps(dps) == (23 if dps is None else dps)
+        assert (prec, rnd) == precision.walk_precision()
+        assert mp.dps == used + precision.GUARD_DPS
+
+
+def test_working_dps_rejects_a_low_precision_before_its_block_runs():
+    ran = []
+    with pytest.raises(ValueError, match="^precision must be >= 15 significant digits, got 14$"):
+        with working_dps(14):
+            ran.append(True)
+    assert ran == []
+
+
 def test_a_fed_log_is_cached_under_its_own_key_only(monkeypatch):
     # A cache miss for another key while a log is fed (say, in another
     # thread) computes its own log.
