@@ -13,9 +13,9 @@ killed and waited for.  The helper has two jobs:
   rnd) for k = start..k_max, where ``start`` is rank CHUNK + 1 or the
   walk's ``first`` rank for the helper, whichever is later, and sends them
   as lists of CHUNK raw values; the walk computes the ranks before
-  ``start`` itself meanwhile, and puts each value it receives into the
-  ``ln_int`` cache (``precision.ln_int_fed``).  At a term error the helper
-  stops, and the walk meets the same error in its own terms.
+  ``start`` itself meanwhile, and hands each value it receives to
+  ``precision.remember_ln_int``.  At a term error the helper stops, and
+  the walk meets the same error in its own terms.
 - **The later ranks of a faithfulness sweep**
   (``sequences.faithfulness_diagnostic``), when the term logs are cheap
   and no log helper starts: the helper computes the per-rank work of the

@@ -456,9 +456,9 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
 @dataclass
 class DimensionSeries:
     """A running dimension approximation d_k with its formula tag and the
-    partial sum of squared faithfulness ratios (the precondition under
-    which the formula is exact in the limit; divergence is reported, never
-    fatal).  ``texts[k - 1]`` is the text of d_k at ``dps`` digits.  Built
+    partial sum of squared faithfulness ratios (a sufficient proxy only for
+    the formula's hypothesis, not that hypothesis; divergence is reported,
+    never fatal).  ``texts[k - 1]`` is the text of d_k at ``dps`` digits.  Built
     with ``liminf=True``, it also keeps the suffix minima min(d_j..d_K) as
     ``envelope``: their runs (last rank, value), the values strictly rising.
     """

@@ -13,8 +13,8 @@ libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
   resolves its report digits ``used`` and reads its (prec, rnd) once, and
   passes prec and rnd to every operation;
 - each add, sub, mul, div, negation, square and square root is the libmp
-  function the mpf operator (or ``mp.sqrt``) itself calls, on the same
-  operands in the same order:
+  function the mpf operator (or ``mp.sqrt``) itself calls, or its inline
+  form below, on the same operands in the same order:
   ``a + b`` is ``mpf_add(a, b, prec, rnd)``, ``a * i`` for an int ``i`` is
   ``mpf_mul_int``, ``a ** 2`` is ``mpf_pow_int(a, 2, ...)``, ``-a`` is
   ``mpf_neg``, and ``sum`` from 0 is a chain of ``mpf_add`` from ``fzero``;
@@ -25,24 +25,22 @@ libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
   values as that text alone, and the other series are formatted as the
   CLI writes them.
 
-Every operation is therefore the same correctly rounded libmp call at the
-same precision as in the operator form, and every output bit is the same;
-the loops skip only the operator's context lookup, type dispatch and
+On mpmath's pure-Python backend the ``mpf_add``, ``mpf_sub``, ``mpf_mul``,
+``mpf_div`` and ``mpf_pow_int(x, 2, ...)`` exported here run libmp's
+round-to-nearest steps inline; other rounding modes, prec 0, zero, inf or
+nan operands, exponent gaps over 100 bits and exact quotients go to libmp,
+the fallback and the test oracle.  So every output bit is the operator
+form's, and the loops skip only its context lookup, type dispatch and
 allocation.  The operator-form single-value functions
 (``log_prefix_product``, ``faithfulness_ratio``, ``billingsley_ratio``,
 ``cylinder_measure_log``) are the bit-for-bit oracles of the kernel loops.
 
 A walk's term log ln n_k comes from ``ln_int_raw``, or, on a long walk
-over distinct terms, from a helper process (``logfeed``).  The helper
-makes the call ``ln_int_raw`` makes on a cache miss,
-``ln_int_uncached(n, prec, rnd)``, at the walk's (prec, rnd), and the walk
-hands the value to ``ln_int_fed``, which caches it as ``ln_int_raw``
-would have; every later lookup in the rank then reads it from the cache.
-The value is handed over with its key (n, prec, rnd), and a cache miss
-for any other key, say in another thread, computes its own log.  The
-helper is a fork of the walk's process, with its mpmath and integer
-backend, and libmp's log is deterministic integer arithmetic given those
-and (prec, rnd), so the helper's bits are the ones the walk would compute.
+over distinct terms, from a forked helper process (``logfeed``) that makes
+the call ``ln_int_raw`` makes on a cache miss with the walk's mpmath,
+integer backend and (prec, rnd), so its bits are the walk's own.  Such a
+walk holds each rank's log under its key (n, prec, rnd) in
+``remember_ln_int``, where ``ln_int_raw`` looks before its cache.
 
 ``mpf_text(x, n)`` is byte for byte libmp's ``to_str(x._mpf_, n)``, which
 is what ``nstr(x, n)`` prints for an mpf.  For a finite nonzero value
@@ -61,11 +59,10 @@ import os
 from contextlib import contextmanager
 from functools import lru_cache
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 # The kernel's operations, re-exported to the modules that run the loops.
 from mpmath.libmp import (  # noqa: F401
-    fninf, from_int, fzero, mpf_add, mpf_cmp, mpf_div, mpf_log, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt, mpf_sub, to_str,
+    fninf, from_int, fzero, mpf_cmp, mpf_log, mpf_lt, mpf_mul_int, mpf_neg, mpf_sqrt, to_str,
 )
 
 ENV_PRECISION = "CANTORDIM_PRECISION"
@@ -116,6 +113,90 @@ def walk_precision() -> tuple[int, str]:
 
 
 as_mpf = mp.make_mpf  # a raw value wrapped as an mpf, unrounded
+
+
+def _nearest(sign, man, exp, prec):
+    """libmp's normalize of (-1)**sign * man * 2**exp, man > 0, at (prec, 'n'): half to even, zeros stripped."""
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        return sign, man >> z, exp + z, man.bit_length() - z
+    return sign, man, exp, man.bit_length()
+
+
+def mpf_add(s, t, prec=0, rnd="n", _sub=0):
+    ssign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    offset = sexp - texp
+    if not (sman and tman and prec and rnd == "n" and -100 <= offset <= 100):
+        return libmp.mpf_add(s, t, prec, rnd, _sub)
+    if offset >= 0:
+        sman, exp = sman << offset, texp
+    else:
+        tman, exp = tman << -offset, sexp
+    if ssign == tsign ^ _sub:
+        man = sman + tman
+    else:
+        man = sman - tman
+        if man < 0:
+            man, ssign = -man, ssign ^ 1
+        elif not man:
+            return fzero
+    # _nearest's steps inline: adds and subs are most of the kernel's operations
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        return ssign, man >> z, exp + z, man.bit_length() - z
+    return ssign, man, exp, man.bit_length()
+
+
+def mpf_sub(s, t, prec=0, rnd="n"):
+    return mpf_add(s, t, prec, rnd, 1)
+
+
+def mpf_mul(s, t, prec=0, rnd="n"):
+    man = s[1] * t[1]
+    if not (man and prec and rnd == "n"):
+        return libmp.mpf_mul(s, t, prec, rnd)
+    return _nearest(s[0] ^ t[0], man, s[2] + t[2], prec)
+
+
+def mpf_div(s, t, prec, rnd="n"):
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not (sman and tman and prec and rnd == "n"):
+        return libmp.mpf_div(s, t, prec, rnd)
+    extra = prec - sbc + tbc + 5
+    if extra < 5:
+        extra = 5
+    quot, rem = divmod(sman << extra, tman)
+    if not rem:
+        return libmp.mpf_div(s, t, prec, rnd)
+    return _nearest(ssign ^ tsign, (quot << 1) + 1, sexp - texp - extra - 1, prec)  # sticky low bit
+
+
+def mpf_pow_int(s, n, prec, rnd="n"):
+    if not (n == 2 and s[1] and prec and rnd == "n"):
+        return libmp.mpf_pow_int(s, n, prec, rnd)
+    return _nearest(0, s[1] * s[1], s[2] + s[2], prec)
+
+
+if libmp.BACKEND != "python":  # gmpy's or Sage's arithmetic beats any inline step
+    from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_sub  # noqa: F811
 
 
 # libmp's to_digits_exp works in float with this constant; the digit counts
@@ -183,7 +264,7 @@ def eps_for(dps: int | None = None) -> mpf:
     return mpf(10) ** (5 - resolve_dps(dps))
 
 
-_fed = None  # ((n, prec, rnd), value), set by ln_int_fed for the one cache call it makes
+_last = (0, 0, "", None)  # (n, prec, rnd, ln n), set by remember_ln_int
 
 
 # A walk asks for ln n_k twice within one rank (its log, then its row's
@@ -193,9 +274,6 @@ _fed = None  # ((n, prec, rnd), value), set by ln_int_fed for the one cache call
 # short exact-codec requests of the benchmark use between them.
 @lru_cache(maxsize=4096)
 def _ln_int_cached(n: int, prec: int, rnd: str) -> tuple:
-    fed = _fed
-    if fed is not None and fed[0] == (n, prec, rnd):
-        return fed[1]
     # The libmp kernel under mp.ln(mpf(n)), without its wrappers: mpf(n)
     # is from_int(n) rounded to the ambient precision, so the bits agree.
     return mpf_log(from_int(n, prec, rnd), prec, rnd)
@@ -215,19 +293,16 @@ def ln_int_raw(n: int, prec: int, rnd: str) -> tuple:
     """
     if n <= 0:
         raise ValueError(f"ln_int needs a positive integer, got {n}")
+    last = _last
+    if n == last[0] and prec == last[1] and rnd == last[2]:
+        return last[3]
     return _ln_int_cached(n, prec, rnd)
 
 
-def ln_int_fed(n: int, prec: int, rnd: str, value: tuple) -> tuple:
-    """``ln_int_raw(n, prec, rnd)`` where ``value`` is
-    ``ln_int_uncached(n, prec, rnd)`` computed elsewhere: on a cache miss
-    the cache keeps ``value`` instead of computing it again."""
-    global _fed
-    _fed = ((n, prec, rnd), value)
-    try:
-        return _ln_int_cached(n, prec, rnd)
-    finally:
-        _fed = None
+def remember_ln_int(n: int, prec: int, rnd: str, value: tuple) -> None:
+    """Hold ``value`` = ``ln_int_uncached(n, prec, rnd)`` for ``ln_int_raw`` to read before its cache."""
+    global _last
+    _last = (n, prec, rnd, value)
 
 
 def ln_int(n: int) -> mpf:

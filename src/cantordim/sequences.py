@@ -37,8 +37,8 @@ from mpmath import mp, mpf
 from . import logfeed
 from .logreal import LogReal
 from .precision import (
-    as_mpf, fzero, ln_int, ln_int_fed, ln_int_raw, mpf_add, mpf_cmp, mpf_div, mpf_mul,
-    mpf_mul_int, mpf_sub, mpf_text, walk_precision, working_dps,
+    as_mpf, fzero, ln_int, ln_int_raw, mpf_add, mpf_cmp, mpf_div, mpf_mul,
+    mpf_mul_int, mpf_sub, mpf_text, remember_ln_int, walk_precision, working_dps,
 )
 
 
@@ -253,10 +253,7 @@ class GeometricSequence(BasicSequence):
 
     def term(self, k: int) -> int:
         self._check_rank(k)
-        value = self.b1 * self.q ** (k - 1)
-        if value.denominator != 1:
-            raise SequenceError(f"term({k}) = {value} is not an integer")
-        return int(value)
+        return next(self.iter_terms(k, k))
 
     def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
         # ln b1 + (k - 1) * (ln num(q) - ln den(q))
@@ -266,12 +263,13 @@ class GeometricSequence(BasicSequence):
         return mpf_add(ln_int_raw(self.b1, prec, rnd), mpf_mul_int(log_q, k - 1, prec, rnd), prec, rnd)
 
     def iter_terms(self, k_max: int, start: int = 1):
-        value = self.b1 * self.q ** (start - 1)
+        q = self.q.numerator if self.q.denominator == 1 else self.q  # an integer q steps in ints
+        value = self.b1 * q ** (start - 1)
         for k in range(start, k_max + 1):
             if value.denominator != 1:
                 raise SequenceError(f"term({k}) = {value} is not an integer")
             yield int(value)
-            value *= self.q
+            value *= q
 
     def eventually_bounded(self) -> bool:
         return self.q == 1
@@ -460,7 +458,8 @@ def rank_logs(seq: BasicSequence, k_max: int):
     ``working_dps`` block).  Prefix logs are summed from zero in rank order,
     so every series built on them is reproducible bit for bit.  Nothing is
     stored, so memory stays flat at any k_max.  A long walk may take its
-    term logs from a helper process, with the same bits (``logfeed``); the
+    term logs from a helper process, with the same bits (``logfeed``), and
+    holds each rank's log in ``remember_ln_int``, not the ``ln_int`` cache; the
     helper is reaped when the walk is closed or dropped.
     """
     prec, rnd = walk_precision()
@@ -470,13 +469,16 @@ def rank_logs(seq: BasicSequence, k_max: int):
     prefix = fzero
     try:
         for (k, n), fed in zip(enumerate(seq.iter_terms(k_max), 1), helper or itertools.repeat(None)):
-            log_n = log_term(k, n, prec, rnd) if fed is None else ln_int_fed(n, prec, rnd, fed)
+            log_n = log_term(k, n, prec, rnd) if fed is None else fed
+            if helper is not None:
+                remember_ln_int(n, prec, rnd, log_n)
             before = prefix
             prefix = mpf_add(prefix, log_n, prec, rnd)
             yield k, n, log_n, before, prefix
     finally:
         if helper is not None:
             helper.close()
+            remember_ln_int(0, 0, "", None)
 
 
 def log_prefix_product(seq: BasicSequence, k: int, dps: int | None = None) -> LogReal:
@@ -803,8 +805,8 @@ def faithfulness_diagnostic(
     One walk formats each r_k once, at the report precision, and keeps
     only that text.  From the raw ratios the same pass takes the decade
     maxima, the violation ranks, the final-decade check and the partial
-    sum of r_k**2 (the validity precondition of the measure-dimension
-    formula), and fits the progression envelope and the subgeometric
+    sum of r_k**2 (a sufficient proxy only for the measure-dimension
+    formula's hypothesis), and fits the progression envelope and the subgeometric
     witness over the observed range from each n_k, in exact integers.
 
     A sweep of at least ``SPLIT_MIN_RANKS`` ranks whose term logs are cheap
@@ -814,7 +816,7 @@ def faithfulness_diagnostic(
     to rank s and computes ranks s+1..k_max, sending them CHUNK ranks at a
     time.  Both run the one per-rank body ``_sweep_part`` with the same
     mpmath backend (the helper is a fork of the walk's process): the same
-    libmp calls on the same operands in the same order, so the bits agree,
+    kernel calls on the same operands in the same order, so the bits agree,
     and ``_merge`` joins the parts in rank order: the walk adds
     the helper's r_k**2 terms to its own running sum, in the serial
     summation order.  Ranks the helper did not send, because the fork

@@ -1,0 +1,142 @@
+"""The kernel's inline round-to-nearest add, sub, mul, div and square
+(``precision``) against libmp's own functions: the same raw tuple on every
+operand pair, and libmp's own result on every case handed to it."""
+
+import operator
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import libmp
+from mpmath.libmp import finf, fnan, fninf, fone, fzero, from_man_exp
+
+from cantordim import precision
+
+OPS = ["mpf_add", "mpf_sub", "mpf_mul", "mpf_div"]
+PRECS = st.sampled_from([53, 203, 236])
+
+
+def raw(sign, man, exp):
+    return from_man_exp(-man if sign else man, exp)
+
+
+@st.composite
+def values(draw, prec):
+    """A raw value with 1 to 3*prec mantissa bits, some of them 2**b - 1,
+    an exponent within +-700 and either sign."""
+    bits = draw(st.integers(min_value=1, max_value=3 * prec))
+    man = draw(st.one_of(st.just(2**bits - 1), st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)))
+    return raw(draw(st.integers(0, 1)), man | 1, draw(st.integers(min_value=-700, max_value=700)))
+
+
+@st.composite
+def pairs(draw):
+    """(s, t, prec): independent values, values with equal exponents and
+    mantissas a few units apart (cancellation, and carries when one is
+    2**b - 1), or values whose exponents lie over 100 bits apart."""
+    prec = draw(PRECS)
+    s = draw(values(prec))
+    kind = draw(st.sampled_from(["independent", "near", "gap"]))
+    if kind == "independent":
+        t = draw(values(prec))
+    elif kind == "near":
+        man = s[1] + draw(st.integers(min_value=-3, max_value=3))
+        t = raw(draw(st.integers(0, 1)), max(man, 1), s[2])
+    else:
+        gap = draw(st.integers(min_value=95, max_value=400)) * draw(st.sampled_from([1, -1]))
+        t = raw(draw(st.integers(0, 1)), draw(st.integers(min_value=1, max_value=2**80)) | 1, s[2] + gap)
+    return (t, s, prec) if draw(st.booleans()) else (s, t, prec)
+
+
+def assert_as_libmp(op, *args):
+    """``op`` of ``precision`` returns what libmp's returns, or raises as it does."""
+    try:
+        expected = getattr(libmp, op)(*args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            getattr(precision, op)(*args)
+        return
+    assert getattr(precision, op)(*args) == expected
+
+
+@settings(max_examples=1500, deadline=None)
+@given(pair=pairs())
+# Ties at the rounding bit, which half-even and half-up round apart: a sum,
+# a product and a square of 54 bits ending in binary 01; a product ending in
+# binary 11, which half-even and half-down round apart; and a carry to a
+# power of two.
+@example(pair=(raw(0, 2**53 - 1, 0), raw(0, 1, 1), 53))
+@example(pair=(raw(0, 2**53 - 1, 1), raw(0, 1, 0), 53))
+@example(pair=(raw(0, 5, 0), raw(0, 2**51 + 1, 0), 53))
+@example(pair=(raw(0, 3, 0), raw(0, 2**52 + 1, 0), 53))
+@example(pair=(raw(1, 2**27 - 1, -5), raw(0, 2**27 - 1, 9), 53))
+@example(pair=(raw(0, 2**203 - 1, 700), raw(1, 2**203 - 1, 700), 203))  # cancels to zero
+def test_inline_ops_return_libmps_tuple(pair):
+    s, t, prec = pair
+    for op in OPS:
+        assert_as_libmp(op, s, t, prec, "n")
+    assert_as_libmp("mpf_pow_int", s, 2, prec, "n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=pairs(), rnd=st.sampled_from(["f", "c", "d", "u"]))
+def test_other_rounding_modes_are_libmps(pair, rnd):
+    s, t, prec = pair
+    for op in OPS:
+        assert_as_libmp(op, s, t, prec, rnd)
+    assert_as_libmp("mpf_pow_int", s, 2, prec, rnd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=pairs())
+def test_prec_zero_is_libmps(pair):
+    # prec 0 asks for the exact result.  (libmp's mpf_div and mpf_pow_int
+    # need a precision: at 0 they may loop for ever, and are not tried.)
+    s, t, _ = pair
+    for op in ["mpf_add", "mpf_sub", "mpf_mul"]:
+        assert_as_libmp(op, s, t, 0, "n")
+
+
+SPECIALS = [fzero, finf, fninf, fnan]
+
+
+@pytest.mark.parametrize("special", SPECIALS, ids=["zero", "+inf", "-inf", "nan"])
+@pytest.mark.parametrize("other", SPECIALS + [fone, raw(1, 12345, -40)], ids=str)
+def test_zero_inf_and_nan_operands_are_libmps(special, other):
+    for s, t in [(special, other), (other, special)]:
+        for op in OPS:
+            assert_as_libmp(op, s, t, 53, "n")
+        assert_as_libmp("mpf_pow_int", s, 2, 53, "n")
+
+
+@pytest.mark.parametrize("q, t", [
+    (raw(0, 5, 3), raw(1, 3, -2)),
+    (raw(1, 2**300 + 1, 0), raw(0, 7, 9)),  # a quotient wider than prec, rounded
+    (raw(0, 2**52 + 1, 0), raw(0, 2**52 - 1, 4)),
+    (raw(0, 3, 0), fone),  # a power-of-two divisor
+    (raw(0, 2**60 - 1, -3), raw(0, 1, 77)),
+])
+@pytest.mark.parametrize("prec", [53, 203, 236])
+def test_exact_quotients_are_libmps(q, t, prec):
+    s = libmp.mpf_mul(q, t)  # exact: no prec
+    assert_as_libmp("mpf_div", s, t, prec, "n")
+    assert precision.mpf_div(s, t, 400, "n") == q
+
+
+def test_other_powers_are_libmps():
+    x = raw(1, 2**60 + 3, -7)
+    for n in [-2, -1, 0, 1, 3, 10]:
+        assert_as_libmp("mpf_pow_int", x, n, 53, "n")
+
+
+def test_the_kernel_ops_are_the_mpf_operators():
+    # The oracle the walks are tested against: mpf arithmetic itself.
+    from mpmath import mp, mpf
+
+    with mp.workdps(50):
+        x, y = mpf(2) / 3, -mpf(10) ** 20 / 7
+        prec, rnd = precision.walk_precision()
+        for op, fn in [(operator.add, "mpf_add"), (operator.sub, "mpf_sub"),
+                       (operator.mul, "mpf_mul"), (operator.truediv, "mpf_div")]:
+            assert op(x, y)._mpf_ == getattr(precision, fn)(x._mpf_, y._mpf_, prec, rnd)
+        assert (x**2)._mpf_ == precision.mpf_pow_int(x._mpf_, 2, prec, rnd)

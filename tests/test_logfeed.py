@@ -14,7 +14,7 @@ import time
 import pytest
 
 import cantordim
-from cantordim import SymbolModel, cli, logfeed, make_row_rule, make_sequence, sequences
+from cantordim import SymbolModel, cli, dim_measure_series, logfeed, make_row_rule, make_sequence, sequences
 from cantordim.measure import ModelError
 from cantordim.precision import _ln_int_cached, working_dps
 from cantordim.sequences import SequenceError, rank_logs
@@ -59,16 +59,21 @@ def helpers(monkeypatch):
             started.pids.append(pid)
         return pid
 
-    def counting_fed(*args, _fed=sequences.ln_int_fed):
-        started.fed += 1
-        return _fed(*args)
+    def counting_logs(*args, _logs=logfeed.helper_logs):
+        logs = _logs(*args)
+        try:
+            for log in logs:
+                started.fed += log is not None
+                yield log
+        finally:
+            logs.close()
 
     monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", 1)
     monkeypatch.setattr(logfeed, "CHUNK", 7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sequences, "_single_threaded", lambda: True)
     monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(sequences, "ln_int_fed", counting_fed)
+    monkeypatch.setattr(logfeed, "helper_logs", counting_logs)
     yield started
     started.assert_all_exited()
     assert (_SCHED_GETAFFINITY and _SCHED_GETAFFINITY(0)) == mask  # the walk's own mask is never touched
@@ -120,6 +125,28 @@ def test_cli_bytes_match_the_serial_run(helpers, monkeypatch, name):
     monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", K + 1)
     assert run() == fed
     assert len(helpers.pids) == 1
+
+
+def test_a_helper_walk_keeps_its_logs_out_of_the_cache(helpers, monkeypatch):
+    # Each rank's log, the helper's or the walk's own, is held for the rank
+    # in remember_ln_int, where the uniform row's entropy reads it again:
+    # only the CHUNK ranks the walk computes itself enter the cache.
+    model = SymbolModel(make_sequence(SEQUENCES["arithmetic(2,1)"]), make_row_rule("uniform"), K)
+
+    def run():
+        _ln_int_cached.cache_clear()
+        try:
+            return dim_measure_series(model, K, 30), _ln_int_cached.cache_info()
+        finally:
+            _ln_int_cached.cache_clear()
+
+    fed, info = run()
+    assert len(helpers.pids) == 1 and helpers.fed == K - logfeed.CHUNK
+    assert (info.misses, info.hits, info.currsize) == (logfeed.CHUNK, 0, logfeed.CHUNK)
+    monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", K + 1)
+    serial, info = run()
+    assert (info.misses, info.hits, info.currsize) == (K, K, K)
+    assert fed.texts == serial.texts and fed.precondition_partial._mpf_ == serial.precondition_partial._mpf_
 
 
 def test_break_reaps_the_helper(helpers, serial):

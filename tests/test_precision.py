@@ -10,8 +10,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
 from cantordim import SymbolModel, dim_measure_series, make_row_rule, make_sequence, working_dps
-from cantordim import precision
-from cantordim.precision import _ln_int_cached, ln_int, ln_int_fed, ln_int_raw, ln_int_uncached, mpf_text
+from cantordim import logfeed, precision
+from cantordim.precision import _ln_int_cached, ln_int, ln_int_raw, ln_int_uncached, mpf_text, remember_ln_int
 from cantordim.sequences import rank_logs
 
 
@@ -57,10 +57,12 @@ def test_evicted_logs_come_back_bit_for_bit():
     assert again._mpf_ == first._mpf_
 
 
-def test_each_rank_reads_its_log_from_the_cache_once_more():
+def test_each_rank_reads_its_log_from_the_cache_once_more(monkeypatch):
     # rank_logs computes ln n_k; the uniform row's entropy asks for it again
-    # within the same rank, which hits at any cache size.
+    # within the same rank, which hits at any cache size.  (A walk with a
+    # log helper reads it from remember_ln_int instead: tests/test_logfeed.py.)
     ranks = 2 * 10**4
+    monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", ranks + 1)
     model = SymbolModel(make_sequence({"kind": "arithmetic", "a1": 2, "d": 1}), make_row_rule("uniform"), ranks)
     _ln_int_cached.cache_clear()
     try:
@@ -88,19 +90,22 @@ def test_working_dps_rejects_a_low_precision_before_its_block_runs():
     assert ran == []
 
 
-def test_a_fed_log_is_cached_under_its_own_key_only(monkeypatch):
-    # A cache miss for another key while a log is fed (say, in another
-    # thread) computes its own log.
+def test_a_remembered_log_is_read_under_its_own_key_only(monkeypatch):
+    # A lookup of any other key while a log is held (say, in another
+    # thread) goes to the cache, and the held log never enters it.
     prec, rnd = 200, "n"
-    log3, log5 = ln_int_uncached(3, prec, rnd), ln_int_uncached(5, prec, rnd)
+    log3 = ln_int_uncached(3, prec, rnd)
+    monkeypatch.setattr(precision, "_last", precision._last)  # restored after the test
     _ln_int_cached.cache_clear()
     try:
-        monkeypatch.setattr(precision, "_fed", ((3, prec, rnd), log3))
-        assert ln_int_raw(5, prec, rnd) == log5
-        monkeypatch.setattr(precision, "_fed", None)
-        assert ln_int_fed(3, prec, rnd, log3) == log3
-        assert ln_int_fed(5, prec, rnd, log3) == log5  # a hit keeps the cached value
-        assert precision._fed is None and _ln_int_cached.cache_info().misses == 2
+        remember_ln_int(3, prec, rnd, log3)
+        assert ln_int_raw(3, prec, rnd) is log3
+        assert _ln_int_cached.cache_info().misses == 0
+        for key in [(5, prec, rnd), (3, prec + 1, rnd), (3, prec, "f")]:
+            assert ln_int_raw(*key) == ln_int_uncached(*key)
+        assert _ln_int_cached.cache_info().misses == 3 and _ln_int_cached.cache_info().currsize == 3
+        remember_ln_int(5, prec, rnd, ln_int_uncached(5, prec, rnd))  # replaces the log of 3
+        assert ln_int_raw(3, prec, rnd) == log3 and _ln_int_cached.cache_info().misses == 4
     finally:
         _ln_int_cached.cache_clear()
 

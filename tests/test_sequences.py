@@ -70,6 +70,32 @@ def test_geometric_terms_and_log_terms():
         assert abs(seq.log_term(20, seq.term(20)) - mp.ln(mpf(2**20))) <= eps_for(50)
 
 
+@pytest.mark.parametrize("spec, k_max", [
+    ({"kind": "geometric", "b1": 2, "q": 3}, 400),  # stepped in ints
+    ({"kind": "geometric", "b1": 5, "q": "7/1"}, 200),
+    ({"kind": "geometric", "b1": 2**20000, "q": "3/2"}, 400),  # stepped as Fractions
+])
+@pytest.mark.parametrize("start", [1, 2, 173])
+def test_geometric_iter_terms_are_the_terms(spec, k_max, start):
+    seq = make_sequence(spec)
+    terms = list(seq.iter_terms(k_max, start))
+    assert terms == [seq.term(k) for k in range(start, k_max + 1)]
+    assert {type(n) for n in terms} == {int}
+
+
+def test_a_non_integer_geometric_term_keeps_its_message(capsys):
+    seq = make_sequence({"kind": "geometric", "b1": 16, "q": "3/2"})
+    message = r"^term\(6\) = 243/2 is not an integer$"
+    with pytest.raises(SequenceError, match=message):
+        list(seq.iter_terms(10))
+    with pytest.raises(SequenceError, match=message):
+        list(seq.iter_terms(10, 4))
+    with pytest.raises(SequenceError, match=message):
+        seq.term(6)
+    assert cli.run(["faithfulness", "--seq", json.dumps(seq.descriptor()), "--k-max", "20"]) == 1
+    assert capsys.readouterr().err == "error: term(6) = 243/2 is not an integer\n"
+
+
 @pytest.mark.parametrize(
     "spec",
     [
