@@ -25,22 +25,20 @@ libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
   values as that text alone, and the other series are formatted as the
   CLI writes them.
 
-On mpmath's pure-Python backend the ``mpf_add``, ``mpf_sub``, ``mpf_mul``,
-``mpf_div`` and ``mpf_pow_int(x, 2, ...)`` exported here run libmp's
-round-to-nearest steps inline; other rounding modes, prec 0, zero, inf or
-nan operands, exponent gaps over 100 bits and exact quotients go to libmp,
-the fallback and the test oracle.  So every output bit is the operator
-form's, and the loops skip only its context lookup, type dispatch and
-allocation.  The operator-form single-value functions
+On mpmath's pure-Python backend the add, sub, mul, div and square exported
+here run libmp's round-to-nearest steps inline; any other rounding mode,
+prec 0, zero, inf or nan operand, exponent gap over 100 bits or exact
+quotient goes to libmp, the fallback and the test oracle.  So every output
+bit is the operator form's, and the loops skip only its context lookup,
+type dispatch and allocation.  The operator-form single-value functions
 (``log_prefix_product``, ``faithfulness_ratio``, ``billingsley_ratio``,
 ``cylinder_measure_log``) are the bit-for-bit oracles of the kernel loops.
 
 A walk's term log ln n_k comes from ``ln_int_raw``, or, on a long walk
 over distinct terms, from a forked helper process (``logfeed``) that makes
 the call ``ln_int_raw`` makes on a cache miss with the walk's mpmath,
-integer backend and (prec, rnd), so its bits are the walk's own.  Such a
-walk holds each rank's log under its key (n, prec, rnd) in
-``remember_ln_int``, where ``ln_int_raw`` looks before its cache.
+integer backend and (prec, rnd), so its bits are the walk's own.  The walk
+holds those in ``remember_ln_int``, which ``ln_int_raw`` reads first.
 
 ``mpf_text(x, n)`` is byte for byte libmp's ``to_str(x._mpf_, n)``, which
 is what ``nstr(x, n)`` prints for an mpf.  For a finite nonzero value
@@ -131,7 +129,7 @@ def _nearest(sign, man, exp, prec):
     return sign, man, exp, man.bit_length()
 
 
-def mpf_add(s, t, prec=0, rnd="n", _sub=0):
+def mpf_add(s, t, prec, rnd, _sub=0):
     ssign, sman, sexp, _ = s
     tsign, tman, texp, _ = t
     offset = sexp - texp
@@ -149,33 +147,21 @@ def mpf_add(s, t, prec=0, rnd="n", _sub=0):
             man, ssign = -man, ssign ^ 1
         elif not man:
             return fzero
-    # _nearest's steps inline: adds and subs are most of the kernel's operations
-    n = man.bit_length() - prec
-    if n > 0:
-        t = man >> (n - 1)
-        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-            man = (t >> 1) + 1
-        else:
-            man = t >> 1
-        exp += n
-    if not man & 1:
-        z = (man & -man).bit_length() - 1
-        return ssign, man >> z, exp + z, man.bit_length() - z
-    return ssign, man, exp, man.bit_length()
+    return _nearest(ssign, man, exp, prec)
 
 
-def mpf_sub(s, t, prec=0, rnd="n"):
+def mpf_sub(s, t, prec, rnd):
     return mpf_add(s, t, prec, rnd, 1)
 
 
-def mpf_mul(s, t, prec=0, rnd="n"):
+def mpf_mul(s, t, prec, rnd):
     man = s[1] * t[1]
     if not (man and prec and rnd == "n"):
         return libmp.mpf_mul(s, t, prec, rnd)
     return _nearest(s[0] ^ t[0], man, s[2] + t[2], prec)
 
 
-def mpf_div(s, t, prec, rnd="n"):
+def mpf_div(s, t, prec, rnd):
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
     if not (sman and tman and prec and rnd == "n"):
@@ -189,7 +175,7 @@ def mpf_div(s, t, prec, rnd="n"):
     return _nearest(ssign ^ tsign, (quot << 1) + 1, sexp - texp - extra - 1, prec)  # sticky low bit
 
 
-def mpf_pow_int(s, n, prec, rnd="n"):
+def mpf_pow_int(s, n, prec, rnd):
     if not (n == 2 and s[1] and prec and rnd == "n"):
         return libmp.mpf_pow_int(s, n, prec, rnd)
     return _nearest(0, s[1] * s[1], s[2] + s[2], prec)
@@ -264,7 +250,7 @@ def eps_for(dps: int | None = None) -> mpf:
     return mpf(10) ** (5 - resolve_dps(dps))
 
 
-_last = (0, 0, "", None)  # (n, prec, rnd, ln n), set by remember_ln_int
+_last = (None, None)  # ((n, prec, rnd), ln n), set by remember_ln_int
 
 
 # A walk asks for ln n_k twice within one rank (its log, then its row's
@@ -293,16 +279,16 @@ def ln_int_raw(n: int, prec: int, rnd: str) -> tuple:
     """
     if n <= 0:
         raise ValueError(f"ln_int needs a positive integer, got {n}")
-    last = _last
-    if n == last[0] and prec == last[1] and rnd == last[2]:
-        return last[3]
+    if _last[0] == (n, prec, rnd):
+        return _last[1]
     return _ln_int_cached(n, prec, rnd)
 
 
-def remember_ln_int(n: int, prec: int, rnd: str, value: tuple) -> None:
-    """Hold ``value`` = ``ln_int_uncached(n, prec, rnd)`` for ``ln_int_raw`` to read before its cache."""
+def remember_ln_int(n: int, prec: int, rnd: str, value: tuple) -> tuple:
+    """Hold ``value`` = ``ln_int_uncached(n, prec, rnd)`` for ``ln_int_raw`` to read before its cache, and return it."""
     global _last
-    _last = (n, prec, rnd, value)
+    _last = ((n, prec, rnd), value)
+    return value
 
 
 def ln_int(n: int) -> mpf:

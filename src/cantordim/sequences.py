@@ -458,8 +458,7 @@ def rank_logs(seq: BasicSequence, k_max: int):
     ``working_dps`` block).  Prefix logs are summed from zero in rank order,
     so every series built on them is reproducible bit for bit.  Nothing is
     stored, so memory stays flat at any k_max.  A long walk may take its
-    term logs from a helper process, with the same bits (``logfeed``), and
-    holds each rank's log in ``remember_ln_int``, not the ``ln_int`` cache; the
+    term logs from a helper process, with the same bits (``logfeed``); the
     helper is reaped when the walk is closed or dropped.
     """
     prec, rnd = walk_precision()
@@ -469,9 +468,7 @@ def rank_logs(seq: BasicSequence, k_max: int):
     prefix = fzero
     try:
         for (k, n), fed in zip(enumerate(seq.iter_terms(k_max), 1), helper or itertools.repeat(None)):
-            log_n = log_term(k, n, prec, rnd) if fed is None else fed
-            if helper is not None:
-                remember_ln_int(n, prec, rnd, log_n)
+            log_n = log_term(k, n, prec, rnd) if fed is None else remember_ln_int(n, prec, rnd, fed)
             before = prefix
             prefix = mpf_add(prefix, log_n, prec, rnd)
             yield k, n, log_n, before, prefix

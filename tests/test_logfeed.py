@@ -128,9 +128,9 @@ def test_cli_bytes_match_the_serial_run(helpers, monkeypatch, name):
 
 
 def test_a_helper_walk_keeps_its_logs_out_of_the_cache(helpers, monkeypatch):
-    # Each rank's log, the helper's or the walk's own, is held for the rank
-    # in remember_ln_int, where the uniform row's entropy reads it again:
-    # only the CHUNK ranks the walk computes itself enter the cache.
+    # Each log the helper sends is held for its rank in remember_ln_int,
+    # where the uniform row's entropy reads it again: only the CHUNK ranks
+    # the walk computes itself enter the cache, and each hits there once.
     model = SymbolModel(make_sequence(SEQUENCES["arithmetic(2,1)"]), make_row_rule("uniform"), K)
 
     def run():
@@ -142,7 +142,7 @@ def test_a_helper_walk_keeps_its_logs_out_of_the_cache(helpers, monkeypatch):
 
     fed, info = run()
     assert len(helpers.pids) == 1 and helpers.fed == K - logfeed.CHUNK
-    assert (info.misses, info.hits, info.currsize) == (logfeed.CHUNK, 0, logfeed.CHUNK)
+    assert (info.misses, info.hits, info.currsize) == (logfeed.CHUNK, logfeed.CHUNK, logfeed.CHUNK)
     monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", K + 1)
     serial, info = run()
     assert (info.misses, info.hits, info.currsize) == (K, K, K)

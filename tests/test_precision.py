@@ -60,7 +60,7 @@ def test_evicted_logs_come_back_bit_for_bit():
 def test_each_rank_reads_its_log_from_the_cache_once_more(monkeypatch):
     # rank_logs computes ln n_k; the uniform row's entropy asks for it again
     # within the same rank, which hits at any cache size.  (A walk with a
-    # log helper reads it from remember_ln_int instead: tests/test_logfeed.py.)
+    # log helper reads a fed log from remember_ln_int instead: tests/test_logfeed.py.)
     ranks = 2 * 10**4
     monkeypatch.setattr(logfeed, "HELPER_MIN_RANKS", ranks + 1)
     model = SymbolModel(make_sequence({"kind": "arithmetic", "a1": 2, "d": 1}), make_row_rule("uniform"), ranks)
@@ -98,7 +98,7 @@ def test_a_remembered_log_is_read_under_its_own_key_only(monkeypatch):
     monkeypatch.setattr(precision, "_last", precision._last)  # restored after the test
     _ln_int_cached.cache_clear()
     try:
-        remember_ln_int(3, prec, rnd, log3)
+        assert remember_ln_int(3, prec, rnd, log3) is log3
         assert ln_int_raw(3, prec, rnd) is log3
         assert _ln_int_cached.cache_info().misses == 0
         for key in [(5, prec, rnd), (3, prec + 1, rnd), (3, prec, "f")]:
