@@ -16,8 +16,8 @@ from typing import Mapping, Optional, Sequence
 from mpmath import mpf
 
 from .precision import (
-    as_mpf, from_int, fzero, ln_int_raw, mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_sqrt,
-    mpf_sub, mpf_text, working_dps,
+    as_mpf, from_int, from_man_exp, fzero, ln_int_raw, mpf_add, mpf_div, mpf_mul, mpf_sqrt, mpf_sub,
+    mpf_text, round_fixed, to_fixed, working_dps,
 )
 from .sequences import BasicSequence, Series, as_integer, is_power_of_ten, rank_logs, reject_unknown_keys
 
@@ -235,36 +235,49 @@ class BoxCountEstimate:
 
 
 def box_dimension_estimate(E: DigitSetSpec, k_max: int, dps: int | None = None) -> BoxCountEstimate:
-    """Regress ln N_k on ln(n_1...n_k) over ranks 2..k_max."""
+    """Regress ln N_k on ln(n_1...n_k) over ranks 2..k_max.
+
+    Every value has the bits of the mpf operator form, sums from zero in
+    rank order.  The per-point passes run on ints: x, y, their sums and
+    differences at scale 2**-F, F the largest of 0 and -exp over the points
+    and the means; products, sxx and sxy at 2F; the fit ic + sl*x at F + G,
+    G = max(0, -exp(sl)); squared residuals and their sum at 2(F + G).
+    Each exact result is an int there, which ``round_fixed`` rounds as the
+    kernel op would; the six scalar steps run on the tuples.
+    """
     if k_max < 4:
         raise EstimatorError(f"box dimension estimate needs k_max >= 4, got {k_max}")
     cap = E.max_rank()
     if cap is not None and k_max > cap:
         raise EstimatorError(f"k_max {k_max} exceeds the {cap}-rank digit table")
     with working_dps(dps) as (used, prec, rnd):
-        # Least squares in the kernel; each sum runs from zero in rank order,
-        # so its bits equal those of sum() over the same mpf values.
         points = [p for p in _log_counts(E, k_max, prec, rnd) if p[0] >= 2]
         m = from_int(len(points))
-        sum_x = sum_y = fzero
-        for _, x, y in points:
-            sum_x = mpf_add(sum_x, x, prec, rnd)
-            sum_y = mpf_add(sum_y, y, prec, rnd)
-        mean_x, mean_y = mpf_div(sum_x, m, prec, rnd), mpf_div(sum_y, m, prec, rnd)
-        sxx = sxy = fzero
-        for _, x, y in points:
-            dx = mpf_sub(x, mean_x, prec, rnd)
-            sxx = mpf_add(sxx, mpf_pow_int(dx, 2, prec, rnd), prec, rnd)
-            sxy = mpf_add(sxy, mpf_mul(dx, mpf_sub(y, mean_y, prec, rnd), prec, rnd), prec, rnd)
-        if sxx == fzero:
+        f = max(0, *(-v[2] for _, x, y in points for v in (x, y)))
+        xs, ys = [to_fixed(x, f) for _, x, _ in points], [to_fixed(y, f) for _, _, y in points]
+        sum_x = sum_y = 0
+        for x, y in zip(xs, ys):
+            sum_x, sum_y = round_fixed(sum_x + x, prec), round_fixed(sum_y + y, prec)
+        mean_x, mean_y = (mpf_div(from_man_exp(t, -f), m, prec, rnd) for t in (sum_x, sum_y))
+        lift = max(0, -mean_x[2] - f, -mean_y[2] - f)  # a mean finer than every point
+        xs, ys, f = [x << lift for x in xs], [y << lift for y in ys], f + lift
+        mx, my = to_fixed(mean_x, f), to_fixed(mean_y, f)
+        sxx = sxy = 0
+        for x, y in zip(xs, ys):
+            dx = round_fixed(x - mx, prec)
+            sxx = round_fixed(sxx + round_fixed(dx * dx, prec), prec)
+            sxy = round_fixed(sxy + round_fixed(dx * round_fixed(y - my, prec), prec), prec)
+        if not sxx:
             raise EstimatorError("degenerate regression: all abscissae equal")
-        slope = mpf_div(sxy, sxx, prec, rnd)
+        slope = mpf_div(from_man_exp(sxy, -2 * f), from_man_exp(sxx, -2 * f), prec, rnd)
         intercept = mpf_sub(mean_y, mpf_mul(slope, mean_x, prec, rnd), prec, rnd)
-        ss_res = fzero
-        for _, x, y in points:
-            fit = mpf_add(intercept, mpf_mul(slope, x, prec, rnd), prec, rnd)
-            ss_res = mpf_add(ss_res, mpf_pow_int(mpf_sub(y, fit, prec, rnd), 2, prec, rnd), prec, rnd)
-        residual = mpf_sqrt(mpf_div(ss_res, m, prec, rnd), prec, rnd)
+        g = max(0, -slope[2])  # the intercept, mean_y - sl*mean_x rounded, is then an int at F + G
+        sl, ic = to_fixed(slope, g), to_fixed(intercept, f + g)
+        ss_res = 0
+        for x, y in zip(xs, ys):
+            r = round_fixed((y << g) - round_fixed(ic + round_fixed(sl * x, prec), prec), prec)
+            ss_res = round_fixed(ss_res + round_fixed(r * r, prec), prec)
+        residual = mpf_sqrt(mpf_div(from_man_exp(ss_res, -2 * (f + g)), m, prec, rnd), prec, rnd)
         return BoxCountEstimate(
             slope=as_mpf(slope),
             residual=as_mpf(residual),

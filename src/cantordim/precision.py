@@ -6,8 +6,8 @@ significant decimal digits (default 50, overridable via the
 CANTORDIM_PRECISION environment variable).
 
 The per-rank loops (the rank walk, the ratio, dimension and Billingsley
-series, the box-count regression) run on a fixed-precision kernel of raw
-libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
+series) run on a fixed-precision kernel of raw libmp values, the ``_mpf_``
+tuples inside an mpf.  Its contract:
 
 - a walk opens ``with working_dps(dps) as (used, prec, rnd):``, which
   resolves its report digits ``used`` and reads its (prec, rnd) once, and
@@ -27,10 +27,14 @@ libmp values, the ``_mpf_`` tuples inside an mpf.  Its contract:
 
 On mpmath's pure-Python backend the add, sub, mul, div and square exported
 here run libmp's round-to-nearest steps inline; any other rounding mode,
-prec 0, zero, inf or nan operand, exponent gap over 100 bits or exact
-quotient goes to libmp, the fallback and the test oracle.  So every output
-bit is the operator form's, and the loops skip only its context lookup,
-type dispatch and allocation.  The operator-form single-value functions
+prec 0 (div and square refuse prec < 1), zero, inf or nan operand, exponent
+gap over 100 bits or exact quotient goes to libmp, the fallback and the
+test oracle.  So every output bit is the operator form's, and the loops
+skip only its context lookup, type dispatch and allocation.  The box-count
+regression's per-point passes skip the tuples too: ``to_fixed`` makes each
+value an int at one binary scale, ``round_fixed`` rounds each exact int
+result as ``_nearest`` would, and ``from_man_exp`` makes a sum a tuple
+again.  The operator-form single-value functions
 (``log_prefix_product``, ``faithfulness_ratio``, ``billingsley_ratio``,
 ``cylinder_measure_log``) are the bit-for-bit oracles of the kernel loops.
 
@@ -60,7 +64,7 @@ from functools import lru_cache
 from mpmath import libmp, mp, mpf
 # The kernel's operations, re-exported to the modules that run the loops.
 from mpmath.libmp import (  # noqa: F401
-    fninf, from_int, fzero, mpf_cmp, mpf_log, mpf_lt, mpf_mul_int, mpf_neg, mpf_sqrt, to_str,
+    fninf, from_int, from_man_exp, fzero, mpf_cmp, mpf_log, mpf_lt, mpf_mul_int, mpf_neg, mpf_sqrt, to_str,
 )
 
 ENV_PRECISION = "CANTORDIM_PRECISION"
@@ -129,6 +133,25 @@ def _nearest(sign, man, exp, prec):
     return sign, man, exp, man.bit_length()
 
 
+def round_fixed(v, prec):
+    """The integer v rounded as ``_nearest`` rounds its mantissa, half to even to prec bits, at v's own scale."""
+    if prec < 1:
+        raise ValueError(f"round_fixed needs prec >= 1, got {prec}")
+    man = -v if v < 0 else v
+    n = man.bit_length() - prec
+    if n <= 0:
+        return v
+    t = man >> (n - 1)  # the kept bits and the rounding bit; below it, the sticky bits
+    man = (t + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t) >> 1 << n
+    return -man if v < 0 else man
+
+
+def to_fixed(x, scale):
+    """The raw value x as the integer x * 2**scale; exact when scale >= -exp(x)."""
+    man = x[1] << (x[2] + scale)
+    return -man if x[0] else man
+
+
 def mpf_add(s, t, prec, rnd, _sub=0):
     ssign, sman, sexp, _ = s
     tsign, tman, texp, _ = t
@@ -162,9 +185,11 @@ def mpf_mul(s, t, prec, rnd):
 
 
 def mpf_div(s, t, prec, rnd):
+    if prec < 1:  # libmp's own loops for ever on a result that rounds to no bits
+        raise ValueError(f"mpf_div needs prec >= 1, got {prec}")
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
-    if not (sman and tman and prec and rnd == "n"):
+    if not (sman and tman and rnd == "n"):
         return libmp.mpf_div(s, t, prec, rnd)
     extra = prec - sbc + tbc + 5
     if extra < 5:
@@ -176,7 +201,9 @@ def mpf_div(s, t, prec, rnd):
 
 
 def mpf_pow_int(s, n, prec, rnd):
-    if not (n == 2 and s[1] and prec and rnd == "n"):
+    if prec < 1:
+        raise ValueError(f"mpf_pow_int needs prec >= 1, got {prec}")
+    if not (n == 2 and s[1] and rnd == "n"):
         return libmp.mpf_pow_int(s, n, prec, rnd)
     return _nearest(0, s[1] * s[1], s[2] + s[2], prec)
 

@@ -91,10 +91,21 @@ def test_other_rounding_modes_are_libmps(pair, rnd):
 @given(pair=pairs())
 def test_prec_zero_is_libmps(pair):
     # prec 0 asks for the exact result.  (libmp's mpf_div and mpf_pow_int
-    # need a precision: at 0 they may loop for ever, and are not tried.)
+    # need a precision: at 0 they may loop for ever, so ours refuse it.)
     s, t, _ = pair
     for op in ["mpf_add", "mpf_sub", "mpf_mul"]:
         assert_as_libmp(op, s, t, 0, "n")
+
+
+@pytest.mark.parametrize("prec", [0, -1])
+def test_div_square_and_round_fixed_refuse_prec_below_one(prec):
+    x = raw(0, 2**60 + 1, 0)  # a quotient and a square that round to no bits at prec 0
+    for call in [lambda: precision.mpf_div(x, raw(0, 3, 0), prec, "n"),
+                 lambda: precision.mpf_pow_int(x, 2, prec, "n"),
+                 lambda: precision.mpf_pow_int(x, 3, prec, "f"),
+                 lambda: precision.round_fixed(2**61 + 3, prec)]:
+        with pytest.raises(ValueError, match="prec >= 1"):
+            call()
 
 
 SPECIALS = [fzero, finf, fninf, fnan]
@@ -140,3 +151,43 @@ def test_the_kernel_ops_are_the_mpf_operators():
                        (operator.mul, "mpf_mul"), (operator.truediv, "mpf_div")]:
             assert op(x, y)._mpf_ == getattr(precision, fn)(x._mpf_, y._mpf_, prec, rnd)
         assert (x**2)._mpf_ == precision.mpf_pow_int(x._mpf_, 2, prec, rnd)
+
+
+def fixed_as_nearest(v, prec):
+    """The value of ``_nearest`` and of libmp's normalize at rnd 'n' on the integer v, as an integer."""
+    if not v:
+        return 0
+    sign, man = int(v < 0), abs(v)
+    ours = precision._nearest(sign, man, 0, prec)
+    assert ours == libmp.normalize(sign, man, 0, man.bit_length(), prec, "n")
+    return precision.to_fixed(ours, 0)
+
+
+@st.composite
+def fixed_ints(draw):
+    """An integer of either sign and 1 to 2,000 bits, some of them 2**b - 1 or with a run of zeros below the top."""
+    bits = draw(st.integers(min_value=1, max_value=2000))
+    man = draw(st.one_of(st.just(2**bits - 1), st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1),
+                         st.integers(min_value=0, max_value=bits - 1).map(lambda low: 2 ** (bits - 1) + 2**low)))
+    return -man if draw(st.booleans()) else man
+
+
+@settings(max_examples=1500, deadline=None)
+@given(v=fixed_ints(), prec=st.integers(min_value=1, max_value=400))
+@example(v=0, prec=1)
+@example(v=5, prec=2)  # 101: a tie, to the even 100
+@example(v=7, prec=2)  # 111: a tie, to the even 1000, a carry to the next power of two
+@example(v=-11, prec=3)  # 1011: a tie, to the even 1100
+@example(v=2**400 - 1, prec=400)  # fits: unchanged
+@example(v=-(2**401 - 1), prec=400)  # a carry to -2**401
+@example(v=2**1999 + 2**1599, prec=400)  # a tie at the last kept bit
+@example(v=2**1999 + 2**1599 + 1, prec=400)  # just past the tie: the sticky bits round up
+def test_round_fixed_is_nearest_at_a_fixed_scale(v, prec):
+    assert precision.round_fixed(v, prec) == fixed_as_nearest(v, prec)
+
+
+@given(x=pairs().map(lambda p: p[0]), shift=st.integers(min_value=0, max_value=64))
+def test_to_fixed_is_exact(x, shift):
+    scale = max(0, -x[2]) + shift
+    v = precision.to_fixed(x, scale)
+    assert precision.from_man_exp(v, -scale) == x

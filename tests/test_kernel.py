@@ -12,6 +12,7 @@ equality), and every value it keeps only as text must be byte for byte
 import random
 from itertools import groupby
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
@@ -240,3 +241,27 @@ def test_box_dimension_slope_residual_and_series(spec, k_max, dps, make_set):
     assert [k for k, _ in got.series] == [k for k, _, _ in points]
     assert bits(r for _, r in got.series) == bits(series)
     assert list(got.to_jsonable()["series"]) == [(k, mpf_text(r, dps)) for (k, _, _), r in zip(points, series)]
+
+
+EXCEPTIONS = DIGIT_SETS[1]  # digit 0 alone at the powers of ten
+
+
+@pytest.mark.parametrize("dps", [15, 50, 120])
+@pytest.mark.parametrize("spec, k_max, make_set", [
+    ({"kind": "constant", "s": 3}, 471, EXCEPTIONS),
+    ({"kind": "constant", "s": 3}, 2601, EXCEPTIONS),
+    # ln P_k = k ln 3 and k_max even: mean_x is within an ulp of the middle
+    # sample, so one dx**2 is near 2**-377 at 50 digits
+    ({"kind": "constant", "s": 3}, 1956, EXCEPTIONS),
+    ({"kind": "counterexample"}, 1956, EXCEPTIONS),
+    # exactly linear data: the residual is pure rounding noise
+    ({"kind": "constant", "s": 3}, 3000, lambda seq: DigitSetSpec.constant_digits(seq, (0, 2))),
+    # one admissible digit: every ln N_k is 0
+    ({"kind": "constant", "s": 3}, 1000, lambda seq: DigitSetSpec.constant_digits(seq, (1,))),
+    # two digits at the last rank alone: the mean of ln N_k is finer than every point
+    ({"kind": "constant", "s": 3}, 1000, lambda seq: DigitSetSpec.from_table(seq, [[0]] * 999 + [[0, 2]])),
+], ids=["constant3-exceptions-471", "constant3-exceptions-2601", "constant3-exceptions-1956", "counterexample-1956",
+        "cantor-3000", "one-digit-1000", "last-rank-pair-1000"])
+def test_box_dimension_bits_on_long_walks(spec, k_max, make_set, dps):
+    # The operator-form reference above, past its K_MAX and at 120 digits.
+    test_box_dimension_slope_residual_and_series.hypothesis.inner_test(spec, k_max, dps, make_set)
