@@ -147,7 +147,7 @@ def round_fixed(v, prec):
 
 
 def to_fixed(x, scale):
-    """The raw value x as the integer x * 2**scale; exact when scale >= -exp(x)."""
+    """The raw value x as the integer x * 2**scale, for a scale of at least -exp(x)."""
     man = x[1] << (x[2] + scale)
     return -man if x[0] else man
 
