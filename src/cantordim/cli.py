@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *flags):
+    def add(name, help_text, handler, *flags):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(run=handler)
         p.add_argument("--precision", type=int, help="significant decimal digits (default 50 or CANTORDIM_PRECISION)")
         p.add_argument("--out", help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv", "plot-data"), default="json")
@@ -108,24 +109,25 @@ def build_parser() -> argparse.ArgumentParser:
     rows_flag = ("--rows", {"type": _rows_value, "required": True, "help": "row-rule descriptor JSON or name"})
     kmax_flag = ("--k-max", {"type": int, "required": True})
     digits_flag = ("--digits", {"type": _digits, "required": True, "help": "digit string as a JSON array"})
-    depth_flag = ("--depth-cap", {"type": int})
     x_flag = ("--x", {"type": _rational, "required": True, "help": "rational in [0,1), e.g. 5/6 or 0.83"})
     rank_flag = ("--rank", {"type": int, "required": True})
 
-    add("encode", "digit string of a rational point", seq_flag, x_flag, rank_flag)
-    add("decode", "exact rational value of a digit string", seq_flag, digits_flag)
-    add("cylinder", "exact cylinder interval of a digit string", seq_flag, digits_flag)
-    add("faithfulness", "faithfulness-ratio sweep and verdict", seq_flag, kmax_flag,
+    add("encode", "digit string of a rational point", _cmd_encode, seq_flag, x_flag, rank_flag)
+    add("decode", "exact rational value of a digit string", _cmd_decode, seq_flag, digits_flag)
+    add("cylinder", "exact cylinder interval of a digit string", _cmd_cylinder, seq_flag, digits_flag)
+    add("faithfulness", "faithfulness-ratio sweep and verdict", _cmd_faithfulness, seq_flag, kmax_flag,
         ("--met-tol", {"type": float, "default": sequences.MET_TOL_DEFAULT}),
         ("--violation-threshold", {"type": float, "default": sequences.VIOLATION_THRESHOLD_DEFAULT}))
-    add("dim-measure", "entropy dimension series of a digit measure", seq_flag, rows_flag, kmax_flag, depth_flag)
-    add("dim-spectrum", "support-count dimension series", seq_flag, rows_flag, kmax_flag, depth_flag)
-    add("cdf", "distribution function at a point", seq_flag, rows_flag, depth_flag, x_flag, rank_flag)
-    add("billingsley", "length/measure log-ratio series along a digit string",
-        seq_flag, rows_flag, kmax_flag, digits_flag, depth_flag)
-    add("boxcount", "cylinder-count dimension estimate of a digit set", seq_flag, kmax_flag,
+    add("dim-measure", "entropy dimension series of a digit measure", partial(_cmd_dim, which="measure"),
+        seq_flag, rows_flag, kmax_flag)
+    add("dim-spectrum", "support-count dimension series", partial(_cmd_dim, which="spectrum"),
+        seq_flag, rows_flag, kmax_flag)
+    add("cdf", "distribution function at a point", _cmd_cdf, seq_flag, rows_flag, x_flag, rank_flag)
+    add("billingsley", "length/measure log-ratio series along a digit string", _cmd_billingsley,
+        seq_flag, rows_flag, kmax_flag, digits_flag)
+    add("boxcount", "cylinder-count dimension estimate of a digit set", _cmd_boxcount, seq_flag, kmax_flag,
         ("--set", {"type": _json_value, "required": True, "help": "digit-set descriptor JSON"}))
-    add("example1", "built-in counterexample pipeline", kmax_flag,
+    add("example1", "built-in counterexample pipeline", _cmd_example1, kmax_flag,
         ("--seed", {"type": int, "default": 0}),
         ("--samples", {"type": int, "default": 3}),
         ("--spike-form", {"choices": ("double", "tower"), "default": "double"}))
@@ -293,8 +295,7 @@ def _fraction_text(q: Fraction) -> str:
 
 
 def _model_from(ns, seq, k_hint: int) -> measure.SymbolModel:
-    depth = ns.depth_cap if ns.depth_cap is not None else max(measure.DEPTH_CAP_DEFAULT, k_hint)
-    return measure.SymbolModel(seq, measure.make_row_rule(ns.rows), depth_cap=depth)
+    return measure.SymbolModel(seq, measure.make_row_rule(ns.rows), max(measure.DEPTH_CAP_DEFAULT, k_hint))
 
 
 def _cmd_encode(ns, dps):
@@ -381,20 +382,6 @@ def _cmd_example1(ns, dps):
     _emit(ns, payload, dps, series)
 
 
-COMMANDS = {
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "cylinder": _cmd_cylinder,
-    "faithfulness": _cmd_faithfulness,
-    "dim-measure": partial(_cmd_dim, which="measure"),
-    "dim-spectrum": partial(_cmd_dim, which="spectrum"),
-    "cdf": _cmd_cdf,
-    "billingsley": _cmd_billingsley,
-    "boxcount": _cmd_boxcount,
-    "example1": _cmd_example1,
-}
-
-
 def _fail(exc: Exception, code: int) -> int:
     print(f"error: {_one_line(str(exc))}", file=sys.stderr)
     return code
@@ -416,23 +403,28 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     # Exact answers (decode/cylinder denominators) may have any number of
-    # digits; Python refuses int-to-str past 4300 digits by default.
+    # digits; Python refuses int-to-str past 4300 digits by default.  The
+    # run lifts that limit and gives the caller's back as it returns.
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        ns = _shared_parser().parse_args(_with_config(argv))
-        dps = resolve_dps(ns.precision)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    except (ConfigError, ValueError) as exc:
-        return _fail(exc, 2)
-    try:
-        with working_dps(dps):
-            COMMANDS[ns.command](ns, dps)
-    except ConfigError as exc:
-        return _fail(exc, 2)
-    except DOMAIN_ERRORS as exc:
-        return _fail(exc, 1)
-    return 0
+        try:
+            ns = _shared_parser().parse_args(_with_config(argv))
+            dps = resolve_dps(ns.precision)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
+        except (ConfigError, ValueError) as exc:
+            return _fail(exc, 2)
+        try:
+            with working_dps(dps):
+                ns.run(ns, dps)
+        except ConfigError as exc:
+            return _fail(exc, 2)
+        except DOMAIN_ERRORS as exc:
+            return _fail(exc, 1)
+        return 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

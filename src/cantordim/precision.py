@@ -12,11 +12,11 @@ tuples inside an mpf.  Its contract:
 - a walk opens ``with working_dps(dps) as (used, prec, rnd):``, which
   resolves its report digits ``used`` and reads its (prec, rnd) once, and
   passes prec and rnd to every operation;
-- each add, sub, mul, div, negation, square and square root is the libmp
-  function the mpf operator (or ``mp.sqrt``) itself calls, or its inline
-  form below, on the same operands in the same order:
-  ``a + b`` is ``mpf_add(a, b, prec, rnd)``, ``a * i`` for an int ``i`` is
-  ``mpf_mul_int``, ``a ** 2`` is ``mpf_pow_int(a, 2, ...)``, ``-a`` is
+- each add, sub, mul, div, negation and square root is the libmp function
+  the mpf operator (or ``mp.sqrt``) itself calls, or its inline form below,
+  on the same operands in the same order: ``a + b`` is
+  ``mpf_add(a, b, prec, rnd)``, ``a * i`` for an int ``i`` is ``mpf_mul_int``,
+  ``a ** 2`` is ``mpf_mul(a, a, ...)`` (the same bits), ``-a`` is
   ``mpf_neg``, and ``sum`` from 0 is a chain of ``mpf_add`` from ``fzero``;
 - comparisons are the exact ``mpf_cmp``/``mpf_lt`` on the raw values;
 - a value is wrapped in an mpf (``as_mpf``) only when a report keeps it
@@ -25,9 +25,9 @@ tuples inside an mpf.  Its contract:
   values as that text alone, and the other series are formatted as the
   CLI writes them.
 
-On mpmath's pure-Python backend the add, sub, mul, div and square exported
-here run libmp's round-to-nearest steps inline; any other rounding mode,
-prec 0 (div and square refuse prec < 1), zero, inf or nan operand, exponent
+On mpmath's pure-Python backend the add, sub, mul and div exported here
+run libmp's round-to-nearest steps inline; any other rounding mode, prec 0
+(only div refuses prec < 1), zero, inf or nan operand, exponent
 gap over 100 bits or exact quotient goes to libmp, the fallback and the
 test oracle.  So every output bit is the operator form's, and the loops
 skip only its context lookup, type dispatch and allocation.  The box-count
@@ -200,16 +200,8 @@ def mpf_div(s, t, prec, rnd):
     return _nearest(ssign ^ tsign, (quot << 1) + 1, sexp - texp - extra - 1, prec)  # sticky low bit
 
 
-def mpf_pow_int(s, n, prec, rnd):
-    if prec < 1:
-        raise ValueError(f"mpf_pow_int needs prec >= 1, got {prec}")
-    if not (n == 2 and s[1] and rnd == "n"):
-        return libmp.mpf_pow_int(s, n, prec, rnd)
-    return _nearest(0, s[1] * s[1], s[2] + s[2], prec)
-
-
 if libmp.BACKEND != "python":  # gmpy's or Sage's arithmetic beats any inline step
-    from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_sub  # noqa: F811
+    from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_sub  # noqa: F811
 
 
 # libmp's to_digits_exp works in float with this constant; the digit counts

@@ -1,9 +1,11 @@
 """CLI dispatch, serialization formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -55,17 +57,58 @@ def test_encode_decode_cylinder(capsys):
     assert payload["cylinder"]["length"] == "1/6"
 
 
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Python's int-to-str digit limit set to ``limit`` (0: none), then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+# Rank 2000 of n_k = k + 1: the denominator 2001! has 5,700+ digits.
+DIGITS_2000 = json.dumps(list(range(1, 2001)))  # the largest digit n_k - 1 at every rank
+
+
 def test_decode_and_cylinder_print_answers_of_any_length(capsys):
-    # Rank 2000 of n_k = k + 1: the denominator 2001! has 5,700+ digits.
-    digits = json.dumps(list(range(1, 2001)))  # the largest digit n_k - 1 at every rank
     den = math.factorial(2001)
-    code, payload = run_json(capsys, ["decode", "--seq", ARITH, "--digits", digits])
+    with int_digit_limit(0):  # the expected texts are as long as the answers
+        value, length = f"{den - 1}/{den}", f"1/{den}"
+    code, payload = run_json(capsys, ["decode", "--seq", ARITH, "--digits", DIGITS_2000])
     assert code == 0
-    assert payload["value"] == f"{den - 1}/{den}"
-    code, payload = run_json(capsys, ["cylinder", "--seq", ARITH, "--digits", digits])
+    assert payload["value"] == value
+    code, payload = run_json(capsys, ["cylinder", "--seq", ARITH, "--digits", DIGITS_2000])
     assert code == 0
-    assert payload["cylinder"]["length"] == f"1/{den}"
+    assert payload["cylinder"]["length"] == length
     assert payload["cylinder"]["right"] == "1/1"
+
+
+def test_run_gives_back_the_callers_int_digit_limit(capsys):
+    den = math.factorial(2001)
+    with int_digit_limit(0):
+        value = f"{den - 1}/{den}"
+    with int_digit_limit(5000):
+        code, payload = run_json(capsys, ["decode", "--seq", ARITH, "--digits", DIGITS_2000])
+        assert code == 0 and sys.get_int_max_str_digits() == 5000
+        assert run(["decode", "--seq", ARITH, "--digits", "[2]"]) == 1  # a failing run
+        assert sys.get_int_max_str_digits() == 5000
+    assert payload["value"] == value and len(value) > 2 * 5700
+
+
+@pytest.mark.parametrize("command", ["dim-measure", "dim-spectrum", "cdf", "billingsley"])
+def test_depth_cap_is_not_a_flag(capsys, command):
+    flags = BASE_FLAGS[command]
+    argv = [command, *(token for k, v in flags.items() for token in (f"--{k}", v)), "--depth-cap", "5"]
+    assert run(argv) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_every_subcommand_carries_its_handler():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(BASE_FLAGS)
+    assert all(callable(p.get_default("run")) for p in sub.choices.values())
 
 
 def test_custom_row_tolerance_follows_precision(capsys):
@@ -547,7 +590,7 @@ SMALL_FLAG = st.one_of(SMALL, SMALL.map(str), st.none(), st.floats(), st.sampled
 # "bogus" are not flags.  Counts stay small so every run is quick.
 FLAG_VALUES = {
     "seq": SEQS, "rows": ROWS, "set": SETS, "digits": st.one_of(st.lists(SMALL, max_size=13), JSON_VALUES),
-    "k-max": SMALL_FLAG, "rank": SMALL_FLAG, "depth-cap": SMALL_FLAG, "samples": SMALL_FLAG,
+    "k-max": SMALL_FLAG, "rank": SMALL_FLAG, "samples": SMALL_FLAG,
     "seed": SMALL_FLAG, "precision": st.one_of(st.integers(15, 20), SMALL_FLAG),
     "x": st.one_of(NUMBER, st.sampled_from(["1/3", "0.5", "1/0"])),
     "met-tol": NUMBER, "violation-threshold": NUMBER,
@@ -571,10 +614,6 @@ BASE_FLAGS = {
 
 EXTRA_FLAGS = {
     "faithfulness": ["met-tol", "violation-threshold"],
-    "dim-measure": ["depth-cap"],
-    "dim-spectrum": ["depth-cap"],
-    "cdf": ["depth-cap"],
-    "billingsley": ["depth-cap"],
     "example1": ["seed", "spike-form"],
 }
 

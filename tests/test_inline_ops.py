@@ -1,4 +1,4 @@
-"""The kernel's inline round-to-nearest add, sub, mul, div and square
+"""The kernel's inline round-to-nearest add, sub, mul and div
 (``precision``) against libmp's own functions: the same raw tuple on every
 operand pair, and libmp's own result on every case handed to it."""
 
@@ -61,8 +61,8 @@ def assert_as_libmp(op, *args):
 
 @settings(max_examples=1500, deadline=None)
 @given(pair=pairs())
-# Ties at the rounding bit, which half-even and half-up round apart: a sum,
-# a product and a square of 54 bits ending in binary 01; a product ending in
+# Ties at the rounding bit, which half-even and half-up round apart: a sum
+# and two products of 54 bits ending in binary 01; a product ending in
 # binary 11, which half-even and half-down round apart; and a carry to a
 # power of two.
 @example(pair=(raw(0, 2**53 - 1, 0), raw(0, 1, 1), 53))
@@ -75,7 +75,6 @@ def test_inline_ops_return_libmps_tuple(pair):
     s, t, prec = pair
     for op in OPS:
         assert_as_libmp(op, s, t, prec, "n")
-    assert_as_libmp("mpf_pow_int", s, 2, prec, "n")
 
 
 @settings(max_examples=300, deadline=None)
@@ -84,14 +83,13 @@ def test_other_rounding_modes_are_libmps(pair, rnd):
     s, t, prec = pair
     for op in OPS:
         assert_as_libmp(op, s, t, prec, rnd)
-    assert_as_libmp("mpf_pow_int", s, 2, prec, rnd)
 
 
 @settings(max_examples=200, deadline=None)
 @given(pair=pairs())
 def test_prec_zero_is_libmps(pair):
-    # prec 0 asks for the exact result.  (libmp's mpf_div and mpf_pow_int
-    # need a precision: at 0 they may loop for ever, so ours refuse it.)
+    # prec 0 asks for the exact result.  (libmp's mpf_div needs a
+    # precision: at 0 it may loop for ever, so ours refuses it.)
     s, t, _ = pair
     for op in ["mpf_add", "mpf_sub", "mpf_mul"]:
         assert_as_libmp(op, s, t, 0, "n")
@@ -99,10 +97,8 @@ def test_prec_zero_is_libmps(pair):
 
 @pytest.mark.parametrize("prec", [0, -1])
 def test_div_square_and_round_fixed_refuse_prec_below_one(prec):
-    x = raw(0, 2**60 + 1, 0)  # a quotient and a square that round to no bits at prec 0
+    x = raw(0, 2**60 + 1, 0)  # a quotient that rounds to no bits at prec 0
     for call in [lambda: precision.mpf_div(x, raw(0, 3, 0), prec, "n"),
-                 lambda: precision.mpf_pow_int(x, 2, prec, "n"),
-                 lambda: precision.mpf_pow_int(x, 3, prec, "f"),
                  lambda: precision.round_fixed(2**61 + 3, prec)]:
         with pytest.raises(ValueError, match="prec >= 1"):
             call()
@@ -117,7 +113,6 @@ def test_zero_inf_and_nan_operands_are_libmps(special, other):
     for s, t in [(special, other), (other, special)]:
         for op in OPS:
             assert_as_libmp(op, s, t, 53, "n")
-        assert_as_libmp("mpf_pow_int", s, 2, 53, "n")
 
 
 @pytest.mark.parametrize("q, t", [
@@ -134,12 +129,6 @@ def test_exact_quotients_are_libmps(q, t, prec):
     assert precision.mpf_div(s, t, 400, "n") == q
 
 
-def test_other_powers_are_libmps():
-    x = raw(1, 2**60 + 3, -7)
-    for n in [-2, -1, 0, 1, 3, 10]:
-        assert_as_libmp("mpf_pow_int", x, n, 53, "n")
-
-
 def test_the_kernel_ops_are_the_mpf_operators():
     # The oracle the walks are tested against: mpf arithmetic itself.
     from mpmath import mp, mpf
@@ -150,7 +139,7 @@ def test_the_kernel_ops_are_the_mpf_operators():
         for op, fn in [(operator.add, "mpf_add"), (operator.sub, "mpf_sub"),
                        (operator.mul, "mpf_mul"), (operator.truediv, "mpf_div")]:
             assert op(x, y)._mpf_ == getattr(precision, fn)(x._mpf_, y._mpf_, prec, rnd)
-        assert (x**2)._mpf_ == precision.mpf_pow_int(x._mpf_, 2, prec, rnd)
+        assert (x**2)._mpf_ == precision.mpf_mul(x._mpf_, x._mpf_, prec, rnd)
 
 
 def fixed_as_nearest(v, prec):

@@ -267,11 +267,12 @@ def test_no_pin_without_the_walks_cpu(helpers, serial, monkeypatch, stat):
     assert len(helpers.pids) == 1 and helpers.fed == K - logfeed.CHUNK
 
 
-def test_a_helper_that_cannot_start_leaves_the_walk_unchanged(helpers, serial, monkeypatch):
-    def no_process():
-        raise OSError("no process")
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_helper_that_cannot_start_leaves_the_walk_unchanged(helpers, serial, monkeypatch, call):
+    def refused():
+        raise OSError(f"no {call}")
 
-    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(os, call, refused)
     assert walk(SEQUENCES["arithmetic(2,1)"]) == serial["arithmetic(2,1)"]
     assert helpers.fed == 0
 

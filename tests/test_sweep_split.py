@@ -204,11 +204,12 @@ def test_a_killed_helper_leaves_the_bytes_unchanged(helpers, monkeypatch):
     assert serial_run(monkeypatch, argv) == killed
 
 
-def test_a_helper_that_cannot_start_leaves_the_bytes_unchanged(helpers, monkeypatch):
-    def no_process():
-        raise OSError("no process")
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_helper_that_cannot_start_leaves_the_bytes_unchanged(helpers, monkeypatch, call):
+    def refused():
+        raise OSError(f"no {call}")
 
-    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(os, call, refused)
     argv = faithfulness(SEQUENCES["counterexample"])
     alone = run(argv)
     assert helpers.walk_parts[0] == 2 and len(helpers.walk_parts) > 1
