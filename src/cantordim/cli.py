@@ -2,15 +2,17 @@
 
 One subcommand per pipeline.  Every input is a flag, typed by one argparse
 parser: the JSON descriptors (``--seq``, ``--rows``, ``--set``,
-``--digits``) are decoded and ``--x`` is read as an exact rational while
-the flags are parsed.  A ``--config`` JSON file supplies flags too: each
-entry ``"key": value`` becomes ``--key=value`` (a string as it stands,
-any other value JSON-encoded) after the inline flags, so the file wins,
-with a warning when the same flag is also given inline, and its values
-pass the same ``type`` and ``choices`` checks.  Output is JSON by default,
-CSV or gnuplot-style two-column data on request.  Identical configuration
-and seed produce byte-identical output: reports carry no timestamps and
-all numbers are emitted as fixed-precision decimal strings.
+``--digits``) are decoded, a bare name passing for ``--rows`` and
+``--set``, and ``--x`` is read as an exact rational while the flags are
+parsed.  A ``--config`` JSON file supplies flags too: each entry
+``"key": value`` becomes ``--key=value`` (a string as it stands, any other
+value JSON-encoded) after the inline flags, so the file wins, with a
+warning when the same flag is also given inline, and its values pass the
+same ``type`` and ``choices`` checks.  Output is JSON by default, CSV or
+gnuplot-style two-column data on request (a flagged point gets its flag
+as a third field).  Identical configuration and seed produce
+byte-identical output: reports carry no timestamps and all numbers are
+emitted as fixed-precision decimal strings.
 
 Exit codes: 0 success, 1 domain error (including a descriptor of an
 unknown kind or with a missing or wrong-typed field), 2 configuration
@@ -60,9 +62,9 @@ def _json_value(raw: str):
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
 
 
-def _rows_value(raw: str):
-    """A row-rule name, or a JSON descriptor when it starts with '{'."""
-    return _json_value(raw) if raw.lstrip().startswith("{") else raw
+def _json_or_name(raw: str):
+    """A JSON descriptor when it starts with '{', '[' or '"', else a bare name."""
+    return _json_value(raw) if raw.lstrip().startswith(("{", "[", '"')) else raw
 
 
 def _digits(raw: str) -> tuple[int, ...]:
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
 
     seq_flag = ("--seq", {"type": _json_value, "required": True, "help": "sequence descriptor JSON"})
-    rows_flag = ("--rows", {"type": _rows_value, "required": True, "help": "row-rule descriptor JSON or name"})
+    rows_flag = ("--rows", {"type": _json_or_name, "required": True, "help": "row-rule descriptor JSON or name"})
     kmax_flag = ("--k-max", {"type": int, "required": True})
     digits_flag = ("--digits", {"type": _digits, "required": True, "help": "digit string as a JSON array"})
     x_flag = ("--x", {"type": _rational, "required": True, "help": "rational in [0,1), e.g. 5/6 or 0.83"})
@@ -126,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("billingsley", "length/measure log-ratio series along a digit string", _cmd_billingsley,
         seq_flag, rows_flag, kmax_flag, digits_flag)
     add("boxcount", "cylinder-count dimension estimate of a digit set", _cmd_boxcount, seq_flag, kmax_flag,
-        ("--set", {"type": _json_value, "required": True, "help": "digit-set descriptor JSON"}))
+        ("--set", {"type": _json_or_name, "required": True, "help": "digit-set descriptor JSON or name"}))
     add("example1", "built-in counterexample pipeline", _cmd_example1, kmax_flag,
         ("--seed", {"type": int, "default": 0}),
         ("--samples", {"type": int, "default": 3}),
@@ -237,10 +239,11 @@ def _json_pieces(value, indent: str = ""):
 
 
 def _series_pieces(series: sequences.Series, head: str, sep: str):
-    """A series node as ``k<sep>text`` lines under ``head``."""
+    """A series node as ``k<sep>text`` lines under ``head``, with
+    ``<sep>flag`` after the text of a flagged point."""
     yield head
     for batch in _batches(series, len(series)):
-        yield "".join([f"{row[0]}{sep}{row[1]}\n" for row in batch])
+        yield "".join([f"{row[0]}{sep}{sep.join(row[1:])}\n" for row in batch])
 
 
 def _write(pieces, path: str | None) -> None:

@@ -10,8 +10,8 @@ the sequence diagnostic assesses separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from mpmath import mpf
 
@@ -36,19 +36,20 @@ class DigitSetSpec:
     """Per-rank admissible digit sets describing the compact set of points
     whose digit at every rank k lies in admissible(k).
 
-    ``mode`` is one of:
-      "all"        -- every digit admissible at every rank
-      "every_rank" -- the same explicit digit set at every rank
-      "exceptions" -- all digits except at exception ranks, where an
-                      explicit set applies (exception ranks are either the
-                      powers of ten or an explicit list)
-      "per_rank"   -- explicit digit lists up to a capped rank
+    A set keeps the form it was read from, once: ``admissible`` is its
+    normalized descriptor ("all" or one JSON mapping), which
+    ``descriptor()`` returns as it stands.  The counts read one listing
+    rule: ``per_rank`` lists the digits of each rank up to its length;
+    otherwise ``digits`` are listed at the ranks where ``listed_at`` holds
+    (every rank, none, the powers of ten or a given list), and every digit
+    is admissible elsewhere.  Two sets built from the same descriptor are
+    equal and hash alike.
     """
 
     seq: BasicSequence
-    mode: str
+    admissible: Union[str, dict] = field(hash=False)
     digits: tuple[int, ...] = ()
-    exception_ranks: Optional[tuple[int, ...]] = None  # None => powers of ten
+    listed_at: Callable[[int], bool] = field(default=lambda k: False, compare=False)
     per_rank: tuple[tuple[int, ...], ...] = ()
 
     # -- constructors ----------------------------------------------------
@@ -59,7 +60,8 @@ class DigitSetSpec:
 
     @classmethod
     def constant_digits(cls, seq: BasicSequence, digits: Sequence[int]) -> "DigitSetSpec":
-        return cls(seq, "every_rank", digits=_sorted_entries(digits, "every_rank"))
+        digits = _sorted_entries(digits, "every_rank")
+        return cls(seq, {"every_rank": list(digits)}, digits, lambda k: True)
 
     @classmethod
     def with_exceptions(
@@ -73,12 +75,10 @@ class DigitSetSpec:
         ranks = None if exception_ranks is None else _sorted_entries(exception_ranks, "except_ranks")
         if ranks and ranks[0] < 1:
             raise EstimatorError(f"except_ranks entry {ranks[0]} is not a rank; ranks start at 1")
-        return cls(
-            seq,
-            "exceptions",
-            digits=_sorted_entries(digits_at_exception, "digits_at_exception"),
-            exception_ranks=ranks,
-        )
+        digits = _sorted_entries(digits_at_exception, "digits_at_exception")
+        rule = "powers_of_10" if ranks is None else list(ranks)
+        listed_at = is_power_of_ten if ranks is None else frozenset(ranks).__contains__
+        return cls(seq, {"except_ranks": rule, "digits_at_exception": list(digits)}, digits, listed_at)
 
     @classmethod
     def from_table(cls, seq: BasicSequence, per_rank: Sequence[Sequence[int]]) -> "DigitSetSpec":
@@ -87,7 +87,7 @@ class DigitSetSpec:
         table = tuple(_sorted_entries(r, "per_rank") for r in per_rank)
         if not table:
             raise EstimatorError("per-rank table must not be empty")
-        return cls(seq, "per_rank", per_rank=table)
+        return cls(seq, {"per_rank": [list(r) for r in table]}, per_rank=table)
 
     @classmethod
     def from_descriptor(cls, seq: BasicSequence, spec) -> "DigitSetSpec":
@@ -122,26 +122,20 @@ class DigitSetSpec:
 
     # -- queries -----------------------------------------------------------
 
-    def _is_exception(self, k: int) -> bool:
-        if self.exception_ranks is None:
-            return is_power_of_ten(k)
-        return k in self.exception_ranks
-
     def max_rank(self) -> Optional[int]:
-        return len(self.per_rank) if self.mode == "per_rank" else None
+        return len(self.per_rank) or None
 
     def _listed(self, k: int, n: int) -> Optional[tuple[int, ...]]:
         """The explicit admissible digits at rank k (where n_k = n),
         validated against 0..n-1, or None when every digit is admissible."""
-        if self.mode == "all" or (self.mode == "exceptions" and not self._is_exception(k)):
-            return None
-        if self.mode == "per_rank":
-            cap = len(self.per_rank)
-            if k > cap:
-                raise EstimatorError(f"rank {k} exceeds the {cap}-rank digit table")
+        if self.per_rank:
+            if k > len(self.per_rank):
+                raise EstimatorError(f"rank {k} exceeds the {len(self.per_rank)}-rank digit table")
             digits = self.per_rank[k - 1]
-        else:
+        elif self.listed_at(k):
             digits = self.digits
+        else:
+            return None
         if not digits:
             raise EstimatorError(f"admissible set at rank {k} is empty")
         if digits[-1] > n - 1:
@@ -160,20 +154,7 @@ class DigitSetSpec:
         return tuple(range(n)) if listed is None else listed
 
     def descriptor(self) -> dict:
-        if self.mode == "all":
-            admissible = "all"
-        elif self.mode == "every_rank":
-            admissible = {"every_rank": list(self.digits)}
-        elif self.mode == "exceptions":
-            admissible = {
-                "except_ranks": (
-                    "powers_of_10" if self.exception_ranks is None else list(self.exception_ranks)
-                ),
-                "digits_at_exception": list(self.digits),
-            }
-        else:
-            admissible = {"per_rank": [list(r) for r in self.per_rank]}
-        return {"sequence": self.seq.descriptor(), "admissible": admissible}
+        return {"sequence": self.seq.descriptor(), "admissible": self.admissible}
 
 
 def _sorted_entries(values: Sequence[int], what: str) -> tuple[int, ...]:

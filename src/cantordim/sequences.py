@@ -127,13 +127,23 @@ class Series:
 
 
 class BasicSequence(ABC):
-    """A branching sequence n_1, n_2, ... with every term an integer >= 2."""
+    """A branching sequence n_1, n_2, ... with every term an integer >= 2.
+
+    Each kind defines its terms once, in ``iter_terms``, and ``term(k)`` is
+    that pass from rank k to rank k, so the two cannot disagree.  Every field
+    is read and checked in the constructor.
+    """
 
     kind: ClassVar[str]
 
-    @abstractmethod
     def term(self, k: int) -> int:
         """n_k for k >= 1."""
+        self._check_rank(k)
+        return next(self.iter_terms(k, k))
+
+    @abstractmethod
+    def iter_terms(self, k_max: int, start: int = 1) -> Iterator[int]:
+        """n_start, ..., n_{k_max} in order, each checked as it is reached."""
 
     @abstractmethod
     def descriptor(self) -> dict:
@@ -160,14 +170,6 @@ class BasicSequence(ABC):
         """Whether {n_k} stays bounded as k grows; None when unknowable."""
         return None
 
-    def iter_terms(self, k_max: int, start: int = 1):
-        """n_start, ..., n_{k_max} in order.
-
-        Overridden where stepping beats ``term(k)`` per rank: geometric
-        tails (big-integer powers), integer-step progressions, tables and
-        the counterexample's runs of 2."""
-        return (self.term(k) for k in range(start, k_max + 1))
-
     def _check_rank(self, k: int) -> None:
         if k < 1:
             raise SequenceError(f"rank must be >= 1, got {k}")
@@ -182,12 +184,12 @@ class ConstantSequence(BasicSequence):
     kind: ClassVar[str] = "constant"
 
     def __post_init__(self):
+        object.__setattr__(self, "s", as_integer(self.s, "constant s"))
         if self.s < 2:
             raise SequenceError(f"constant term must be >= 2, got {self.s}")
 
-    def term(self, k: int) -> int:
-        self._check_rank(k)
-        return self.s
+    def iter_terms(self, k_max: int, start: int = 1):
+        return itertools.repeat(self.s, k_max - start + 1)
 
     def eventually_bounded(self) -> bool:
         return True
@@ -206,27 +208,23 @@ class ArithmeticSequence(BasicSequence):
     kind: ClassVar[str] = "arithmetic"
 
     def __post_init__(self):
+        object.__setattr__(self, "a1", as_integer(self.a1, "arithmetic a1"))
         object.__setattr__(self, "d", as_ratio(self.d, "arithmetic d"))
         if self.a1 < 2:
             raise SequenceError(f"arithmetic a1 must be >= 2, got {self.a1}")
         if self.d < 1:
             raise SequenceError(f"arithmetic d must be >= 1, got {self.d}")
 
-    def term(self, k: int) -> int:
-        self._check_rank(k)
-        d = self.d
-        value, rem = divmod(self.a1 * d.denominator + (k - 1) * d.numerator, d.denominator)
-        if rem:
-            raise SequenceError(f"term({k}) = {self.a1 + (k - 1) * d} is not an integer")
-        return value
-
     def iter_terms(self, k_max: int, start: int = 1):
-        num, den = self.d.numerator, self.d.denominator
-        if den != 1:
-            # den does not divide (k - 1) * num at k = 2, so term(2) raises
-            # whatever a1 is: the checked per-rank path costs nothing here.
-            return super().iter_terms(k_max, start)
-        return iter(range(self.a1 + (start - 1) * num, self.a1 + k_max * num, num))
+        a1, num, den = self.a1, self.d.numerator, self.d.denominator
+        if den == 1:  # an integer step: every term is an integer
+            yield from range(a1 + (start - 1) * num, a1 + k_max * num, num)
+            return
+        for k in range(start, k_max + 1):
+            value, rem = divmod(a1 * den + (k - 1) * num, den)
+            if rem:
+                raise SequenceError(f"term({k}) = {a1 + (k - 1) * self.d} is not an integer")
+            yield value
 
     def eventually_bounded(self) -> bool:
         return False
@@ -245,15 +243,12 @@ class GeometricSequence(BasicSequence):
     kind: ClassVar[str] = "geometric"
 
     def __post_init__(self):
+        object.__setattr__(self, "b1", as_integer(self.b1, "geometric b1"))
         object.__setattr__(self, "q", as_ratio(self.q, "geometric q"))
         if self.b1 < 2:
             raise SequenceError(f"geometric b1 must be >= 2, got {self.b1}")
         if self.q < 1:
             raise SequenceError(f"geometric q must be >= 1, got {self.q}")
-
-    def term(self, k: int) -> int:
-        self._check_rank(k)
-        return next(self.iter_terms(k, k))
 
     def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
         # ln b1 + (k - 1) * (ln num(q) - ln den(q))
@@ -288,10 +283,6 @@ class CounterexampleSequence(BasicSequence):
     """
 
     kind: ClassVar[str] = "counterexample"
-
-    def term(self, k: int) -> int:
-        self._check_rank(k)
-        return 10**k if is_power_of_ten(k) else 2
 
     def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
         if n == 2:
@@ -335,12 +326,6 @@ class CustomSequence(BasicSequence):
         for i, t in enumerate(self.table, 1):
             if t < 2:
                 raise SequenceError(f"custom table term({i}) = {t} must be >= 2")
-
-    def term(self, k: int) -> int:
-        self._check_rank(k)
-        if k <= len(self.table):
-            return self.table[k - 1]
-        return self.tail.term(k)
 
     def raw_log_term(self, k: int, n: int, prec: int, rnd: str) -> tuple:
         if k <= len(self.table):
@@ -387,13 +372,13 @@ def make_sequence(spec: Mapping) -> BasicSequence:
     try:
         if kind == "constant":
             reject_unknown_keys(spec, {"kind", "s"}, "constant sequence")
-            return ConstantSequence(as_integer(spec["s"], "constant s"))
+            return ConstantSequence(spec["s"])
         if kind == "arithmetic":
             reject_unknown_keys(spec, {"kind", "a1", "d"}, "arithmetic sequence")
-            return ArithmeticSequence(as_integer(spec["a1"], "arithmetic a1"), spec.get("d", 1))
+            return ArithmeticSequence(spec["a1"], spec.get("d", 1))
         if kind == "geometric":
             reject_unknown_keys(spec, {"kind", "b1", "q"}, "geometric sequence")
-            return GeometricSequence(as_integer(spec["b1"], "geometric b1"), spec.get("q", 1))
+            return GeometricSequence(spec["b1"], spec.get("q", 1))
         if kind == "counterexample":
             reject_unknown_keys(spec, {"kind"}, "counterexample sequence")
             return CounterexampleSequence()

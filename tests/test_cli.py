@@ -334,6 +334,26 @@ def test_config_key_set_is_the_set_flag(tmp_path, capsys):
     assert captured.out == inline
 
 
+def test_set_and_rows_take_a_bare_name_or_json(tmp_path, capsys):
+    # A value that starts with '{', '[' or '"' is JSON; anything else is a name.
+    for flag, name, argv in (("set", "all", ["boxcount", "--seq", CONST3, "--k-max", "12"]),
+                             ("rows", "uniform", ["dim-measure", "--seq", CONST3, "--k-max", "12"])):
+        assert run(argv + [f"--{flag}", name]) == 0
+        bare = capsys.readouterr()
+        assert bare.err == "" and bare.out
+        assert run(argv + [f"--{flag}", f'"{name}"']) == 0
+        assert capsys.readouterr().out == bare.out
+        code, captured = run_with_config(tmp_path, capsys, argv, {flag: name})
+        assert code == 0 and captured.err == "" and captured.out == bare.out
+        for malformed in ('{"every_rank":', "[0,", '"all'):
+            assert run(argv + [f"--{flag}", malformed]) == 2
+            err = capsys.readouterr().err
+            assert_one_error_line(err)
+            assert f"argument --{flag}: not valid JSON" in err
+    assert run(["boxcount", "--seq", CONST3, "--k-max", "12", "--set", "al"]) == 1
+    assert capsys.readouterr().err == "error: unknown digit-set descriptor 'al'\n"
+
+
 def test_flag_errors_outside_argparse_types_are_one_line(tmp_path, capsys):
     assert run(["encode", "--seq", CONST3, "--x", "1/0", "--rank", "2"]) == 2  # ZeroDivisionError
     assert_one_error_line(capsys.readouterr().err)

@@ -288,13 +288,15 @@ def test_truncate():
 
 
 class _CountingSequence(type(CONSTANT3)):
-    """constant(3) that counts its term() calls."""
+    """constant(3) that counts the terms it hands out, through ``term`` or
+    ``iter_terms`` (which ``term`` reads)."""
 
     calls = 0
 
-    def term(self, k):
-        type(self).calls += 1
-        return super().term(k)
+    def iter_terms(self, k_max, start=1):
+        for n in super().iter_terms(k_max, start):
+            type(self).calls += 1
+            yield n
 
 
 def test_last_digit_errors_keep_their_messages():

@@ -89,12 +89,19 @@ SPECS_BY_MODE = {
     "exceptions": DigitSetSpec.with_exceptions(ARITH, (0, 2), exception_ranks=(2, 5)),
     "per_rank": DigitSetSpec.from_table(CONSTANT3, [(0,), (1, 2), (0, 1, 2), (2,)]),
 }
+# The descriptor each spec keeps, in the form it was read from.
+ADMISSIBLE_BY_MODE = {
+    "all": "all",
+    "every_rank": {"every_rank": [0, 2]},
+    "exceptions": {"except_ranks": [2, 5], "digits_at_exception": [0, 2]},
+    "per_rank": {"per_rank": [[0], [1, 2], [0, 1, 2], [2]]},
+}
 
 
 @pytest.mark.parametrize("mode", sorted(SPECS_BY_MODE))
 def test_admissible_count_is_the_size_of_admissible_digits(mode):
     spec = SPECS_BY_MODE[mode]
-    assert spec.mode == mode
+    assert spec.descriptor()["admissible"] == ADMISSIBLE_BY_MODE[mode]
     for k in range(1, 7):
         try:
             digits = spec.admissible_digits(k)
@@ -175,7 +182,8 @@ def test_explicit_exception_ranks():
 def test_from_descriptor_accepts_wrapped_form():
     wrapped = DigitSetSpec.from_descriptor(CONSTANT3, {"admissible": {"every_rank": [0, 2]}})
     assert wrapped.descriptor() == CANTOR.descriptor()
-    assert DigitSetSpec.from_descriptor(CONSTANT3, {"admissible": "all"}).mode == "all"
+    assert wrapped == CANTOR and hash(wrapped) == hash(CANTOR)  # the dict descriptor is not hashed
+    assert DigitSetSpec.from_descriptor(CONSTANT3, {"admissible": "all"}).descriptor()["admissible"] == "all"
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ stopping rank's dependence on the precision), and the one-pass measure
 walk for the ``example1-1500-``, ``example1-tower-p80``,
 ``dim-spectrum-counterexample-psi``, ``dim-measure-pointmass``,
 ``dim-measure-custom-zero-p30`` and ``billingsley-counterexample-csv``
-cases (the ``example1-1500-`` ones cross the spike at rank 1000).  Any
+cases (the ``example1-1500-`` ones cross the spike at rank 1000), and
+the one-definition digit set for the ``boxcount-except-``,
+``boxcount-per-rank`` and ``boxcount-wrapped`` cases; the bare-name
+``boxcount-counterexample-bare`` is pinned to the JSON-string case.  Any
 change to the summation order, the emitted precision or the report
 layout shows here.  The same bytes must reach an ``--out`` file, and the
 per-series files of multi-series CSV and plot-data (``MULTI_SERIES``) are
@@ -73,6 +76,15 @@ CASES = {
                             '{"except_ranks":"powers_of_10","digits_at_exception":[0]}'],
     "boxcount-constant": ["boxcount", "--seq", CONST3, "--k-max", "80", "--set", '{"every_rank":[0,2]}'],
     "boxcount-counterexample": ["boxcount", "--seq", COUNTER, "--k-max", "120", "--set", '"all"'],
+    "boxcount-counterexample-bare": ["boxcount", "--seq", COUNTER, "--k-max", "120", "--set", "all"],
+    "boxcount-except-list": ["boxcount", "--seq", CONST3, "--k-max", "60", "--set",
+                             '{"except_ranks":[2,5,17,40],"digits_at_exception":[0,2]}'],
+    "boxcount-except-empty": ["boxcount", "--seq", ARITH, "--k-max", "50", "--set",
+                              '{"except_ranks":[],"digits_at_exception":[0]}'],
+    "boxcount-per-rank": ["boxcount", "--seq", ARITH, "--k-max", "40", "--set",
+                          json.dumps({"per_rank": [[0, k] if k % 3 else [k] for k in range(1, 41)]})],
+    "boxcount-wrapped": ["boxcount", "--seq", GEOM, "--k-max", "50", "--set",
+                         '{"admissible":{"except_ranks":"powers_of_10","digits_at_exception":[1]}}'],
     "billingsley-unit-flags": ["billingsley", "--seq", CONST3, "--rows", "point_mass:0", "--k-max", "5",
                                "--digits", "[0,0,0,0,0]"],
     "example1": ["example1", "--k-max", "200"],
@@ -135,6 +147,10 @@ DIGESTS = {
     "boxcount-arithmetic": "3fb4cabf271e6d86dd4780188fce5377ff6570a3a0a4d137c51a3b356453e058",
     "boxcount-constant": "0b515b77a4be1b962c15f4f546d66a0b2ac620147d9216fd4a10024f457dc030",
     "boxcount-counterexample": "025daccd6394ab31c7945885a11cc263c6a19aa67f98bfc2ab366ef70694398a",
+    "boxcount-except-list": "8a0f47960dcc4714249cd2bd67f90ed1be95e96b823a3a371f0442e943dc5af2",
+    "boxcount-except-empty": "064a99ef5da73c169fb04b6335b34bf8ddab9dc90ab9e58d7e36c99940e274bf",
+    "boxcount-per-rank": "303c31acfbef3bb5d3fc2b312c28de3c2cac8e12089b2aaae3f3fa3eb3ff0da0",
+    "boxcount-wrapped": "29d83e2126d91026e8cdc0beef38ae7f88fe2c552310645aaf99d42593c10f55",
     "billingsley-unit-flags": "7aa877037c30dfdd123a9400f3686fa4871da726688d83da6dfc7df61f9d8146",
     "example1": "a6a03fb42cd2feffc43a43d19018033fbcf0901aa39d4b4cce0ba4655e1cab08",
     "example1-tower-p30": "d1f07955b6cef305ce4270c8319037ee46c3433f018bcee157e7d9a12e785f02",
@@ -165,6 +181,8 @@ DIGESTS = {
     "cdf-constant-custom": "e5e372a58baca3ccde535f252c558853dae38e8812b9ae0726fb075a6d91f405",
     "cdf-constant-custom-p30": "73777eb454a4855919e8c05a9b69475bdf86ff803197e496f901ae9b4b5d4271",
 }
+# The bare name is the JSON string "all": the same set, the same bytes.
+DIGESTS["boxcount-counterexample-bare"] = DIGESTS["boxcount-counterexample"]
 
 
 # Multi-series CSV and plot-data: argv (without --out) and the digest of
@@ -208,6 +226,19 @@ def test_out_file_holds_the_stdout_bytes(name, tmp_path):
     assert run(CASES[name] + ["--out", str(tmp_path / "report")]) == 0
     (written,) = tmp_path.iterdir()  # plot-data names its file report.<series>.dat
     assert hashlib.sha256(written.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["billingsley-unit-flags", "billingsley-psi-flags"])
+@pytest.mark.parametrize("fmt, sep", [("csv", ","), ("plot-data", " ")])
+def test_csv_and_plot_data_carry_the_flags(name, fmt, sep, capsys):
+    # Each line is a JSON point's fields, so a flagged point keeps its flag
+    # as a third field and an unflagged one has two.
+    assert run(CASES[name]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert any(len(point) == 3 for point in points)
+    assert run(CASES[name] + ["--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line[0].isdigit()] == [sep.join(map(str, point)) for point in points]
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_SERIES))

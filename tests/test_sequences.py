@@ -25,6 +25,9 @@ from cantordim import cli
 from cantordim.precision import mpf_text
 from cantordim.sequences import (
     ArithmeticSequence,
+    ConstantSequence,
+    CustomSequence,
+    GeometricSequence,
     VERDICT_INCONCLUSIVE,
     VERDICT_MET,
     VERDICT_VIOLATED,
@@ -114,6 +117,10 @@ def test_invalid_descriptors_rejected(spec):
         make_sequence(spec)
 
 
+CLASS_OF_KIND = {"constant": ConstantSequence, "arithmetic": ArithmeticSequence,
+                 "geometric": GeometricSequence, "custom": CustomSequence}
+
+
 @pytest.mark.parametrize(
     "spec_with, field",
     [
@@ -124,9 +131,15 @@ def test_invalid_descriptors_rejected(spec):
     ],
 )
 def test_integer_fields_are_not_truncated(spec_with, field):
-    for bad in (3.5, 3.0, "3", True):
-        with pytest.raises(SequenceError, match=f"^{field} must be an integer, got "):
+    for bad in (3.5, 3.0, "3", True, 2.5):
+        with pytest.raises(SequenceError, match=f"^{field} must be an integer, got ") as via_descriptor:
             make_sequence(spec_with(bad))
+        # The constructor reads the field: the class built directly from the
+        # same fields, e.g. ConstantSequence(2.5), fails with the same text.
+        fields = spec_with(bad)
+        with pytest.raises(SequenceError) as direct:
+            CLASS_OF_KIND[fields.pop("kind")](**fields)
+        assert str(direct.value) == str(via_descriptor.value)
     numpy = pytest.importorskip("numpy")
     seq = make_sequence(spec_with(numpy.int64(3)))
     assert type(seq.term(2)) is int
@@ -139,6 +152,9 @@ def test_rational_parameters_need_integer_terms():
     assert type(seq.term(3)) is int
     with pytest.raises(SequenceError, match=r"term\(2\) = 7/2 is not an integer"):
         seq.term(2)
+    assert list(seq.iter_terms(3, 3)) == [5]  # the pass checks each rank it reaches
+    with pytest.raises(SequenceError, match=r"^term\(4\) = 13/2 is not an integer$"):
+        list(seq.iter_terms(5, 3))
 
 
 def test_custom_table_and_tail():

@@ -29,18 +29,13 @@ from cantordim.codec import MAX_RANK
 
 @dataclass(frozen=True)
 class CountingArithmetic(ArithmeticSequence):
-    """n_k = a1 + (k-1) d, recording the rank of every term read: each
-    ``term`` call and each term an ``iter_terms`` pass hands out (an integer
-    d steps the pass without ``term``)."""
+    """n_k = a1 + (k-1) d, recording the rank of every term read: each term
+    an ``iter_terms`` pass hands out, which is also what ``term(k)`` reads."""
 
     reads: list = field(default_factory=list, compare=False)
 
-    def term(self, k: int) -> int:
-        self.reads.append(k)
-        return super().term(k)
-
-    def iter_terms(self, k_max: int):
-        for k, n in enumerate(super().iter_terms(k_max), 1):
+    def iter_terms(self, k_max: int, start: int = 1):
+        for k, n in enumerate(super().iter_terms(k_max, start), start):
             self.reads.append(k)
             yield n
 
