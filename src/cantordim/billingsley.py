@@ -164,7 +164,7 @@ class _RatioWalk:
         elif log_mu == fzero:
             point = RatioPoint(k=k, value=mpf(0), flag=FLAG_UNIT_MEASURE)
         else:
-            value = mpf_div(log_prefix, mpf_neg(log_mu, prec, rnd), prec, rnd)
+            value = mpf_div(log_prefix, mpf_neg(log_mu), prec, rnd)  # exact: log_mu has at most prec bits
             point = RatioPoint(k=k, value=as_mpf(value))
         self.points.append(point)
 

@@ -128,13 +128,28 @@ def encode(x, seq: BasicSequence, k: int) -> DigitString:
 
 
 def _mixed_radix(d: DigitString) -> tuple[int, int]:
-    """(num, den) with num / den = sum a_i / (n_1 ... n_i) and den = n_1 ... n_k."""
-    num = 0
-    den = 1
-    for a, n in zip(d.digits, d.seq.iter_terms(d.rank)):
-        num = num * n + a
-        den *= n
-    return num, den
+    """(num, den) with num / den = sum a_i / (n_1 ... n_i) and den = n_1 ... n_k.
+
+    By binary splitting over the terms, read once in rank order: two
+    halves (num_l, den_l), (num_r, den_r) join as (num_l * den_r + num_r,
+    den_l * den_r), so products pair operands of like size, and a leaf of
+    128 to 255 ranks is Horner's rule, num = num * n_i + a_i, which over
+    all k ranks would take time quadratic in k.
+    """
+    pairs = zip(d.digits, d.seq.iter_terms(d.rank))
+
+    def run(size: int) -> tuple[int, int]:
+        if size < 256:
+            num, den = 0, 1
+            for a, n in itertools.islice(pairs, size):
+                num = num * n + a
+                den *= n
+            return num, den
+        num, den = run(size // 2)
+        num_r, den_r = run(size - size // 2)
+        return num * den_r + num_r, den * den_r
+
+    return run(d.rank)
 
 
 def decode(d: DigitString) -> Fraction:

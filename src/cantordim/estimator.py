@@ -10,6 +10,7 @@ the sequence diagnostic assesses separately.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -38,7 +39,7 @@ class DigitSetSpec:
 
     A set keeps the form it was read from, once: ``admissible`` is its
     normalized descriptor ("all" or one JSON mapping), which
-    ``descriptor()`` returns as it stands.  The counts read one listing
+    ``descriptor()`` returns a copy of.  The counts read one listing
     rule: ``per_rank`` lists the digits of each rank up to its length;
     otherwise ``digits`` are listed at the ranks where ``listed_at`` holds
     (every rank, none, the powers of ten or a given list), and every digit
@@ -154,7 +155,8 @@ class DigitSetSpec:
         return tuple(range(n)) if listed is None else listed
 
     def descriptor(self) -> dict:
-        return {"sequence": self.seq.descriptor(), "admissible": self.admissible}
+        """The set's JSON descriptor, a copy: editing it leaves the set as it is."""
+        return {"sequence": self.seq.descriptor(), "admissible": copy.deepcopy(self.admissible)}
 
 
 def _sorted_entries(values: Sequence[int], what: str) -> tuple[int, ...]:

@@ -18,6 +18,7 @@ per-rank consumers (the DP positivity scan, ratio series) riding along.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
@@ -28,10 +29,10 @@ from typing import Callable, Mapping, Optional, Sequence
 from mpmath import mp, mpf
 
 from .codec import DigitString, check_max_rank, greedy_digits
-from .logreal import LOG_ZERO, LogReal, log_add, log_fraction, log_sub, log_sum, log_xlog
+from .logreal import LINEAR_LOG_LIMIT, LOG_ZERO, LogReal, log_add, log_fraction, log_sub, log_sum, log_xlog
 from .precision import (
-    GUARD_DPS, MIN_DPS, as_mpf, eps_for, fzero, ln_int, ln_int_raw, mpf_add, mpf_div,
-    mpf_lt, mpf_mul, mpf_text, working_dps,
+    GUARD_DPS, MIN_DPS, as_mpf, eps_for, fone, fzero, ln_int, ln_int_raw, mpf_add, mpf_div, mpf_exp,
+    mpf_lt, mpf_mul, mpf_neg, mpf_sub, mpf_text, working_dps,
 )
 from .sequences import (
     ArithmeticSequence,
@@ -88,6 +89,8 @@ class Row(ABC):
 
 
 class UniformRow(Row):
+    """Its logs are ``ln_int_raw`` values and their exact negations: no mpf operator."""
+
     def __init__(self, n: int):
         self.n = n
         self._logp = None  # built on the first logp call; the dimension series never ask
@@ -95,7 +98,7 @@ class UniformRow(Row):
     def logp(self, digit: int) -> mpf:
         self._check_digit(digit)
         if self._logp is None:
-            self._logp = -ln_int(self.n)
+            self._logp = self.min_positive_log()
         return self._logp
 
     def cum(self, digit: int) -> mpf:
@@ -109,7 +112,7 @@ class UniformRow(Row):
         return self.n
 
     def min_positive_log(self) -> mpf:
-        return -ln_int(self.n)
+        return as_mpf(mpf_neg(ln_int_raw(self.n, *mp._prec_rounding)))
 
 
 class PointMassRow(Row):
@@ -237,7 +240,7 @@ class RowRule:
     separated_from_zero: Callable[[BasicSequence], Optional[bool]]
 
     def descriptor(self):
-        return self.name
+        return copy.deepcopy(self.name)  # a copy: editing it leaves the rule as it is
 
 
 # The spiked rules, by JSON name: uniform rows except at power-of-ten ranks,
@@ -411,18 +414,21 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
     Sums the measures of all rank-k cylinders strictly left of the one
     containing x; the truncation error is at most the measure of that
     cylinder.  Terms are computed in the log domain and accumulated
-    linearly, skipping anything below the working precision.
+    linearly, skipping anything below the working precision, on the raw
+    kernel (see ``precision``): ``acc += exp(prefix + cum)`` as ``mpf_add``
+    and ``mpf_exp``, with ``LogReal.to_mpf``'s OverflowError past its limit.
 
     The digits of x and the rows come from one pass over n_1..n_k.  It
     stops at the first rank whose prefix measure (that of the cylinder
     containing x) is below the skip floor by more than one nat; the terms
     past it are still read, so a missing or non-integer term raises as it
-    would on the full walk.  The stop changes no value: every later term is that prefix times further
-    digit probabilities and one row's cumulative mass, and each of these
-    factors is at most e**eps with eps <= 1e-10 (a custom row may sum to
-    1 within that tolerance).  Over at most MAX_RANK = 10**6 ranks they
-    grow the prefix by less than e**(1e-4), so no later term reaches the
-    floor and the sum is the one the full walk would return.
+    would on the full walk.  The stop changes no value: every later term is
+    that prefix times further digit probabilities and one row's cumulative
+    mass, and each of these factors is at most e**eps with eps <= 1e-10 (a
+    custom row may sum to 1 within that tolerance).  Over at most MAX_RANK
+    = 10**6 ranks they grow the prefix by less than e**(1e-4), so no later
+    term reaches the floor and the sum is the one the full walk would
+    return.
 
     At x = 1 the value is 1 and no row is built, but the rank cap is
     checked and the k terms are read, as on the walk for x < 1.
@@ -433,24 +439,29 @@ def cdf(model: SymbolModel, x, k: int, dps: int | None = None) -> mpf:
     if not 1 <= k <= model.depth_cap:
         raise ModelError(f"truncation rank {k} outside 1..depth_cap={model.depth_cap}")
     check_max_rank(k)
-    with working_dps(dps):
+    with working_dps(dps) as (_, prec, rnd):
         if x == 1:
             deque(model.seq.iter_terms(k), maxlen=0)
             return mpf(1)
-        floor_log = -(mp.dps + 2) * mp.ln(10)
-        acc = mpf(0)
-        prefix = mpf(0)  # ln of the measure of the cylinder containing x
+        floor_log = (-(mp.dps + 2) * mp.ln(10))._mpf_
+        stop_log = mpf_sub(floor_log, fone, prec, rnd)
+        neg_limit = mpf_neg(LINEAR_LOG_LIMIT._mpf_)
+        acc = fzero
+        prefix = fzero  # ln of the measure of the cylinder containing x
         terms = model.seq.iter_terms(k)
         for i, (n, a) in enumerate(greedy_digits(x, terms), 1):
             row = model.rule.row(i, n)
-            term = prefix + row.cum(a)
-            if term > floor_log:
-                acc += LogReal(term).to_mpf()
-            prefix += row.logp(a)
-            if prefix < floor_log - 1:  # ln 0 = -inf: a zero prefix stops too
+            term = mpf_add(prefix, row.cum(a)._mpf_, prec, rnd)
+            if mpf_lt(floor_log, term):
+                # A log measure, at most eps <= 1e-10 above 0: only its lower side can pass the limit.
+                if mpf_lt(term, neg_limit):
+                    raise OverflowError(f"log magnitude {as_mpf(term)} too extreme for a linear-domain value")
+                acc = mpf_add(acc, mpf_exp(term, prec, rnd), prec, rnd)
+            prefix = mpf_add(prefix, row.logp(a)._mpf_, prec, rnd)
+            if mpf_lt(prefix, stop_log):  # ln 0 = -inf: a zero prefix stops too
                 break
         deque(terms, maxlen=0)  # the terms past the stop are still checked
-        return acc
+        return as_mpf(acc)
 
 
 @dataclass

@@ -6,18 +6,19 @@ significant decimal digits (default 50, overridable via the
 CANTORDIM_PRECISION environment variable).
 
 The per-rank loops (the rank walk, the ratio, dimension and Billingsley
-series) run on a fixed-precision kernel of raw libmp values, the ``_mpf_``
-tuples inside an mpf.  Its contract:
+series, the cdf) run on a fixed-precision kernel of raw libmp values, the
+``_mpf_`` tuples inside an mpf.  Its contract:
 
 - a walk opens ``with working_dps(dps) as (used, prec, rnd):``, which
   resolves its report digits ``used`` and reads its (prec, rnd) once, and
   passes prec and rnd to every operation;
-- each add, sub, mul, div, negation and square root is the libmp function
-  the mpf operator (or ``mp.sqrt``) itself calls, or its inline form below,
-  on the same operands in the same order: ``a + b`` is
-  ``mpf_add(a, b, prec, rnd)``, ``a * i`` for an int ``i`` is ``mpf_mul_int``,
-  ``a ** 2`` is ``mpf_mul(a, a, ...)`` (the same bits), ``-a`` is
-  ``mpf_neg``, and ``sum`` from 0 is a chain of ``mpf_add`` from ``fzero``;
+- each add, sub, mul, div, negation, exp and square root is the libmp
+  function the mpf operator (or ``mp.exp``, ``mp.sqrt``) itself calls, or
+  its inline form below, on the same operands in the same order: ``a + b``
+  is ``mpf_add(a, b, prec, rnd)``, ``a * i`` for an int ``i`` is
+  ``mpf_mul_int``, ``a ** 2`` is ``mpf_mul(a, a, ...)`` (the same bits),
+  ``-a`` is ``mpf_neg`` (exact, with no prec, for an ``a`` of at most prec
+  bits), and ``sum`` from 0 is a chain of ``mpf_add`` from ``fzero``;
 - comparisons are the exact ``mpf_cmp``/``mpf_lt`` on the raw values;
 - a value is wrapped in an mpf (``as_mpf``) only when a report keeps it
   or formats it, and each mpf is formatted with ``mpf_text``.  The spill:
@@ -26,15 +27,17 @@ tuples inside an mpf.  Its contract:
   CLI writes them.
 
 On mpmath's pure-Python backend the add, sub, mul and div exported here
-run libmp's round-to-nearest steps inline; any other rounding mode, prec 0
-(only div refuses prec < 1), zero, inf or nan operand, exponent
-gap over 100 bits or exact quotient goes to libmp, the fallback and the
-test oracle.  So every output bit is the operator form's, and the loops
-skip only its context lookup, type dispatch and allocation.  The box-count
-regression's per-point passes skip the tuples too: ``to_fixed`` makes each
-value an int at one binary scale, ``round_fixed`` rounds each exact int
-result as ``_nearest`` would, and ``from_man_exp`` makes a sum a tuple
-again.  The operator-form single-value functions
+run libmp's round-to-nearest steps inline, add and sub with its far-gap
+branch (exponents over 100 bits apart), and so do the compares, which at
+one top bit compare aligned mantissas where libmp subtracts.  Any other
+rounding mode, prec 0 (only div refuses prec < 1), zero, inf or nan
+operand, pair of signs or exact quotient goes to libmp, the fallback and
+the test oracle.  So every output bit is the operator form's, and the
+loops skip only its context lookup, type dispatch and allocation.  The
+box-count regression's per-point passes skip the tuples too: ``to_fixed``
+makes each value an int at one binary scale, ``round_fixed`` rounds each
+exact int result as ``_nearest`` would, and ``from_man_exp`` makes a sum a
+tuple again.  The operator-form single-value functions
 (``log_prefix_product``, ``faithfulness_ratio``, ``billingsley_ratio``,
 ``cylinder_measure_log``) are the bit-for-bit oracles of the kernel loops.
 
@@ -64,7 +67,7 @@ from functools import lru_cache
 from mpmath import libmp, mp, mpf
 # The kernel's operations, re-exported to the modules that run the loops.
 from mpmath.libmp import (  # noqa: F401
-    fninf, from_int, from_man_exp, fzero, mpf_cmp, mpf_log, mpf_lt, mpf_mul_int, mpf_neg, mpf_sqrt, to_str,
+    fninf, fone, from_int, from_man_exp, fzero, mpf_exp, mpf_log, mpf_mul_int, mpf_neg, mpf_sqrt, to_str,
 )
 
 ENV_PRECISION = "CANTORDIM_PRECISION"
@@ -153,16 +156,22 @@ def to_fixed(x, scale):
 
 
 def mpf_add(s, t, prec, rnd, _sub=0):
-    ssign, sman, sexp, _ = s
-    tsign, tman, texp, _ = t
-    offset = sexp - texp
-    if not (sman and tman and prec and rnd == "n" and -100 <= offset <= 100):
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not (sman and tman and prec and rnd == "n"):
         return libmp.mpf_add(s, t, prec, rnd, _sub)
+    tsign ^= _sub
+    offset = sexp - texp
+    # libmp's far-gap branch: an addend below the other's prec + 4 bits moves it by one unit there
     if offset >= 0:
+        if offset > 100 and sbc + offset - tbc > prec + 4:
+            return _nearest(ssign, (sman << prec + 4) + (1 if ssign == tsign else -1), sexp - prec - 4, prec)
         sman, exp = sman << offset, texp
     else:
+        if offset < -100 and tbc - offset - sbc > prec + 4:
+            return _nearest(tsign, (tman << prec + 4) + (1 if ssign == tsign else -1), texp - prec - 4, prec)
         tman, exp = tman << -offset, sexp
-    if ssign == tsign ^ _sub:
+    if ssign == tsign:
         man = sman + tman
     else:
         man = sman - tman
@@ -200,8 +209,29 @@ def mpf_div(s, t, prec, rnd):
     return _nearest(ssign ^ tsign, (quot << 1) + 1, sexp - texp - extra - 1, prec)  # sticky low bit
 
 
+def mpf_cmp(s, t):
+    """libmp's mpf_cmp: -1, 0 or 1 as s <, = or > t, ordering two finite
+    nonzero values of one sign by top bit (exp + bc), then aligned mantissa."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not (sman and tman) or ssign != tsign:
+        return libmp.mpf_cmp(s, t)
+    top = sexp + sbc - texp - tbc
+    if not top:
+        shift = sexp - texp
+        top = (sman << shift) - tman if shift >= 0 else sman - (tman << -shift)
+        if not top:
+            return 0
+    return -1 if (top < 0) ^ ssign else 1
+
+
+def mpf_lt(s, t):
+    """libmp's mpf_lt: s < t, and False when either is nan."""
+    return mpf_cmp(s, t) < 0 if s[1] and t[1] else libmp.mpf_lt(s, t)
+
+
 if libmp.BACKEND != "python":  # gmpy's or Sage's arithmetic beats any inline step
-    from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_sub  # noqa: F811
+    from mpmath.libmp import mpf_add, mpf_cmp, mpf_div, mpf_lt, mpf_mul, mpf_sub  # noqa: F811
 
 
 # libmp's to_digits_exp works in float with this constant; the digit counts

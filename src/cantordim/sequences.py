@@ -46,9 +46,12 @@ class SequenceError(ValueError):
     """Invalid sequence parameters, ranks, or non-integer terms."""
 
 
+_POWERS_OF_TEN = frozenset(10**m for m in range(1, 19))
+
+
 def is_power_of_ten(k: int) -> bool:
-    """True for k in {10, 100, 1000, ...}."""
-    return k >= 10 and 10 ** (len(str(k)) - 1) == k
+    """True for k in {10, 100, 1000, ...}: a set lookup below 10**19."""
+    return k in _POWERS_OF_TEN if k < 10**19 else 10 ** (len(str(k)) - 1) == k
 
 
 def trailing_decade_start(k_max: int) -> int:

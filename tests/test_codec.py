@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantordim import codec
 from cantordim import (
     CodecError,
     DigitString,
@@ -239,6 +240,41 @@ def test_geometric_codec_at_high_rank_matches_term_oracle():
     assert decode(d) == Fraction(num, den)
     c = cylinder(d)
     assert (c.left, c.length, c.right) == (Fraction(num, den), Fraction(1, den), Fraction(num + 1, den))
+
+
+def _horner(d):
+    """(num, den) of a digit string by Horner's rule over all its ranks:
+    num = num * n_i + a_i, den = den * n_i."""
+    num, den = 0, 1
+    for a, n in zip(d.digits, d.seq.iter_terms(d.rank)):
+        num = num * n + a
+        den *= n
+    return num, den
+
+
+MIXED_RADIX_SEQS = [
+    CONSTANT3,
+    ARITH,
+    make_sequence({"kind": "geometric", "b1": 2, "q": 3}),
+    make_sequence({"kind": "counterexample"}),
+    make_sequence({"kind": "custom", "table": [2, 3, 5], "tail": {"kind": "arithmetic", "a1": 3, "d": 2}}),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(MIXED_RADIX_SEQS),
+    st.one_of(st.integers(min_value=0, max_value=700), st.sampled_from([255, 256, 257, 511, 512, 513])),
+    st.sampled_from(["random", "max", "zero"]),
+    st.randoms(use_true_random=False),
+)
+def test_mixed_radix_is_horners_rule(seq, rank, digits, rnd):
+    # The product tree splits at 256 ranks and again at 512.
+    pick = {"random": rnd.randrange, "max": lambda n: n - 1, "zero": lambda n: 0}[digits]
+    d = DigitString.unchecked(seq, tuple(pick(n) for n in seq.iter_terms(rank)))
+    num, den = _horner(d)
+    assert codec._mixed_radix(d) == (num, den)
+    assert decode(d) == Fraction(num, den)
 
 
 def _greedy_digits(x, seq, k):

@@ -133,6 +133,16 @@ def test_descriptor_round_trip():
         assert again.descriptor() == desc
 
 
+def test_descriptor_is_a_copy():
+    spec = DigitSetSpec.constant_digits(CONSTANT3, [0, 2])
+    spec.descriptor()["admissible"]["every_rank"].append(1)
+    assert spec.descriptor()["admissible"] == {"every_rank": [0, 2]}
+    assert spec == DigitSetSpec.constant_digits(CONSTANT3, [0, 2])
+    table = DigitSetSpec.from_table(CONSTANT3, [(0, 1), (2,)])
+    table.descriptor()["admissible"]["per_rank"][0].append(2)
+    assert table.descriptor()["admissible"] == {"per_rank": [[0, 1], [2]]}
+
+
 def test_from_descriptor_rejects_unknown():
     with pytest.raises(EstimatorError):
         DigitSetSpec.from_descriptor(CONSTANT3, {"bogus": 1})

@@ -180,3 +180,76 @@ def test_to_fixed_is_exact(x, shift):
     scale = max(0, -x[2]) + shift
     v = precision.to_fixed(x, scale)
     assert precision.from_man_exp(v, -scale) == x
+
+
+@st.composite
+def ordered_pairs(draw):
+    """(s, t, prec): values of either sign with 1 to 400 mantissa bits whose
+    top bits (exp + bc) lie 0 to 400 bits apart, often at one top bit, now
+    and then with zero, +-inf or nan in place of one, and a prec of 1 to 400."""
+
+    def value(top):
+        bits = draw(st.integers(min_value=1, max_value=400))
+        man = draw(st.one_of(st.just(2**bits - 1), st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)))
+        return raw(draw(st.integers(0, 1)), man, top - bits)
+
+    top = draw(st.integers(min_value=-700, max_value=700))
+    gap = draw(st.one_of(st.just(0), st.integers(min_value=-400, max_value=400)))
+    s, t = value(top), value(top + gap)
+    if draw(st.integers(0, 9)) == 0:
+        special = draw(st.sampled_from(SPECIALS))
+        s, t = (special, t) if draw(st.booleans()) else (s, special)
+    return s, t, draw(st.integers(min_value=1, max_value=400))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(pair=ordered_pairs())
+@example(pair=(raw(0, 3, 0), raw(0, 7, -1), 53))  # one top bit: 3 < 3.5
+@example(pair=(raw(1, 3, 0), raw(1, 7, -1), 53))  # and its negation: -3 > -3.5
+@example(pair=(raw(0, 5, 10), raw(0, 5, 10), 53))  # equal
+@example(pair=(raw(0, 2**200 - 1, 0), raw(1, 1, -250), 53))  # far gap: 2**200 - 1 less a hair
+@example(pair=(raw(0, 1, -250), raw(0, 2**53 - 1, 0), 53))  # the far-gap addend first
+@example(pair=(raw(0, 1, 0), raw(0, 1, -110), 1))  # prec 1
+@example(pair=(raw(0, 2**120 - 1, 0), raw(0, 1, -101), 53))  # 101 bits apart, just past the gap rule
+@example(pair=(raw(0, 2**120 - 1, 0), raw(0, 2**60 - 1, -130), 53))  # exponents far, magnitudes not
+def test_inline_compare_and_far_gap_add_are_libmps(pair):
+    s, t, prec = pair
+    for a, b in [(s, t), (t, s)]:
+        assert precision.mpf_cmp(a, b) == libmp.mpf_cmp(a, b)
+        assert precision.mpf_lt(a, b) == libmp.mpf_lt(a, b)
+        for op in ["mpf_add", "mpf_sub"]:
+            assert_as_libmp(op, a, b, prec, "n")
+
+
+COUNTED = ["mpf_add", "mpf_sub", "mpf_cmp", "mpf_lt"]
+
+
+def test_example1_keeps_its_walks_on_the_kernel(monkeypatch):
+    # Every libmp add, sub and compare the example1 walks make, called
+    # through precision.libmp or through a name a cantordim module holds.
+    # The far-gap adds of the ratio walk (its log-measure sits near
+    # -10**10 * ln 10 after the first spike) and the compares of the
+    # dimension and ratio series all run inline; what is left comes from
+    # the few spike ranks.
+    import io
+    import sys
+    from contextlib import redirect_stdout
+
+    from cantordim.cli import run
+
+    calls = {name: 0 for name in COUNTED}
+    modules = [m for name, m in sys.modules.items() if name.startswith("cantordim")]
+    for name in COUNTED:
+        original = getattr(libmp, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(libmp, name, counted)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    with redirect_stdout(io.StringIO()):
+        assert run(["example1", "--k-max", "3000", "--samples", "1"]) == 0
+    assert sum(calls.values()) <= 50, calls

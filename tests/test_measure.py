@@ -9,6 +9,7 @@ Fraction probabilities for those lying left of x.
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,9 @@ from cantordim import (
     make_sequence,
     working_dps,
 )
-from cantordim.logreal import LOG_ZERO
+from cantordim import logreal as logreal_module
+from cantordim import measure as measure_module
+from cantordim.logreal import LOG_ZERO, LogReal
 from cantordim.measure import (
     MEASURE_ENTROPY, SPECTRUM_COUNT, CustomRow, CustomRule, UniformRow, dimension_series,
 )
@@ -342,6 +345,21 @@ def test_cdf_early_stop_equals_full_walk(dps):
         model = SymbolModel(seq, make_row_rule(rows), depth_cap=k)
         got = cdf(model, x, k, dps=dps)
         assert got == full_walk_cdf(model, x, k, dps), (seq, rows, x, k)
+
+
+def test_cdf_keeps_logreals_overflow_text(monkeypatch):
+    # The limit is ln 10**-(10**6 / ln 10), below the skip floor at any
+    # precision short of 434,000 digits; lowered here, a short walk over
+    # uniform rows passes it.
+    monkeypatch.setattr(measure_module, "LINEAR_LOG_LIMIT", mpf(20))
+    with pytest.raises(OverflowError) as info:
+        cdf(uniform_model(CONSTANT3, 100), X40, 100, dps=15)
+    with working_dps(15):
+        term = mpf(str(info.value).split()[2])
+        assert -30 < term < -20
+        monkeypatch.setattr(logreal_module, "LINEAR_LOG_LIMIT", mpf(20))
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(info.value))}$"):
+            LogReal(term).to_mpf()
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +722,12 @@ def test_custom_rule_reads_every_entry_when_built(capsys, rows, rows_json, messa
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_custom_rule_descriptor_is_a_copy():
+    rule = make_row_rule({"custom": [["1/2", "1/2"]]})
+    rule.descriptor()["custom"][0].append(9)
+    assert rule.descriptor() == {"custom": [["1/2", "1/2"]]}
 
 
 def test_custom_rule_keeps_its_entries_as_exact_rationals():
