@@ -93,13 +93,11 @@ class UniformRow(Row):
 
     def __init__(self, n: int):
         self.n = n
-        self._logp = None  # built on the first logp call; the dimension series never ask
+        self._logp = None  # -ln n, built when first asked for; the dimension series never ask
 
     def logp(self, digit: int) -> mpf:
         self._check_digit(digit)
-        if self._logp is None:
-            self._logp = self.min_positive_log()
-        return self._logp
+        return self.min_positive_log()
 
     def cum(self, digit: int) -> mpf:
         self._check_digit(digit)
@@ -112,7 +110,9 @@ class UniformRow(Row):
         return self.n
 
     def min_positive_log(self) -> mpf:
-        return as_mpf(mpf_neg(ln_int_raw(self.n, *mp._prec_rounding)))
+        if self._logp is None:
+            self._logp = as_mpf(mpf_neg(ln_int_raw(self.n, *mp._prec_rounding)))
+        return self._logp
 
 
 class PointMassRow(Row):
