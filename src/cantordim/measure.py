@@ -89,7 +89,7 @@ class Row(ABC):
 
 
 class UniformRow(Row):
-    """Its logs are ``ln_int_raw`` values and their exact negations: no mpf operator."""
+    """Its entropy and -ln n are ``ln_int_raw`` and its exact negation: no mpf operator."""
 
     def __init__(self, n: int):
         self.n = n
